@@ -11,13 +11,15 @@ import time
 
 from . import bn
 from .classes import load_registry
-from .errors import TaksirError
+from .errors import InvalidBnChar, TaksirError, UnmappedCodepoint
 from .formdict import FormDictionary, compile_lexicon
 from .lexicon import LexicalEntry, lexicon_stats, parse_lexicon, validate_entry
 from .paradigm import form_count, inflect
 from .segment import concordance, format_reading, segment
 
-_PUNCT = ".,;:!?()[]{}\"'«»…"
+#: Stripped from both ends of a token: ASCII punctuation and the Arabic
+#: comma, semicolon and question mark.
+_PUNCT = ".,;:!?()[]{}\"'«»…\u060c\u061b\u061f"
 
 
 def _read(path: str) -> str:
@@ -48,17 +50,25 @@ def _load_dictionary(args) -> FormDictionary:
 def tokenize(text: str) -> list[str]:
     tokens = []
     for raw in text.split():
-        token = raw.strip(_PUNCT)
+        token = raw.replace("\u0640", "").strip(_PUNCT)  # tatweel only stretches letters
         if not token:
             continue
         if bn.looks_arabic(token):
-            token = bn.to_bn(token)
+            try:
+                token = bn.to_bn(token)
+            except UnmappedCodepoint:
+                pass  # kept as written: no dictionary form can match it, so it is UNK
         tokens.append(token)
     return tokens
 
 
 def _display(surface: str, arabic: bool) -> str:
-    return bn.to_arabic(surface) if arabic else surface
+    if arabic:
+        try:
+            return bn.to_arabic(surface)
+        except InvalidBnChar:
+            pass  # a token that could not be transliterated is shown as written
+    return surface
 
 
 def cmd_compile(args) -> int:
@@ -70,8 +80,7 @@ def cmd_compile(args) -> int:
     started = time.perf_counter()
     dictionary, failures = compile_lexicon(lex, registry)
     elapsed = time.perf_counter() - started
-    dictionary.save(args.out)
-    stats = dictionary.stats()
+    stats = dictionary.stats(dictionary.save(args.out))
     print(f"wrote {args.out}")
     for key in ("forms", "analyses", "states", "transitions", "serialized_bytes", "listing_bytes"):
         print(f"{key}\t{stats[key]}")

@@ -1,10 +1,12 @@
 """Compiled full-form dictionary: a minimized acyclic automaton.
 
 The automaton is the minimal deterministic acyclic automaton of the surface
-strings alone; per-state subtree word counts turn it into a perfect hash, so
-a matched form's lexicographic rank indexes its analysis payload list.  That
-keeps suffix tails shared across the whole lexicon, which is what makes the
-serialized artifact small.
+strings alone, made a perfect hash (Lucchesi & Kowaltowski 1993): each arc
+carries a rank offset, the number of forms that end at its source state or
+below its smaller-labelled sibling arcs, so the offsets along a matched path
+sum to the form's lexicographic rank, which indexes its analysis payload
+list.  Suffix tails stay shared across the whole lexicon, which is what
+makes the serialized artifact small.
 
 Payloads do not name entries directly: they hold the features, the
 inflectional code and a rewrite that reconstructs the lemma from the matched
@@ -16,14 +18,15 @@ Definite cells are stored without the article: Al- is a determiner segment
 (the segmenter restores it), so a definite surface in the automaton is the
 noun part only, carrying the D feature.
 
-Diacritic transitions are skippable during diacritic-optional lookup: the
-dictionary may carry diacritics the query omits, but a diacritic present in
-the query must match the dictionary exactly.
+One iterative walk serves both lookup modes.  In diacritic-optional mode it
+may also skip dictionary diacritics the query omits, but a diacritic present
+in the query must match the dictionary exactly; strict mode never skips.
 """
 
 import struct
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from . import bn
 from .classes import ClassRegistry
@@ -64,13 +67,14 @@ class Analysis:
 class FormDictionary:
     """Minimal acyclic automaton plus rank-indexed analysis payloads."""
 
-    def __init__(self, transitions, finals, counts, payloads_by_rank):
-        self.transitions = transitions        # per state: tuple of (label, target), sorted
+    def __init__(self, arcs, finals, counts, payloads_by_rank):
+        self.arcs = arcs                      # per state: {label: (target, rank offset)}, label-sorted
         self.finals = finals                  # per state: bool
         self.counts = counts                  # per state: words accepted in its subtree
         self.payloads_by_rank = payloads_by_rank
         self.root = 0
         self._entry_ids: dict[tuple[str, str], int] = {}
+        self._features: dict[str, FeatureBundle] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -116,6 +120,12 @@ class FormDictionary:
         root = minimize(0)
         sys.setrecursionlimit(old_limit)
 
+        # minimize() registers a state after all of its successors, so one
+        # pass in registration order sees every successor's count first.
+        min_counts: list[int] = []
+        for edges, is_final in zip(min_trans, min_final):
+            min_counts.append(int(is_final) + sum(min_counts[t] for _, t in edges))
+
         # Renumber breadth-first from the root so the artifact is canonical.
         order = [root]
         seen = {root}
@@ -125,25 +135,11 @@ class FormDictionary:
                     seen.add(target)
                     order.append(target)
         remap = {old: new for new, old in enumerate(order)}
-        transitions = [tuple((ch, remap[t]) for ch, t in min_trans[old]) for old in order]
         finals = [min_final[old] for old in order]
-
-        counts = [0] * len(transitions)
-        done = [False] * len(transitions)
-
-        def count(state: int) -> int:
-            if done[state]:
-                return counts[state]
-            total = 1 if finals[state] else 0
-            for _, target in transitions[state]:
-                total += count(target)
-            counts[state] = total
-            done[state] = True
-            return total
-
-        count(0)
+        counts = [min_counts[old] for old in order]
+        arcs = [_arc_table(min_final[old], ((ch, remap[t]) for ch, t in min_trans[old]), counts) for old in order]
         payloads_by_rank = [tuple(sorted(set(words[w]), key=Payload.sort_key)) for w in ordered]
-        return cls(transitions, finals, counts, payloads_by_rank)
+        return cls(arcs, finals, counts, payloads_by_rank)
 
     def attach_lexicon(self, lex: LexiconFile) -> None:
         self._entry_ids = {e.key: e.entry_id for e in lex.entries}
@@ -152,8 +148,11 @@ class FormDictionary:
 
     def _analysis(self, path: str, payload: Payload) -> Analysis:
         lemma = path[: len(path) - payload.drop] + payload.append
+        features = self._features.get(payload.tag)
+        if features is None:
+            features = self._features[payload.tag] = FeatureBundle.from_tag(payload.tag)
         entry_id = self._entry_ids.get((lemma, payload.code), -1)
-        return Analysis(path, lemma, payload.code, FeatureBundle.from_tag(payload.tag), payload.standalone, entry_id)
+        return Analysis(path, lemma, payload.code, features, payload.standalone, entry_id)
 
     def lookup(self, surface: str, mode: str = "strict") -> list[Analysis]:
         """Analyses of a surface string; empty list when absent.
@@ -161,50 +160,29 @@ class FormDictionary:
         strict: exact traversal.  diacritic-optional: dictionary diacritics
         may be skipped, but any diacritic present in the query must match.
         """
-        if mode == "strict":
-            state, rank = self.root, 0
-            for ch in surface:
-                step = self._step(state, rank, ch)
-                if step is None:
-                    return []
-                state, rank = step
-            if not self.finals[state]:
-                return []
-            return [self._analysis(surface, p) for p in self.payloads_by_rank[rank]]
-        if mode != "diacritic-optional":
+        if mode not in ("strict", "diacritic-optional"):
             raise ValueError(f"unknown lookup mode {mode!r}")
-
-        results: dict[tuple, Analysis] = {}
-
-        def walk(state: int, rank: int, qi: int, path: list[str]) -> None:
-            if qi == len(surface) and self.finals[state]:
-                for p in self.payloads_by_rank[rank]:
-                    a = self._analysis("".join(path), p)
-                    results.setdefault((a.surface, p.sort_key()), a)
-            base = rank + (1 if self.finals[state] else 0)
-            skipped = base
-            for ch, target in self.transitions[state]:
-                if qi < len(surface) and ch == surface[qi]:
-                    path.append(ch)
-                    walk(target, skipped, qi + 1, path)
-                    path.pop()
-                if bn.is_diacritic(ch):
-                    path.append(ch)
-                    walk(target, skipped, qi, path)
-                    path.pop()
-                skipped += self.counts[target]
-
-        walk(self.root, 0, 0, [])
-        return sorted(results.values(), key=lambda a: (a.surface, a.code, a.features.tag()))
-
-    def _step(self, state: int, rank: int, ch: str):
-        """One strict transition; returns (target, rank at target)."""
-        rank += 1 if self.finals[state] else 0
-        for label, target in self.transitions[state]:
-            if label == ch:
-                return target, rank
-            rank += self.counts[target]
-        return None
+        skip = mode == "diacritic-optional"
+        arcs, finals, diacritics, end = self.arcs, self.finals, bn.DIACRITICS, len(surface)
+        # Ranks of the matched dictionary forms.  Skipping can reach one form
+        # along several alignments with the query; each form counts once.
+        matched: dict[str, int] = {}
+        stack = [(self.root, 0, 0, "")]
+        while stack:
+            state, rank, qi, path = stack.pop()
+            table = arcs[state]
+            if qi < end:
+                arc = table.get(surface[qi])
+                if arc is not None:
+                    stack.append((arc[0], rank + arc[1], qi + 1, path + surface[qi]))
+            elif finals[state]:
+                matched[path] = rank
+            if skip:
+                for label, (target, offset) in table.items():
+                    if label in diacritics:
+                        stack.append((target, rank + offset, qi, path + label))
+        # A form's payloads are already in (code, tag) order.
+        return [self._analysis(path, p) for path in sorted(matched) for p in self.payloads_by_rank[matched[path]]]
 
     # -- enumeration -------------------------------------------------------
 
@@ -217,7 +195,7 @@ class FormDictionary:
             if self.finals[state]:
                 yield prefix, self.payloads_by_rank[rank]
                 rank += 1
-            for ch, target in sorted(self.transitions[state], reverse=True):
+            for ch, (target, _) in reversed(self.arcs[state].items()):
                 stack.append((target, prefix + ch))
 
     def dump_text(self) -> str:
@@ -229,18 +207,24 @@ class FormDictionary:
 
     # -- stats -------------------------------------------------------------
 
-    def stats(self) -> dict:
-        n_analyses = sum(len(p) for p in self.payloads_by_rank)
-        n_trans = sum(len(t) for t in self.transitions)
-        binary = self.to_bytes()
-        text = self.dump_text().encode("utf-8")
+    def stats(self, serialized_bytes: int | None = None) -> dict:
+        """Sizes of the dictionary.  ``listing_bytes`` is the UTF-8 size of
+        ``dump_text()``, counted without building it; ``serialized_bytes`` is
+        the caller's when known (``save`` returns it), else measured."""
+        listing = 0
+        for surface, payloads in self.forms():
+            surface_bytes = len(surface.encode("utf-8"))
+            for p in payloads:
+                # surface TAB lemma TAB code TAB tag NEWLINE
+                lemma_bytes = len(surface[: len(surface) - p.drop].encode("utf-8")) + len(p.append.encode("utf-8"))
+                listing += surface_bytes + lemma_bytes + len(p.code.encode("utf-8")) + len(p.tag.encode("utf-8")) + 4
         return {
             "forms": len(self.payloads_by_rank),
-            "analyses": n_analyses,
-            "states": len(self.transitions),
-            "transitions": n_trans,
-            "serialized_bytes": len(binary),
-            "listing_bytes": len(text),
+            "analyses": sum(len(p) for p in self.payloads_by_rank),
+            "states": len(self.arcs),
+            "transitions": sum(len(t) for t in self.arcs),
+            "serialized_bytes": len(self.to_bytes()) if serialized_bytes is None else serialized_bytes,
+            "listing_bytes": listing,
         }
 
     # -- serialization -----------------------------------------------------
@@ -257,6 +241,8 @@ class FormDictionary:
     #   payload: u16 append string id, u16 code string id, u16 tag string id,
     #            u8 drop, u8 flags (bit0 standalone)
     #   string:  u16 byte length, utf-8 bytes    (ids in first-use order)
+    #
+    # Rank offsets are not stored: loading recomputes them from the counts.
 
     def to_bytes(self) -> bytes:
         strings: dict[str, int] = {}
@@ -296,78 +282,69 @@ class FormDictionary:
 
         states = bytearray()
         trans = bytearray()
-        n_trans = 0
-        for state in range(len(self.transitions)):
-            states.extend(struct.pack("<IBB", self.counts[state], 1 if self.finals[state] else 0, len(self.transitions[state])))
-            for ch, target in self.transitions[state]:
+        for state, table in enumerate(self.arcs):
+            states.extend(struct.pack("<IBB", self.counts[state], 1 if self.finals[state] else 0, len(table)))
+            for ch, (target, _) in table.items():
                 trans.extend(struct.pack("<BI", ord(ch), target))
-                n_trans += 1
 
         header = struct.pack(
             "<4sHIIIIIII",
             MAGIC, VERSION,
-            len(self.transitions), n_trans, len(self.payloads_by_rank),
+            len(self.arcs), len(trans) // 5, len(self.payloads_by_rank),
             len(sets), len(set_refs) // 2, len(payload_ids), len(strings),
         )
         return bytes(header + states + trans + form_rows + set_lens + set_refs + payload_rows + blob)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FormDictionary":
-        head_fmt = "<4sHIIIIIII"
-        magic, version, n_states, n_trans, n_forms, n_sets, n_refs, n_payloads, n_strings = struct.unpack_from(head_fmt, data, 0)
+        view, off = memoryview(data), 0
+
+        def take(size: int) -> memoryview:
+            nonlocal off
+            start, off = off, off + size
+            if off > len(data):
+                raise ValueError("truncated dictionary")
+            return view[start:off]
+
+        def records(fmt: str, n: int):
+            """The next n fixed-size records, decoded lazily."""
+            return struct.iter_unpack(fmt, take(struct.calcsize(fmt) * n))
+
+        ((magic, version, n_states, n_trans, n_forms, n_sets, n_refs, n_payloads, n_strings),) = records("<4sHIIIIIII", 1)
         if magic != MAGIC:
             raise ValueError("not a compiled dictionary (bad magic bytes)")
         if version != VERSION:
             raise ValueError(f"unsupported dictionary version {version}")
-        off = struct.calcsize(head_fmt)
-
-        counts, finals, fanouts = [], [], []
-        for i in range(n_states):
-            c, fl, fan = struct.unpack_from("<IBB", data, off + 6 * i)
-            counts.append(c)
-            finals.append(bool(fl & 1))
-            fanouts.append(fan)
-        off += 6 * n_states
-
-        flat = [struct.unpack_from("<BI", data, off + 5 * i) for i in range(n_trans)]
-        off += 5 * n_trans
-        transitions = []
-        pos = 0
-        for fan in fanouts:
-            transitions.append(tuple((chr(b), t) for b, t in flat[pos: pos + fan]))
-            pos += fan
-
-        form_sets = [struct.unpack_from("<H", data, off + 2 * i)[0] for i in range(n_forms)]
-        off += 2 * n_forms
-        set_lens = [data[off + i] for i in range(n_sets)]
-        off += n_sets
-        refs = [struct.unpack_from("<H", data, off + 2 * i)[0] for i in range(n_refs)]
-        off += 2 * n_refs
-        payload_rows = [struct.unpack_from("<HHHBB", data, off + 8 * i) for i in range(n_payloads)]
-        off += 8 * n_payloads
+        state_rows = list(records("<IBB", n_states))
+        trans_rows = records("<BI", n_trans)
+        form_rows = records("<H", n_forms)
+        set_lens = records("<B", n_sets)
+        ref_rows = records("<H", n_refs)
+        payload_rows = records("<HHHBB", n_payloads)
 
         string_table = []
         for _ in range(n_strings):
-            (length,) = struct.unpack_from("<H", data, off)
-            off += 2
-            string_table.append(data[off: off + length].decode("utf-8"))
-            off += length
+            length = int.from_bytes(take(2), "little")
+            string_table.append(str(take(length), "utf-8"))
+
+        counts = [count for count, _, _ in state_rows]
+        finals = [bool(flags & 1) for _, flags, _ in state_rows]
+        arcs = [_arc_table(final, ((chr(label), target) for label, target in islice(trans_rows, fanout)), counts)
+                for final, (_, _, fanout) in zip(finals, state_rows)]
 
         payloads = [
             Payload(drop, string_table[a], string_table[c], string_table[t], bool(flag & 1))
             for a, c, t, drop, flag in payload_rows
         ]
-        set_contents = []
-        pos = 0
-        for n in set_lens:
-            set_contents.append(tuple(payloads[refs[pos + i]] for i in range(n)))
-            pos += n
-        payloads_by_rank = [set_contents[sid] for sid in form_sets]
-        return cls(transitions, finals, counts, payloads_by_rank)
+        refs = (payloads[pid] for (pid,) in ref_rows)
+        set_contents = [tuple(islice(refs, n)) for (n,) in set_lens]
+        payloads_by_rank = [set_contents[sid] for (sid,) in form_rows]
+        return cls(arcs, finals, counts, payloads_by_rank)
 
-    def save(self, path) -> None:
+    def save(self, path) -> int:
+        """Write the artifact; returns its size in bytes."""
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            return fh.write(self.to_bytes())
 
     @classmethod
     def load(cls, path, lexicon: LexiconFile | None = None) -> "FormDictionary":
@@ -376,6 +353,15 @@ class FormDictionary:
         if lexicon is not None:
             d.attach_lexicon(lexicon)
         return d
+
+
+def _arc_table(final: bool, edges, counts: list[int]) -> dict[str, tuple[int, int]]:
+    """One state's arcs, label -> (target, rank offset); counts are per-state subtree word counts."""
+    offset, table = int(final), {}
+    for label, target in edges:
+        table[label] = (target, offset)
+        offset += counts[target]
+    return table
 
 
 def dictionary_key(form) -> str:

@@ -8,6 +8,7 @@ variant, and the determiner and a pronoun never co-occur.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 from .formdict import Analysis, FormDictionary
@@ -22,7 +23,9 @@ class CliticInventory:
     pronouns: tuple
 
 
+@lru_cache(maxsize=1)
 def load_clitics() -> CliticInventory:
+    # Safe to cache: an inventory is immutable.
     conj, prep, det, pro = [], [], [], []
     text = resources.files(__package__).joinpath("data/clitics.tsv").read_text("utf-8")
     for line in text.splitlines():

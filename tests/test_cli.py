@@ -174,3 +174,22 @@ class TestArabicInput:
         assert main(["analyze", str(text), "--dict", str(dict_path), "--arabic"]) == 0
         out = capsys.readouterr().out
         assert out.startswith(bn.to_arabic("EuqadK") + "\t")
+
+    def test_arabic_punctuation_and_tatweel(self, dict_path, tmp_path, capsys):
+        # U+060C after the first word, U+061B and tatweel (U+0640) in the second.
+        text = write_text(tmp_path, "كتب، عقدة؛ عقـــدة؟\n", "punct.txt")
+        assert main(["analyze", str(text), "--dict", str(dict_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "ktb\tktb/N\tkitaAob,N300-m-FvEvL-FuEuL-123\tN:q:i:N" in lines
+        knot = "Eqdp\tEqdp/N\tEuqodap,N3ap-f-FvEvL-FuEaL-123\tN:fs:i:N"
+        assert lines.count(knot) == 2
+        assert not any("UNK" in line for line in lines)
+
+    @pytest.mark.parametrize("arabic", [False, True])
+    def test_unmapped_codepoint_is_unk(self, dict_path, tmp_path, capsys, arabic):
+        text = write_text(tmp_path, "كتب٣ عقدة\n", "digit.txt")
+        argv = ["analyze", str(text), "--dict", str(dict_path)] + (["--arabic"] if arabic else [])
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "كتب٣\tUNK"
+        assert len(lines) > 1 and "UNK" not in lines[1]

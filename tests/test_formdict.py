@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -43,7 +44,7 @@ def form_list(compiled):
 class TestBuild:
     def test_empty_lexicon(self):
         d = FormDictionary.build({})
-        assert len(d.transitions) == 1
+        assert d.arcs == [{}]
         assert not d.finals[0]
         assert list(d.forms()) == []
 
@@ -144,11 +145,11 @@ class TestMinimality:
         def signature(state):
             if state in signatures:
                 return signatures[state]
-            sig = (compiled.finals[state], tuple((ch, signature(t)) for ch, t in compiled.transitions[state]))
+            sig = (compiled.finals[state], tuple((ch, signature(t)) for ch, (t, _) in compiled.arcs[state].items()))
             signatures[state] = sig
             return sig
 
-        all_sigs = [signature(s) for s in range(len(compiled.transitions))]
+        all_sigs = [signature(s) for s in range(len(compiled.arcs))]
         assert len(set(all_sigs)) == len(all_sigs)
 
 
@@ -178,6 +179,21 @@ class TestSerialization:
         assert stats["forms"] > 0
         assert stats["analyses"] >= stats["forms"]
         assert stats["states"] < stats["transitions"] * 2
+
+    def test_stats_listing_bytes_counts_dump_text(self, compiled):
+        assert compiled.stats()["listing_bytes"] == len(compiled.dump_text().encode("utf-8"))
+        assert FormDictionary.build({}).stats()["listing_bytes"] == 0
+
+    def test_stats_takes_known_serialized_size(self, compiled, tmp_path):
+        size = compiled.save(tmp_path / "seed.primdict")
+        assert size == (tmp_path / "seed.primdict").stat().st_size
+        assert compiled.stats(size) == compiled.stats()
+
+    def test_truncated_artifact_rejected(self, compiled):
+        data = compiled.to_bytes()
+        for cut in range(0, len(data), 97):
+            with pytest.raises(ValueError):
+                FormDictionary.from_bytes(data[:cut])
 
     def test_dump_line_format(self, compiled):
         line = compiled.dump_text().splitlines()[0]
@@ -213,3 +229,35 @@ class TestLookupFuzz:
             assert got == want
 
         run()
+
+
+class TestPinnedOutputs:
+    """The seed lexicon's artifact and listing, pinned: a change to either
+    is a change of format or of behaviour, not a refactoring."""
+
+    ARTIFACT = (69421, "f268437b779fa87acf15a4dfa9c4870dd4af0f20c6a17e36b406292f92efce99")
+    LISTING = (299472, "821e1c7dff0f57a97405955b3e813495b812a9fe31bb5c1dda384fbb69459571")
+
+    @staticmethod
+    def digest(data: bytes):
+        return len(data), hashlib.sha256(data).hexdigest()
+
+    def test_after_build(self, compiled):
+        assert self.digest(compiled.to_bytes()) == self.ARTIFACT
+        assert self.digest(compiled.dump_text().encode("utf-8")) == self.LISTING
+
+    def test_after_round_trip(self, compiled):
+        clone = FormDictionary.from_bytes(compiled.to_bytes())
+        assert self.digest(clone.to_bytes()) == self.ARTIFACT
+        assert self.digest(clone.dump_text().encode("utf-8")) == self.LISTING
+
+
+class TestFeatureInterning:
+    def test_analyses_with_one_tag_share_a_bundle(self, compiled):
+        by_tag = {}
+        for a in compiled.lookup("Eqd", "diacritic-optional") + compiled.lookup("ktb", "diacritic-optional"):
+            by_tag.setdefault(a.features.tag(), []).append(a)
+        shared = [group for group in by_tag.values() if len({a.surface for a in group}) > 1]
+        assert shared
+        for group in shared:
+            assert all(a.features is group[0].features for a in group)

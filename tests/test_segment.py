@@ -125,6 +125,9 @@ class TestSegmentation:
                 ))
             assert got == expected, token
 
+    def test_clitic_inventory_loaded_once(self):
+        assert load_clitics() is load_clitics()
+
     def test_reading_line_format(self, compiled):
         lattice = segment("AlminoTaqapi", compiled, "strict")
         line = format_reading("AlminoTaqapi", lattice.readings[0])
