@@ -8,7 +8,7 @@ lexical entries with features.
 """
 
 from .bn import classify, to_arabic, to_bn
-from .classes import load_registry, render_bp_stem, resolve_class, resolve_hamza
+from .classes import load_registry, render_bp_stem, resolve_hamza
 from .codes import InflectionalCode, SurfaceRoot, apply_root_code, extract_root, parse_code
 from .formdict import FormDictionary, compile_lexicon
 from .lexicon import LexicalEntry, LexiconFile, lexicon_stats, load_seed, parse_lexicon, validate_entry
@@ -40,7 +40,6 @@ __all__ = [
     "parse_code",
     "parse_lexicon",
     "render_bp_stem",
-    "resolve_class",
     "resolve_hamza",
     "segment",
     "to_arabic",

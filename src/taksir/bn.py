@@ -18,9 +18,6 @@ SILENT = "o"
 #: Gemination mark (shadda): doubles the preceding consonant.
 SHADDA = "G"
 
-#: Short vowels.
-SHORT_VOWELS = "aui"
-
 #: Indefiniteness case endings (tanwin).
 TANWIN = "FNK"
 

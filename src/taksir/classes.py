@@ -85,11 +85,6 @@ def parse_registry(text: str) -> ClassRegistry:
     return ClassRegistry(rows)
 
 
-def resolve_class(code: InflectionalCode, registry: ClassRegistry | None = None) -> InflectionClass:
-    registry = registry or load_registry()
-    return registry.resolve(code)
-
-
 _RANK = {"i": 3, "iy": 3, "u": 2, "uw": 2, "a": 1}
 
 

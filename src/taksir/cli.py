@@ -31,15 +31,20 @@ def _read(path: str) -> str:
         raise SystemExit(2)
 
 
-def _load_lexicon(path: str):
+def _check_lexicon(path: str, registry):
+    """The lexicon and its parse diagnostics, then each entry's, at the entry's line."""
     lex, diagnostics = parse_lexicon(_read(path))
+    for entry in lex.entries:
+        for d in validate_entry(entry, registry):
+            d.line = d.line or entry.line
+            diagnostics.append(d)
     return lex, diagnostics
 
 
 def _load_dictionary(args) -> FormDictionary:
     try:
         if getattr(args, "lexicon", None):
-            lex, _ = _load_lexicon(args.lexicon)
+            lex, _ = parse_lexicon(_read(args.lexicon))
             return FormDictionary.load(args.dict, lex)
         return FormDictionary.load(args.dict)
     except (OSError, ValueError) as exc:
@@ -72,15 +77,17 @@ def _display(surface: str, arabic: bool) -> str:
 
 
 def cmd_compile(args) -> int:
-    lex, diagnostics = _load_lexicon(args.lexicon)
     registry = load_registry()
+    lex, diagnostics = _check_lexicon(args.lexicon, registry)
     errors = [d for d in diagnostics if d.severity == "error"]
-    for entry in lex.entries:
-        errors.extend(d for d in validate_entry(entry, registry) if d.severity == "error")
     started = time.perf_counter()
     dictionary, failures = compile_lexicon(lex, registry)
     elapsed = time.perf_counter() - started
-    stats = dictionary.stats(dictionary.save(args.out))
+    try:
+        stats = dictionary.stats(dictionary.save(args.out))
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     print(f"wrote {args.out}")
     for key in ("forms", "analyses", "states", "transitions", "serialized_bytes", "listing_bytes"):
         print(f"{key}\t{stats[key]}")
@@ -143,24 +150,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    lex, diagnostics = _load_lexicon(args.lexicon)
-    registry = load_registry()
-    all_diags = list(diagnostics)
-    for entry in lex.entries:
-        for d in validate_entry(entry, registry):
-            d.line = d.line or entry.line
-            all_diags.append(d)
-    for d in all_diags:
+    lex, diagnostics = _check_lexicon(args.lexicon, load_registry())
+    for d in diagnostics:
         print(str(d))
-    errors = [d for d in all_diags if d.severity == "error"]
-    print(f"# {len(lex.entries)} entries, {len(errors)} errors, {len(all_diags) - len(errors)} warnings")
+    errors = [d for d in diagnostics if d.severity == "error"]
+    print(f"# {len(lex.entries)} entries, {len(errors)} errors, {len(diagnostics) - len(errors)} warnings")
     return 1 if errors else 0
 
 
 def cmd_stats(args) -> int:
     status = 0
     if args.lexicon:
-        lex, diagnostics = _load_lexicon(args.lexicon)
+        lex, diagnostics = parse_lexicon(_read(args.lexicon))
         if any(d.severity == "error" for d in diagnostics):
             status = 1
         print(lexicon_stats(lex).format(), end="")

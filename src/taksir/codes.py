@@ -85,14 +85,6 @@ class RootCode:
     text: str
     tokens: tuple  # ("copy", k) | ("lit", char) | ("gemfinal",)
 
-    @property
-    def output_arity(self) -> int:
-        return sum(1 for t in self.tokens if t[0] != "gemfinal")
-
-    @property
-    def geminate_final(self) -> bool:
-        return any(t[0] == "gemfinal" for t in self.tokens)
-
     def __str__(self) -> str:
         return self.text
 

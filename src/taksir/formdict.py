@@ -6,7 +6,9 @@ carries a rank offset, the number of forms that end at its source state or
 below its smaller-labelled sibling arcs, so the offsets along a matched path
 sum to the form's lexicographic rank, which indexes its analysis payload
 list.  Suffix tails stay shared across the whole lexicon, which is what
-makes the serialized artifact small.
+makes the serialized artifact small.  It is built in one pass over the
+sorted forms (Daciuk, Mihov, Watson & Watson 2000), so construction never
+holds more than the minimal automaton plus one word's path.
 
 Payloads do not name entries directly: they hold the features, the
 inflectional code and a rewrite that reconstructs the lemma from the matched
@@ -23,8 +25,8 @@ may also skip dictionary diacritics the query omits, but a diacritic present
 in the query must match the dictionary exactly; strict mode never skips.
 """
 
+import os
 import struct
-import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -80,51 +82,49 @@ class FormDictionary:
 
     @classmethod
     def build(cls, words: dict[str, list["Payload"]]) -> "FormDictionary":
-        """Trie insertion, bottom-up minimization, subtree word counts."""
-        children: list[dict[str, int]] = [{}]
-        final: list[bool] = [False]
+        """One pass over the sorted words (Daciuk, Mihov, Watson & Watson 2000).
 
-        ordered = sorted(words)
-        for word in ordered:
-            node = 0
-            for ch in word:
-                nxt = children[node].get(ch)
-                if nxt is None:
-                    nxt = len(children)
-                    children[node][ch] = nxt
-                    children.append({})
-                    final.append(False)
-                node = nxt
-            final[node] = True
-
+        Only the previous word's path is unregistered.  Where the next word
+        leaves it, the states below the divergence are frozen, deepest first:
+        each is registered under its (final, arcs) signature, merging it with
+        any equal state, and its subtree word count is taken then."""
         # Two states merge iff finality and labelled successors agree: that
         # is right-language equality in an acyclic automaton.
         registry: dict[tuple, int] = {}
         min_trans: list[tuple] = []
         min_final: list[bool] = []
+        min_counts: list[int] = []
 
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 10000))
-
-        def minimize(node: int) -> int:
-            edges = tuple(sorted((ch, minimize(child)) for ch, child in children[node].items()))
-            signature = (final[node], edges)
+        def register(final: bool, edges: list) -> int:
+            signature = (final, tuple(edges))
             state = registry.get(signature)
             if state is None:
-                state = len(min_trans)
-                registry[signature] = state
-                min_trans.append(edges)
-                min_final.append(final[node])
+                state = registry[signature] = len(min_trans)
+                min_trans.append(signature[1])
+                min_final.append(final)
+                min_counts.append(int(final) + sum(min_counts[t] for _, t in edges))
             return state
 
-        root = minimize(0)
-        sys.setrecursionlimit(old_limit)
+        # Per depth of the previous word's path: finality, and the arcs to
+        # registered states, in label order (the arc to the next path state
+        # is added when that state is frozen).
+        path_final, path_edges, prev = [False], [[]], ""
 
-        # minimize() registers a state after all of its successors, so one
-        # pass in registration order sees every successor's count first.
-        min_counts: list[int] = []
-        for edges, is_final in zip(min_trans, min_final):
-            min_counts.append(int(is_final) + sum(min_counts[t] for _, t in edges))
+        def freeze(depth: int) -> None:
+            while len(path_edges) > depth + 1:
+                state = register(path_final.pop(), path_edges.pop())
+                path_edges[-1].append((prev[len(path_edges) - 1], state))
+
+        ordered = sorted(words)
+        for word in ordered:
+            common = len(os.path.commonprefix((prev, word)))
+            freeze(common)
+            path_final.extend(False for _ in word[common:])
+            path_edges.extend([] for _ in word[common:])
+            path_final[-1] = True
+            prev = word
+        freeze(0)
+        root = register(path_final[0], path_edges[0])
 
         # Renumber breadth-first from the root so the artifact is canonical.
         order = [root]
@@ -252,7 +252,7 @@ class FormDictionary:
             if s not in strings:
                 strings[s] = len(strings)
                 raw = s.encode("utf-8")
-                blob.extend(struct.pack("<H", len(raw)))
+                blob.extend(_pack("<H", "string.length", len(raw)))
                 blob.extend(raw)
             return strings[s]
 
@@ -262,8 +262,9 @@ class FormDictionary:
         def payload_id(p: Payload) -> int:
             if p not in payload_ids:
                 payload_ids[p] = len(payload_ids)
-                payload_rows.extend(struct.pack(
-                    "<HHHBB", intern(p.append), intern(p.code), intern(p.tag), p.drop, 1 if p.standalone else 0,
+                payload_rows.extend(_pack(
+                    "<HHHBB", "payload.append_id payload.code_id payload.tag_id payload.drop payload.flags",
+                    intern(p.append), intern(p.code), intern(p.tag), p.drop, 1 if p.standalone else 0,
                 ))
             return payload_ids[p]
 
@@ -275,17 +276,18 @@ class FormDictionary:
             key = tuple(payload_id(p) for p in payloads)
             if key not in sets:
                 sets[key] = len(sets)
-                set_lens.extend(struct.pack("<B", len(key)))
+                set_lens.extend(_pack("<B", "set.length", len(key)))
                 for pid in key:
-                    set_refs.extend(struct.pack("<H", pid))
-            form_rows.extend(struct.pack("<H", sets[key]))
+                    set_refs.extend(_pack("<H", "setref.payload_id", pid))
+            form_rows.extend(_pack("<H", "form.set_id", sets[key]))
 
         states = bytearray()
         trans = bytearray()
         for state, table in enumerate(self.arcs):
-            states.extend(struct.pack("<IBB", self.counts[state], 1 if self.finals[state] else 0, len(table)))
+            states.extend(_pack("<IBB", "state.count state.flags state.fanout",
+                                self.counts[state], 1 if self.finals[state] else 0, len(table)))
             for ch, (target, _) in table.items():
-                trans.extend(struct.pack("<BI", ord(ch), target))
+                trans.extend(_pack("<BI", "trans.label trans.target", ord(ch), target))
 
         header = struct.pack(
             "<4sHIIIIIII",
@@ -343,8 +345,9 @@ class FormDictionary:
 
     def save(self, path) -> int:
         """Write the artifact; returns its size in bytes."""
+        data = self.to_bytes()  # before opening: a format overflow leaves no file behind
         with open(path, "wb") as fh:
-            return fh.write(self.to_bytes())
+            return fh.write(data)
 
     @classmethod
     def load(cls, path, lexicon: LexiconFile | None = None) -> "FormDictionary":
@@ -353,6 +356,19 @@ class FormDictionary:
         if lexicon is not None:
             d.attach_lexicon(lexicon)
         return d
+
+
+def _pack(fmt: str, fields: str, *values: int) -> bytes:
+    """One record of unsigned fields, named in ``fields``; a value too wide
+    for its v1 field raises ValueError naming the field and its limit."""
+    try:
+        return struct.pack(fmt, *values)
+    except struct.error:
+        for name, code, value in zip(fields.split(), fmt[1:], values):
+            limit = 256 ** struct.calcsize(code) - 1
+            if not 0 <= value <= limit:
+                raise ValueError(f"{name} {value} exceeds the format v1 limit of {limit}") from None
+        raise
 
 
 def _arc_table(final: bool, edges, counts: list[int]) -> dict[str, tuple[int, int]]:
@@ -385,16 +401,14 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
         except Exception as exc:  # noqa: BLE001 - reported per entry
             failures.append(f"{entry.lemma},{entry.code}: {exc}")
             continue
+        code = entry.code.text
         for form in forms:
             key = dictionary_key(form)
-            lcp = 0
-            limit = min(len(key), len(entry.lemma))
-            while lcp < limit and key[lcp] == entry.lemma[lcp]:
-                lcp += 1
+            lcp = len(os.path.commonprefix((key, entry.lemma)))
             payload = Payload(
                 drop=len(key) - lcp,
                 append=entry.lemma[lcp:],
-                code=entry.code.text,
+                code=code,
                 tag=form.features.tag(),
                 standalone=form.standalone,
             )

@@ -11,12 +11,9 @@ against the case vowel.
 
 from dataclasses import dataclass
 
-from . import bn
-from .classes import ClassRegistry, InflectionClass, _left_context, resolve_hamza, substitute_madda
+from .classes import ClassRegistry, _left_context, render_bp_stem, resolve_hamza, substitute_madda
 from .codes import HAMZA, apply_root_code, extract_root
 
-GENDERS = ("m", "f", "none")
-NUMBERS = ("s", "d", "p", "q")
 DEFINITENESS = ("D", "i", "a")
 CASES = ("N", "A", "G")
 
@@ -58,13 +55,12 @@ class InflectedForm:
     features: FeatureBundle
     entry_id: int = 0
     standalone: bool = True     # False for bound pro-variants (-at-, re-seated hamza)
-    segment_kind: str = "noun-stem-with-suffix"
 
 
 @dataclass(frozen=True)
 class Cell:
     suffix: str
-    transform: str = "none"     # none | ap>at | drop-iy
+    transform: str = "none"     # none | drop-iy
 
 
 #: (definiteness, case) -> Cell, per suffix paradigm.  Definite surfaces are
@@ -110,9 +106,7 @@ DUAL_SUFFIXES = {
 
 def _apply_cell(stem: str, cell: Cell) -> str:
     base = stem
-    if cell.transform == "ap>at":
-        base = stem[:-1] + "t"
-    elif cell.transform == "drop-iy":
+    if cell.transform == "drop-iy":
         base = stem[:-2]
     suffix = cell.suffix
     if suffix == "FA" and (base.endswith("Aoc") or base.endswith("O")):
@@ -136,8 +130,6 @@ def _pro_variant(stem: str, cell: Cell, paradigm: str) -> str | None:
     the paradigm has no pronoun-compatible shape for the cell."""
     base = stem
     if paradigm == "ap-final":
-        base = stem[:-1] + "t"
-    elif cell.transform == "ap>at":
         base = stem[:-1] + "t"
     reseated = _reseat_final_hamza(base, cell.suffix if cell.suffix in "aui" else "")
     return substitute_madda(reseated + cell.suffix)
@@ -199,7 +191,8 @@ def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
     """
     code = entry.code
     cls = registry.resolve(code)
-    bp_stem = render_bp_stem_for(entry.lemma, code, cls, registry)
+    sg_root = extract_root(entry.lemma, code.sg_code, code.class_tag)
+    bp_stem = render_bp_stem(apply_root_code(sg_root, code.root_code), cls)
     eid = entry.entry_id
 
     if code.gender_flag == "g":
@@ -216,22 +209,9 @@ def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
     return forms
 
 
-def render_bp_stem_for(lemma: str, code, cls: InflectionClass, registry: ClassRegistry) -> str:
-    from .classes import render_bp_stem
-
-    sg_root = extract_root(lemma, code.sg_code, code.class_tag)
-    bp_root = apply_root_code(sg_root, code.root_code)
-    return render_bp_stem(bp_root, cls)
-
-
 def form_count(entry) -> int:
     """Base paradigm size: 3 numbers x 3 definiteness x 3 cases, doubled for
     the singular and dual of gender-inflecting entries."""
     if entry.code.gender_flag == "g":
         return 2 * 9 + 2 * 9 + 9
     return 27
-
-
-def extended_form_count(entry, registry: ClassRegistry) -> int:
-    """Base forms plus the pronoun-bound construct variants."""
-    return len(inflect(entry, registry))

@@ -144,11 +144,6 @@ def format_reading(token: str, reading: Reading) -> str:
 # -- agreement ---------------------------------------------------------------
 
 
-def load_agreement_exceptions() -> frozenset:
-    text = resources.files(__package__).joinpath("data/plural_agreement_exceptions.txt").read_text("utf-8")
-    return frozenset(l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#"))
-
-
 def check_agreement(head: FeatureBundle, head_human: bool, dependent: FeatureBundle,
                     relation: str = "adjectival", head_lemma: str = "",
                     exceptions: frozenset | None = None) -> bool:

@@ -2,7 +2,9 @@ import pathlib
 
 import pytest
 
+from taksir import cli
 from taksir.cli import main
+from taksir.formdict import FormDictionary, Payload
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
 
@@ -42,6 +44,23 @@ class TestCompile:
         printed = capsys.readouterr()
         assert "invalid:" in printed.err
         assert main(["analyze", str(write_text(tmp_path, "kutubu\n")), "--dict", str(out)]) == 0
+
+    def test_invalid_entry_reported_at_its_line(self, tmp_path, capsys):
+        lex = write_text(tmp_path, "Euqodap,$N3ap-f-FvEvL-FuEaL-123 / knot\nEuqodap,$N3ap-f-FvEvL-FiEaaL-123\n", "l.txt")
+        assert main(["compile", str(lex), "--out", str(tmp_path / "l.primdict")]) == 1
+        assert "invalid: 2:" in capsys.readouterr().err
+        assert main(["validate", str(lex)]) == 1
+        assert capsys.readouterr().out.startswith("2:")
+
+    def test_format_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
+        d = FormDictionary.build({"kutubN": [Payload(300, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
+        monkeypatch.setattr(cli, "compile_lexicon", lambda lex, registry: (d, []))
+        out = tmp_path / "x.primdict"
+        with pytest.raises(SystemExit) as err:
+            main(["compile", str(SEED_PATH), "--out", str(out)])
+        assert err.value.code == 2
+        assert "error: payload.drop 300 exceeds the format v1 limit of 255" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def write_text(tmp_path, content, name="text.txt"):

@@ -1,12 +1,17 @@
 import hashlib
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taksir import bn
 from taksir.codes import parse_code
-from taksir.formdict import FormDictionary, compile_lexicon
+from taksir.formdict import FormDictionary, Payload, compile_lexicon
 from taksir.lexicon import parse_lexicon
+
+PAYLOAD = Payload(0, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)
 
 
 def ref_optional_match(dict_form: str, query: str) -> bool:
@@ -69,6 +74,28 @@ class TestBuild:
         d1, _ = compile_lexicon(seed, registry)
         d2, _ = compile_lexicon(seed, registry)
         assert d1.to_bytes() == d2.to_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.text(alphabet="abc", max_size=8), max_size=40))
+    def test_random_word_sets(self, words):
+        d = FormDictionary.build({w: [PAYLOAD] for w in words})
+        assert [s for s, _ in d.forms()] == sorted(words)
+        assert_minimal(d)
+        data = d.to_bytes()
+        assert FormDictionary.from_bytes(data).to_bytes() == data
+
+    def test_very_long_word(self):
+        word = "kataAbN" * 3000
+        assert len(word) > 20_000
+        d = FormDictionary.build({word: [PAYLOAD], word[:-1]: [PAYLOAD]})
+        clone = FormDictionary.from_bytes(d.to_bytes())
+        assert clone.to_bytes() == d.to_bytes()
+        assert [a.surface for a in clone.lookup(word, "strict")] == [word]
+
+    def test_interpreter_recursion_limit_untouched(self, seed, registry):
+        limit = sys.getrecursionlimit()
+        compile_lexicon(seed, registry)
+        assert sys.getrecursionlimit() == limit
 
 
 class TestLookup:
@@ -138,19 +165,24 @@ class TestOracle:
             assert any(a.surface == surface for a in hits), surface
 
 
+def assert_minimal(d):
+    """No two states share a right language."""
+    signatures = {}
+
+    def signature(state):
+        if state in signatures:
+            return signatures[state]
+        sig = (d.finals[state], tuple((ch, signature(t)) for ch, (t, _) in d.arcs[state].items()))
+        signatures[state] = sig
+        return sig
+
+    all_sigs = [signature(s) for s in range(len(d.arcs))]
+    assert len(set(all_sigs)) == len(all_sigs)
+
+
 class TestMinimality:
     def test_no_two_states_share_a_right_language(self, compiled):
-        signatures = {}
-
-        def signature(state):
-            if state in signatures:
-                return signatures[state]
-            sig = (compiled.finals[state], tuple((ch, signature(t)) for ch, (t, _) in compiled.arcs[state].items()))
-            signatures[state] = sig
-            return sig
-
-        all_sigs = [signature(s) for s in range(len(compiled.arcs))]
-        assert len(set(all_sigs)) == len(all_sigs)
+        assert_minimal(compiled)
 
 
 class TestSerialization:
@@ -165,6 +197,11 @@ class TestSerialization:
         clone = FormDictionary.load(path, seed)
         assert clone.dump_text() == compiled.dump_text()
         assert clone.lookup("EuquwodK", "strict")[0].entry_id >= 0
+
+    def test_format_overflow_names_the_field(self):
+        d = FormDictionary.build({"kutubN": [Payload(300, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
+        with pytest.raises(ValueError, match=r"payload\.drop 300 exceeds the format v1 limit of 255"):
+            d.to_bytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -218,9 +255,6 @@ class TestFailurePath:
 
 class TestLookupFuzz:
     def test_optional_lookup_matches_reference_on_random_strings(self, compiled, form_list):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
         @settings(max_examples=200, deadline=None)
         @given(st.text(alphabet="EuqodapAlbwk" + "iKN", min_size=1, max_size=10))
         def run(query):
