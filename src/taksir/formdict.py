@@ -10,11 +10,13 @@ makes the serialized artifact small.  It is built in one pass over the
 sorted forms (Daciuk, Mihov, Watson & Watson 2000), so construction never
 holds more than the minimal automaton plus one word's path.
 
-Payloads do not name entries directly: they hold the features, the
+Payloads do not name entries directly: they hold the feature tag, the
 inflectional code and a rewrite that reconstructs the lemma from the matched
 surface (drop k characters, append a tail).  Entries of the same class
 therefore share payload records, and entry ids are recovered from
-(lemma, code) when the dictionary is loaded.
+(lemma, code) when the dictionary is loaded.  In memory, built or loaded,
+each distinct record is one ``Payload`` tuple and forms with equal payload
+sets share one tuple of them, so serialising resolves each set once.
 
 Definite cells are stored without the article: Al- is a determiner segment
 (the segmenter restores it), so a definite surface in the automaton is the
@@ -25,10 +27,11 @@ may also skip dictionary diacritics the query omits, but a diacritic present
 in the query must match the dictionary exactly; strict mode never skips.
 """
 
-import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from . import bn
 from .classes import ClassRegistry
@@ -39,8 +42,7 @@ MAGIC = b"TKDC"
 VERSION = 1
 
 
-@dataclass(frozen=True)
-class Payload:
+class Payload(NamedTuple):
     """Analysis record attached to a form (entry-independent)."""
 
     drop: int           # characters to drop from the surface ...
@@ -76,7 +78,6 @@ class FormDictionary:
         self.payloads_by_rank = payloads_by_rank
         self.root = 0
         self._entry_ids: dict[tuple[str, str], int] = {}
-        self._features: dict[str, FeatureBundle] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -87,7 +88,9 @@ class FormDictionary:
         Only the previous word's path is unregistered.  Where the next word
         leaves it, the states below the divergence are frozen, deepest first:
         each is registered under its (final, arcs) signature, merging it with
-        any equal state, and its subtree word count is taken then."""
+        any equal state, and its subtree word count is taken then.
+
+        Forms with equal payload sets share one payload tuple."""
         # Two states merge iff finality and labelled successors agree: that
         # is right-language equality in an acyclic automaton.
         registry: dict[tuple, int] = {}
@@ -117,10 +120,10 @@ class FormDictionary:
 
         ordered = sorted(words)
         for word in ordered:
-            common = len(os.path.commonprefix((prev, word)))
+            common = _common_prefix_length(prev, word)
             freeze(common)
-            path_final.extend(False for _ in word[common:])
-            path_edges.extend([] for _ in word[common:])
+            path_final.extend([False] * (len(word) - common))
+            path_edges.extend([[] for _ in range(len(word) - common)])
             path_final[-1] = True
             prev = word
         freeze(0)
@@ -137,8 +140,16 @@ class FormDictionary:
         remap = {old: new for new, old in enumerate(order)}
         finals = [min_final[old] for old in order]
         counts = [min_counts[old] for old in order]
-        arcs = [_arc_table(min_final[old], ((ch, remap[t]) for ch, t in min_trans[old]), counts) for old in order]
-        payloads_by_rank = [tuple(sorted(set(words[w]), key=Payload.sort_key)) for w in ordered]
+        arcs = [_arc_table(min_final[old], min_counts[old], ((ch, remap[t]) for ch, t in min_trans[old]), counts)
+                for old in order]
+        shared: dict[frozenset, tuple] = {}
+        payloads_by_rank = []
+        for w in ordered:
+            members = frozenset(words[w])
+            payloads = shared.get(members)
+            if payloads is None:
+                payloads = shared[members] = tuple(sorted(members, key=Payload.sort_key))
+            payloads_by_rank.append(payloads)
         return cls(arcs, finals, counts, payloads_by_rank)
 
     def attach_lexicon(self, lex: LexiconFile) -> None:
@@ -148,11 +159,8 @@ class FormDictionary:
 
     def _analysis(self, path: str, payload: Payload) -> Analysis:
         lemma = path[: len(path) - payload.drop] + payload.append
-        features = self._features.get(payload.tag)
-        if features is None:
-            features = self._features[payload.tag] = FeatureBundle.from_tag(payload.tag)
         entry_id = self._entry_ids.get((lemma, payload.code), -1)
-        return Analysis(path, lemma, payload.code, features, payload.standalone, entry_id)
+        return Analysis(path, lemma, payload.code, FeatureBundle.from_tag(payload.tag), payload.standalone, entry_id)
 
     def lookup(self, surface: str, mode: str = "strict") -> list[Analysis]:
         """Analyses of a surface string; empty list when absent.
@@ -268,18 +276,18 @@ class FormDictionary:
                 ))
             return payload_ids[p]
 
-        sets: dict[tuple, int] = {}
+        sets: dict[tuple[Payload, ...], int] = {}
         set_lens = bytearray()
         set_refs = bytearray()
         form_rows = bytearray()
         for payloads in self.payloads_by_rank:
-            key = tuple(payload_id(p) for p in payloads)
-            if key not in sets:
-                sets[key] = len(sets)
-                set_lens.extend(_pack("<B", "set.length", len(key)))
-                for pid in key:
-                    set_refs.extend(_pack("<H", "setref.payload_id", pid))
-            form_rows.extend(_pack("<H", "form.set_id", sets[key]))
+            set_id = sets.get(payloads)
+            if set_id is None:
+                set_id = sets[payloads] = len(sets)
+                set_lens.extend(_pack("<B", "set.length", len(payloads)))
+                for p in payloads:
+                    set_refs.extend(_pack("<H", "setref.payload_id", payload_id(p)))
+            form_rows.extend(_pack("<H", "form.set_id", set_id))
 
         states = bytearray()
         trans = bytearray()
@@ -328,19 +336,34 @@ class FormDictionary:
         for _ in range(n_strings):
             length = int.from_bytes(take(2), "little")
             string_table.append(str(take(length), "utf-8"))
+        if off != len(data):
+            raise ValueError(f"trailing bytes after the dictionary: {len(data) - off}")
 
         counts = [count for count, _, _ in state_rows]
         finals = [bool(flags & 1) for _, flags, _ in state_rows]
-        arcs = [_arc_table(final, ((chr(label), target) for label, target in islice(trans_rows, fanout)), counts)
-                for final, (_, _, fanout) in zip(finals, state_rows)]
+        if not counts or counts[0] != n_forms:
+            raise ValueError(f"corrupt dictionary: the root does not count the {n_forms} forms")
+        if sum(fanout for _, _, fanout in state_rows) != n_trans:
+            raise ValueError(f"corrupt dictionary: state fanouts do not sum to the {n_trans} transitions")
+        with _ids_below(n_states, "trans.target", "states"):
+            arcs = [_arc_table(final, count, ((chr(label), target) for label, target in islice(trans_rows, fanout)), counts)
+                    for final, (count, _, fanout) in zip(finals, state_rows)]
 
-        payloads = [
-            Payload(drop, string_table[a], string_table[c], string_table[t], bool(flag & 1))
-            for a, c, t, drop, flag in payload_rows
-        ]
-        refs = (payloads[pid] for (pid,) in ref_rows)
-        set_contents = [tuple(islice(refs, n)) for (n,) in set_lens]
-        payloads_by_rank = [set_contents[sid] for (sid,) in form_rows]
+        with _ids_below(n_strings, "payload string id", "strings"):
+            payloads = [
+                Payload(drop, string_table[a], string_table[c], string_table[t], bool(flag & 1))
+                for a, c, t, drop, flag in payload_rows
+            ]
+        for tag in {p.tag for p in payloads}:
+            FeatureBundle.from_tag(tag)  # a malformed tag raises ValueError here, not at lookup
+        set_lens = list(set_lens)
+        if sum(n for (n,) in set_lens) != n_refs:
+            raise ValueError(f"corrupt dictionary: set lengths do not sum to the {n_refs} set refs")
+        with _ids_below(n_payloads, "setref.payload_id", "payloads"):
+            refs = (payloads[pid] for (pid,) in ref_rows)
+            set_contents = [tuple(islice(refs, n)) for (n,) in set_lens]
+        with _ids_below(n_sets, "form.set_id", "payload sets"):
+            payloads_by_rank = [set_contents[sid] for (sid,) in form_rows]
         return cls(arcs, finals, counts, payloads_by_rank)
 
     def save(self, path) -> int:
@@ -371,12 +394,37 @@ def _pack(fmt: str, fields: str, *values: int) -> bytes:
         raise
 
 
-def _arc_table(final: bool, edges, counts: list[int]) -> dict[str, tuple[int, int]]:
-    """One state's arcs, label -> (target, rank offset); counts are per-state subtree word counts."""
+def _common_prefix_length(a: str, b: str) -> int:
+    # A plain loop: os.path.commonprefix costs about four times as much on
+    # these short strings.
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+@contextmanager
+def _ids_below(count: int, field: str, what: str):
+    """An id out of range in the block is a corrupt artifact: ValueError
+    naming the field, not IndexError."""
+    try:
+        yield
+    except IndexError:
+        raise ValueError(f"corrupt dictionary: a {field} is not below the {count} {what}") from None
+
+
+def _arc_table(final: bool, count: int, edges, counts: list[int]) -> dict[str, tuple[int, int]]:
+    """One state's arcs, label -> (target, rank offset); counts are per-state
+    subtree word counts.  A state whose ``count`` is not its own word plus
+    its targets' is corrupt: its ranks could address forms that do not exist."""
     offset, table = int(final), {}
     for label, target in edges:
         table[label] = (target, offset)
         offset += counts[target]
+    if offset != count:
+        raise ValueError(f"corrupt dictionary: a state.count of {count} where its arcs hold {offset} words")
     return table
 
 
@@ -394,6 +442,7 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
     built from the rest.
     """
     words: dict[str, list[Payload]] = {}
+    payloads: dict[tuple, Payload] = {}     # one Payload per distinct record
     failures: list[str] = []
     for entry in lex.entries:
         try:
@@ -401,17 +450,18 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
         except Exception as exc:  # noqa: BLE001 - reported per entry
             failures.append(f"{entry.lemma},{entry.code}: {exc}")
             continue
-        code = entry.code.text
+        lemma, code = entry.lemma, entry.code.text
         for form in forms:
             key = dictionary_key(form)
-            lcp = len(os.path.commonprefix((key, entry.lemma)))
-            payload = Payload(
-                drop=len(key) - lcp,
-                append=entry.lemma[lcp:],
-                code=code,
-                tag=form.features.tag(),
-                standalone=form.standalone,
-            )
+            if key.startswith(lemma):
+                drop, append = len(key) - len(lemma), ""
+            else:
+                lcp = _common_prefix_length(key, lemma)
+                drop, append = len(key) - lcp, lemma[lcp:]
+            record = (drop, append, code, form.features.tag(), form.standalone)
+            payload = payloads.get(record)
+            if payload is None:
+                payload = payloads[record] = Payload(*record)
             words.setdefault(key, []).append(payload)
     d = FormDictionary.build(words)
     d.attach_lexicon(lex)

@@ -10,6 +10,7 @@ The optional third field names where the entry was transcribed from.
 Parsing never aborts: bad lines become diagnostics and good lines load.
 """
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -19,6 +20,7 @@ from .codes import (
     CLASS_TAG_SUFFIXES,
     HAMZA,
     InflectionalCode,
+    SurfaceRoot,
     apply_root_code,
     extract_root,
     parse_code,
@@ -38,6 +40,12 @@ class LexicalEntry:
     @property
     def key(self) -> tuple[str, str]:
         return (self.lemma, self.code.text)
+
+    @functools.cached_property
+    def sg_root(self) -> SurfaceRoot:
+        """The singular's surface root, extracted once for validation and
+        generation alike; raises TaksirError when it cannot be extracted."""
+        return extract_root(self.lemma, self.code.sg_code, self.code.class_tag)
 
 
 @dataclass
@@ -147,7 +155,7 @@ def validate_entry(entry: LexicalEntry, registry: ClassRegistry) -> list[Diagnos
         diags.append(Diagnostic(0, 1, "E_SUFFIX", f"lemma ends in -ap but tag {code.class_tag} strips nothing"))
 
     try:
-        root = extract_root(entry.lemma, code.sg_code, code.class_tag)
+        root = entry.sg_root
     except TaksirError as exc:
         diags.append(Diagnostic(0, 1, type(exc).__name__, str(exc)))
         return diags

@@ -9,10 +9,11 @@ pronoun: -ap is realised as -at- and a stem-final glottal stop is re-seated
 against the case vowel.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .classes import ClassRegistry, _left_context, render_bp_stem, resolve_hamza, substitute_madda
-from .codes import HAMZA, apply_root_code, extract_root
+from .codes import HAMZA, apply_root_code
 
 DEFINITENESS = ("D", "i", "a")
 CASES = ("N", "A", "G")
@@ -23,6 +24,9 @@ _FINAL_HAMZA = ("c", "O", "W", "e")
 
 @dataclass(frozen=True)
 class FeatureBundle:
+    """The features of one paradigm cell.  Paradigms and ``from_tag`` share
+    one interned bundle per distinct feature set (see ``_bundle``)."""
+
     gender: str          # m | f | none
     number: str          # s | d | p | q
     definiteness: str    # D | i | a
@@ -34,19 +38,27 @@ class FeatureBundle:
             raise ValueError("broken plurals carry no gender")
         if self.pro_compat and self.definiteness != "a":
             raise ValueError("pronoun-compatible forms are construct-state")
+        g = "" if self.gender == "none" else self.gender
+        tag = f"N:{g}{self.number}:{self.definiteness}:{self.case}" + (":+pro" if self.pro_compat else "")
+        object.__setattr__(self, "_tag", tag)  # not a field: equality and hashing ignore it
 
     def tag(self) -> str:
-        g = "" if self.gender == "none" else self.gender
-        base = f"N:{g}{self.number}:{self.definiteness}:{self.case}"
-        return base + (":+pro" if self.pro_compat else "")
+        return self._tag
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def from_tag(cls, tag: str) -> "FeatureBundle":
         parts = tag.split(":")
+        if not 4 <= len(parts) <= 5 or parts[0] != "N" or len(parts[1]) not in (1, 2):
+            raise ValueError(f"malformed feature tag {tag!r}")
         gn = parts[1]
         gender = gn[0] if len(gn) == 2 else "none"
         number = gn[-1]
-        return cls(gender, number, parts[2], parts[3], len(parts) > 4 and parts[4] == "+pro")
+        return _bundle(gender, number, parts[2], parts[3], len(parts) > 4 and parts[4] == "+pro")
+
+
+#: The one FeatureBundle of a feature set (arguments positional).
+_bundle = functools.lru_cache(maxsize=None)(FeatureBundle)
 
 
 @dataclass(frozen=True)
@@ -164,11 +176,11 @@ def _number_cells(stem: str, paradigm: str, gender: str, number: str, entry_id: 
             if d == "a":
                 pro = _pro_variant(stem, cell, paradigm)
             if pro is not None and pro == surface:
-                forms.append(InflectedForm(surface, FeatureBundle(gender, number, d, c, True), entry_id))
+                forms.append(InflectedForm(surface, _bundle(gender, number, d, c, True), entry_id))
             else:
-                forms.append(InflectedForm(surface, FeatureBundle(gender, number, d, c, False), entry_id))
+                forms.append(InflectedForm(surface, _bundle(gender, number, d, c, False), entry_id))
                 if pro is not None:
-                    forms.append(InflectedForm(pro, FeatureBundle(gender, number, d, c, True), entry_id, standalone=False))
+                    forms.append(InflectedForm(pro, _bundle(gender, number, d, c, True), entry_id, standalone=False))
     return forms
 
 
@@ -176,9 +188,9 @@ def _dual_cells(stem: str, paradigm: str, gender: str, entry_id: int) -> list[In
     forms: list[InflectedForm] = []
     for (d, c), surface in dual_forms(stem, paradigm).items():
         if d == "a":
-            forms.append(InflectedForm(surface, FeatureBundle(gender, "d", d, c, True), entry_id))
+            forms.append(InflectedForm(surface, _bundle(gender, "d", d, c, True), entry_id))
         else:
-            forms.append(InflectedForm(surface, FeatureBundle(gender, "d", d, c, False), entry_id))
+            forms.append(InflectedForm(surface, _bundle(gender, "d", d, c, False), entry_id))
     return forms
 
 
@@ -191,8 +203,7 @@ def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
     """
     code = entry.code
     cls = registry.resolve(code)
-    sg_root = extract_root(entry.lemma, code.sg_code, code.class_tag)
-    bp_stem = render_bp_stem(apply_root_code(sg_root, code.root_code), cls)
+    bp_stem = render_bp_stem(apply_root_code(entry.sg_root, code.root_code), cls)
     eid = entry.entry_id
 
     if code.gender_flag == "g":

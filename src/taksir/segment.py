@@ -145,10 +145,10 @@ def format_reading(token: str, reading: Reading) -> str:
 
 
 def check_agreement(head: FeatureBundle, head_human: bool, dependent: FeatureBundle,
-                    relation: str = "adjectival", head_lemma: str = "",
-                    exceptions: frozenset | None = None) -> bool:
-    """Acceptability of a plural head with an agreeing adjective/participle
-    (relation "adjectival") or a following-position verb ("verbal-post-subject").
+                    head_lemma: str = "", exceptions: frozenset | None = None) -> bool:
+    """Acceptability of a plural head with an agreeing dependent: an
+    adjective or participle, or a verb following its subject.  The attested
+    judgments are the same for both, so the relation is not a parameter.
 
     Broken plurals (number q) license feminine-singular agreement; with
     non-human heads that is the only option.  Suffixal plurals (number p)

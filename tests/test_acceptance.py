@@ -175,9 +175,9 @@ def test_08_agreement_judgments():
         (check_agreement(q_human, True, mp), True),                                    # scientists + working:p
         (check_agreement(q_human, True, fs), True),                                    # scientists + working:fs
         (check_agreement(p_human_m, True, fs), False),                                 # *observers + working:fs
-        (check_agreement(q_human, True, fs, "verbal-post-subject"), True),             # judges left:fs
-        (check_agreement(p_human_m, True, fs, "verbal-post-subject"), False),          # *observers left:fs
-        (check_agreement(p_human_m, True, fp, "verbal-post-subject"), False),          # *observers left:fp
+        (check_agreement(q_human, True, fs), True),                                    # judges left:fs
+        (check_agreement(p_human_m, True, fs), False),                                 # *observers left:fs
+        (check_agreement(p_human_m, True, fp), False),                                 # *observers left:fp
         (check_agreement(q_nonhuman, False, fp), False),                               # *mattocks good:fp
         (check_agreement(p_nonhuman_f, False, fp), True),                              # rings good:fp
         (check_agreement(q_nonhuman, False, fs), True),                                # mattocks good:fs

@@ -1,10 +1,15 @@
 import pathlib
+import sys
 
 import pytest
 
 from taksir import cli
 from taksir.cli import main
+from taksir.codes import extract_root
 from taksir.formdict import FormDictionary, Payload
+from taksir.lexicon import load_seed
+
+from conftest import ID_FIELDS, corrupt_id
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
 
@@ -51,6 +56,19 @@ class TestCompile:
         assert "invalid: 2:" in capsys.readouterr().err
         assert main(["validate", str(lex)]) == 1
         assert capsys.readouterr().out.startswith("2:")
+
+    def test_root_extracted_once_per_entry(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return extract_root(*args)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("taksir")]:
+            if getattr(module, "extract_root", None) is extract_root:
+                monkeypatch.setattr(module, "extract_root", counting)
+        assert main(["compile", str(SEED_PATH), "--out", str(tmp_path / "seed.primdict")]) == 0
+        assert sorted(calls) == sorted(e.lemma for e in load_seed().entries)
 
     def test_format_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
         d = FormDictionary.build({"kutubN": [Payload(300, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
@@ -122,6 +140,17 @@ class TestAnalyze:
         text = write_text(tmp_path, "Eqd\n")
         main(["analyze", str(text), "--dict", str(dict_path), "--mode", "strict"])
         assert "UNK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("corruption", sorted(ID_FIELDS) + ["trailing bytes"])
+    def test_corrupt_artifact_exits_2(self, dict_path, tmp_path, capsys, corruption):
+        data = dict_path.read_bytes()
+        bad = tmp_path / "bad.primdict"
+        bad.write_bytes(data + b"garbage" if corruption == "trailing bytes" else corrupt_id(data, corruption))
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(write_text(tmp_path, "kutubu\n")), "--dict", str(bad)])
+        assert err.value.code == 2
+        printed = capsys.readouterr().err
+        assert printed.startswith("error: ") and corruption in printed and "Traceback" not in printed
 
 
 class TestValidateCmd:

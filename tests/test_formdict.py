@@ -11,6 +11,8 @@ from taksir.codes import parse_code
 from taksir.formdict import FormDictionary, Payload, compile_lexicon
 from taksir.lexicon import parse_lexicon
 
+from conftest import ID_FIELDS, corrupt_id, section_offsets
+
 PAYLOAD = Payload(0, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)
 
 
@@ -232,6 +234,32 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 FormDictionary.from_bytes(data[:cut])
 
+    @pytest.mark.parametrize("field", sorted(ID_FIELDS))
+    def test_out_of_range_id_names_the_field(self, compiled, field):
+        with pytest.raises(ValueError, match=f"corrupt dictionary: a {field} is not below"):
+            FormDictionary.from_bytes(corrupt_id(compiled.to_bytes(), field))
+
+    def test_trailing_bytes_rejected(self, compiled):
+        with pytest.raises(ValueError, match="trailing bytes"):
+            FormDictionary.from_bytes(compiled.to_bytes() + b"garbage")
+
+    @pytest.mark.parametrize("section, at, message", [
+        ("state", 0, "root does not count"),    # the root's word count
+        ("state", 6, "state.count of 2"),       # the next state's word count
+        ("state", 5, "fanouts"),                # the root's fanout
+        ("set", 0, "set lengths"),              # the first set's length
+    ])
+    def test_inconsistent_counts_rejected(self, section, at, message):
+        data = bytearray(FormDictionary.build({"ab": [PAYLOAD], "b": [PAYLOAD]}).to_bytes())
+        data[section_offsets(data)[1][section] + at] += 1
+        with pytest.raises(ValueError, match=message):
+            FormDictionary.from_bytes(bytes(data))
+
+    def test_malformed_tag_rejected_at_load(self):
+        data = FormDictionary.build({"a": [PAYLOAD._replace(tag="junk")]}).to_bytes()
+        with pytest.raises(ValueError, match="malformed feature tag 'junk'"):
+            FormDictionary.from_bytes(data)
+
     def test_dump_line_format(self, compiled):
         line = compiled.dump_text().splitlines()[0]
         surface, lemma, code, features = line.split("\t")
@@ -284,6 +312,27 @@ class TestPinnedOutputs:
         clone = FormDictionary.from_bytes(compiled.to_bytes())
         assert self.digest(clone.to_bytes()) == self.ARTIFACT
         assert self.digest(clone.dump_text().encode("utf-8")) == self.LISTING
+
+    STATS = {"forms": 2593, "analyses": 5049, "states": 1000, "transitions": 1405,
+             "serialized_bytes": 69421, "listing_bytes": 299472}
+
+    def test_stats(self, compiled):
+        assert compiled.stats() == self.STATS
+        assert FormDictionary.from_bytes(compiled.to_bytes()).stats() == self.STATS
+
+
+class TestSharing:
+    def test_equal_payload_sets_share_one_tuple(self):
+        other = PAYLOAD._replace(tag="N:q:i:A")
+        d = FormDictionary.build({"a": [PAYLOAD, other], "b": [other, PAYLOAD, other], "c": [other]})
+        a, b, c = d.payloads_by_rank
+        assert a == (other, PAYLOAD) and a is b and c == (other,)   # tag A sorts before G
+
+    def test_compiled_ranks_share_tuples_and_records(self, compiled):
+        sets = compiled.payloads_by_rank
+        assert len({id(s) for s in sets}) == len(set(sets)) < len(sets)
+        records = [p for s in set(sets) for p in s]
+        assert len({id(p) for p in records}) == len(set(records))
 
 
 class TestFeatureInterning:

@@ -179,3 +179,14 @@ class TestProVariants:
         assert [f.surface for f in pro] == ["ruWasaAoei"]
         (pro_n,) = [f for f in forms if f.features.number == "q" and f.features.pro_compat and f.features.case == "N"]
         assert pro_n.surface == "ruWasaAoWu"
+
+
+class TestInterning:
+    def test_one_bundle_per_cell_across_entries(self, knot, registry):
+        book = inflect(entry("kitaAob", "$N300-m-FvEvL-FuEuL-123"), registry)
+        knot_cells = {f.features.tag(): f.features for f in knot}
+        shared = [f for f in book if f.features.tag() in knot_cells]
+        assert shared
+        for f in shared:
+            assert f.features is knot_cells[f.features.tag()]
+            assert FeatureBundle.from_tag(f.features.tag()) is f.features

@@ -146,18 +146,18 @@ class TestAgreement:
         assert check_agreement(head, True, fb("none", "q"))          # active:q
         assert check_agreement(head, True, fb("m", "p"))             # working:p
         assert check_agreement(head, True, fb("f", "s"))             # working:fs
-        assert check_agreement(head, True, fb("f", "s"), "verbal-post-subject")
-        assert check_agreement(head, True, fb("m", "p"), "verbal-post-subject")
-        assert check_agreement(head, True, fb("f", "p"), "verbal-post-subject")
+        assert check_agreement(head, True, fb("f", "s"))
+        assert check_agreement(head, True, fb("m", "p"))
+        assert check_agreement(head, True, fb("f", "p"))
 
     def test_human_suffixal_head(self):
         head = FeatureBundle("m", "p", "i", "N")
         assert not check_agreement(head, True, fb("f", "s"))         # *observers working:fs
         assert check_agreement(head, True, fb("none", "q"))          # active:q
         assert check_agreement(head, True, fb("m", "p"))
-        assert not check_agreement(head, True, fb("f", "s"), "verbal-post-subject")
-        assert check_agreement(head, True, fb("m", "p"), "verbal-post-subject")
-        assert not check_agreement(head, True, fb("f", "p"), "verbal-post-subject")
+        assert not check_agreement(head, True, fb("f", "s"))
+        assert check_agreement(head, True, fb("m", "p"))
+        assert not check_agreement(head, True, fb("f", "p"))
 
     def test_non_human_bp_head(self):
         head = FeatureBundle("none", "q", "i", "N")
@@ -213,9 +213,8 @@ class TestAgreementTotality:
                  [("none", "q"), ("m", "p"), ("f", "p")]]
         deps = [FeatureBundle(g, n, "i", "N") for g, n in
                 itertools.product(("m", "f"), ("s", "d", "p"))] + [FeatureBundle("none", "q", "i", "N")]
-        for head, dep, human, rel in itertools.product(
-                heads, deps, (True, False), ("adjectival", "verbal-post-subject")):
-            assert check_agreement(head, human, dep, rel) in (True, False)
+        for head, dep, human in itertools.product(heads, deps, (True, False)):
+            assert check_agreement(head, human, dep) in (True, False)
 
 
 class TestFuzz:
