@@ -100,9 +100,10 @@ def looks_arabic(text: str) -> bool:
 
 
 def validate_bn(text: str) -> None:
-    """Raise InvalidBnChar unless every character is in the alphabet."""
+    """Raise InvalidBnChar unless every character is in the alphabet
+    (spaces, digits and punctuation are not)."""
     for i, ch in enumerate(text):
-        if ch not in ALPHABET and ch not in _PASSTHROUGH:
+        if ch not in ALPHABET:
             raise InvalidBnChar(ch, i)
 
 

@@ -43,9 +43,6 @@ def _check_lexicon(path: str, registry):
 
 def _load_dictionary(args) -> FormDictionary:
     try:
-        if getattr(args, "lexicon", None):
-            lex, _ = parse_lexicon(_read(args.lexicon))
-            return FormDictionary.load(args.dict, lex)
         return FormDictionary.load(args.dict)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -109,6 +106,7 @@ def _parse_entry_spec(spec: str) -> LexicalEntry:
     lemma = lemma.strip()
     if bn.looks_arabic(lemma):
         lemma = bn.to_bn(lemma)
+    bn.validate_bn(lemma)
     return LexicalEntry(lemma, parse_code(code_text.strip()))
 
 
@@ -224,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="segment and tag the tokens of a text")
     p.add_argument("text")
     p.add_argument("--dict", required=True)
-    p.add_argument("--lexicon", help="lexicon the dictionary was compiled from (resolves entry identity)")
     _add_mode(p)
     p.add_argument("--arabic", action="store_true")
     p.set_defaults(func=cmd_analyze)

@@ -118,7 +118,7 @@ class SurfaceRoot:
 
     radicals: tuple
     geminate_flags: tuple = ()
-    positions: tuple = ()       # 1-based character indices in the lemma
+    positions: tuple = ()       # 1-based indices into expand_madda(lemma)
 
     def __post_init__(self):
         if not self.geminate_flags:
@@ -280,23 +280,17 @@ class _Parse:
         return _Parse(list(self.radicals), list(self.gemflags), list(self.positions), self.fallback_gem)
 
 
-def _expand(stem: str) -> tuple[list[str], list[int]]:
-    """Expand C to glottal stop + long a; positions are 1-based over the
-    expanded stream, so the madda letter counts as two written positions."""
-    chars: list[str] = []
-    for c in stem:
-        if c == "C":
-            chars.extend([HAMZA, "a", "A", "o"])
-        else:
-            chars.append(c)
-    return chars, list(range(1, len(chars) + 1))
+def expand_madda(stem: str) -> str:
+    """The stem with each madda letter C written out as glottal stop + long
+    a.  Radical positions are 1-based indices into this expansion."""
+    return stem.replace("C", HAMZA + "aAo")
 
 
 def _as_radical(c: str) -> str:
     return HAMZA if c in bn.HAMZA_LETTERS or c == HAMZA else c
 
 
-def _discardable(chars: list[str], i: int) -> bool:
+def _discardable(chars: str, i: int) -> bool:
     """Long-vowel letters the pattern may own without a vv mark."""
     c = chars[i]
     if c == "A":
@@ -324,7 +318,7 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
         stem = lemma[: -len(suffix)]
     else:
         stem = lemma
-    chars, positions = _expand(stem)
+    chars = expand_madda(stem)
     tokens = list(sg_code.tokens)
     results: dict[tuple, _Parse] = {}
     fallback_results: dict[tuple, _Parse] = {}
@@ -380,7 +374,7 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
             p = parse.copy()
             p.radicals.append(radical)
             p.gemflags.append(True)
-            p.positions.append(positions[ci])
+            p.positions.append(ci + 1)
             walk(ti + 1, ci + 2, p)
             return
         # plain slot
@@ -398,19 +392,19 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
                 p = parse.copy()
                 p.radicals.extend([radical, radical])
                 p.gemflags.extend([True, True])
-                p.positions.extend([positions[ci], positions[ci]])
+                p.positions.extend([ci + 1, ci + 1])
                 walk(nxt + 1, ci + 2, p)
             p = parse.copy()
             p.radicals.append(radical)
             p.gemflags.append(True)
-            p.positions.append(positions[ci])
+            p.positions.append(ci + 1)
             p.fallback_gem = True
             walk(ti + 1, ci + 2, p)
             return
         p = parse.copy()
         p.radicals.append(radical)
         p.gemflags.append(False)
-        p.positions.append(positions[ci])
+        p.positions.append(ci + 1)
         walk(ti + 1, ci + 1, p)
 
     walk(0, 0, _Parse())

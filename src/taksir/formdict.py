@@ -13,8 +13,7 @@ holds more than the minimal automaton plus one word's path.
 Payloads do not name entries directly: they hold the feature tag, the
 inflectional code and a rewrite that reconstructs the lemma from the matched
 surface (drop k characters, append a tail).  Entries of the same class
-therefore share payload records, and entry ids are recovered from
-(lemma, code) when the dictionary is loaded.  In memory, built or loaded,
+therefore share payload records.  In memory, built or loaded,
 each distinct record is one ``Payload`` tuple and forms with equal payload
 sets share one tuple of them, so serialising resolves each set once.
 
@@ -62,7 +61,6 @@ class Analysis:
     code: str
     features: FeatureBundle
     standalone: bool
-    entry_id: int
 
     def line(self) -> str:
         return f"{self.surface}\t{self.lemma}\t{self.code}\t{self.features.tag()}"
@@ -77,7 +75,6 @@ class FormDictionary:
         self.counts = counts                  # per state: words accepted in its subtree
         self.payloads_by_rank = payloads_by_rank
         self.root = 0
-        self._entry_ids: dict[tuple[str, str], int] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -152,15 +149,11 @@ class FormDictionary:
             payloads_by_rank.append(payloads)
         return cls(arcs, finals, counts, payloads_by_rank)
 
-    def attach_lexicon(self, lex: LexiconFile) -> None:
-        self._entry_ids = {e.key: e.entry_id for e in lex.entries}
-
     # -- lookup ------------------------------------------------------------
 
     def _analysis(self, path: str, payload: Payload) -> Analysis:
         lemma = path[: len(path) - payload.drop] + payload.append
-        entry_id = self._entry_ids.get((lemma, payload.code), -1)
-        return Analysis(path, lemma, payload.code, FeatureBundle.from_tag(payload.tag), payload.standalone, entry_id)
+        return Analysis(path, lemma, payload.code, FeatureBundle.from_tag(payload.tag), payload.standalone)
 
     def lookup(self, surface: str, mode: str = "strict") -> list[Analysis]:
         """Analyses of a surface string; empty list when absent.
@@ -348,6 +341,7 @@ class FormDictionary:
         with _ids_below(n_states, "trans.target", "states"):
             arcs = [_arc_table(final, count, ((chr(label), target) for label, target in islice(trans_rows, fanout)), counts)
                     for final, (count, _, fanout) in zip(finals, state_rows)]
+        _require_acyclic(arcs)
 
         with _ids_below(n_strings, "payload string id", "strings"):
             payloads = [
@@ -373,12 +367,9 @@ class FormDictionary:
             return fh.write(data)
 
     @classmethod
-    def load(cls, path, lexicon: LexiconFile | None = None) -> "FormDictionary":
+    def load(cls, path) -> "FormDictionary":
         with open(path, "rb") as fh:
-            d = cls.from_bytes(fh.read())
-        if lexicon is not None:
-            d.attach_lexicon(lexicon)
-        return d
+            return cls.from_bytes(fh.read())
 
 
 def _pack(fmt: str, fields: str, *values: int) -> bytes:
@@ -428,6 +419,23 @@ def _arc_table(final: bool, count: int, edges, counts: list[int]) -> dict[str, t
     return table
 
 
+def _require_acyclic(arcs: list[dict]) -> None:
+    """Kahn's algorithm in O(states + arcs).  A cycle is a corrupt artifact
+    that the count checks cannot see, and a walk along it never ends."""
+    indegree = [0] * len(arcs)
+    for table in arcs:
+        for target, _ in table.values():
+            indegree[target] += 1
+    ready = [state for state, n in enumerate(indegree) if not n]
+    for state in ready:
+        for target, _ in arcs[state].values():
+            indegree[target] -= 1
+            if not indegree[target]:
+                ready.append(target)
+    if len(ready) != len(arcs):
+        raise ValueError("corrupt dictionary: the transitions contain a cycle")
+
+
 def dictionary_key(form) -> str:
     """Automaton key of a generated form (definites drop the article)."""
     if form.features.definiteness == "D":
@@ -463,6 +471,4 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
             if payload is None:
                 payload = payloads[record] = Payload(*record)
             words.setdefault(key, []).append(payload)
-    d = FormDictionary.build(words)
-    d.attach_lexicon(lex)
-    return d, failures
+    return FormDictionary.build(words), failures

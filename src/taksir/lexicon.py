@@ -18,10 +18,10 @@ from . import bn
 from .classes import ClassRegistry
 from .codes import (
     CLASS_TAG_SUFFIXES,
-    HAMZA,
     InflectionalCode,
     SurfaceRoot,
     apply_root_code,
+    expand_madda,
     extract_root,
     parse_code,
 )
@@ -34,7 +34,6 @@ class LexicalEntry:
     code: InflectionalCode
     gloss: str = ""
     source_ref: str = ""
-    entry_id: int = 0
     line: int = 0               # source line in the lexicon file, when parsed
 
     @property
@@ -105,7 +104,7 @@ def parse_lexicon(text: str) -> tuple[LexiconFile, list[Diagnostic]]:
         except TaksirError as exc:
             diagnostics.append(Diagnostic(lineno, len(lemma_text) + 2, "E_CODE", str(exc)))
             continue
-        entry = LexicalEntry(lemma, code, gloss, source, entry_id=len(lex.entries), line=lineno)
+        entry = LexicalEntry(lemma, code, gloss, source, line=lineno)
         if entry.key in seen:
             diagnostics.append(Diagnostic(lineno, 1, "E_DUP", f"duplicate of line {seen[entry.key]}: {lemma},{code}"))
             continue
@@ -128,7 +127,7 @@ def serialize(lex: LexiconFile) -> str:
 
 def _long_realisations(entry: LexicalEntry, root) -> list[bool]:
     """Per radical: True when the lemma realises it as a long vowel."""
-    chars = list(entry.lemma.replace("C", HAMZA + "aAo"))
+    chars = expand_madda(entry.lemma)
     out = []
     for radical, pos in zip(root.radicals, root.positions):
         i = pos - 1

@@ -12,7 +12,7 @@ against the case vowel.
 import functools
 from dataclasses import dataclass
 
-from .classes import ClassRegistry, _left_context, render_bp_stem, resolve_hamza, substitute_madda
+from .classes import ClassRegistry, render_bp_stem, seat_hamzas, substitute_madda
 from .codes import HAMZA, apply_root_code
 
 DEFINITENESS = ("D", "i", "a")
@@ -65,7 +65,6 @@ _bundle = functools.lru_cache(maxsize=None)(FeatureBundle)
 class InflectedForm:
     surface: str
     features: FeatureBundle
-    entry_id: int = 0
     standalone: bool = True     # False for bound pro-variants (-at-, re-seated hamza)
 
 
@@ -126,25 +125,16 @@ def _apply_cell(stem: str, cell: Cell) -> str:
     return substitute_madda(base + suffix)
 
 
-def _reseat_final_hamza(stem: str, case_vowel: str) -> str:
-    """A stem-final glottal stop becomes word-medial when a pronoun attaches."""
-    if not stem.endswith(_FINAL_HAMZA) or not case_vowel:
-        return stem
-    chars = list(stem)
-    chars[-1] = HAMZA
-    left = _left_context(chars, len(chars) - 1)
-    chars[-1] = resolve_hamza(left, case_vowel, "medial")
-    return substitute_madda("".join(chars))
-
-
-def _pro_variant(stem: str, cell: Cell, paradigm: str) -> str | None:
-    """Construct-cell surface used before an attached pronoun, or None when
-    the paradigm has no pronoun-compatible shape for the cell."""
+def _pro_variant(stem: str, cell: Cell, paradigm: str) -> str:
+    """Construct-cell surface used before an attached pronoun.  -ap is
+    realised as -at-, and a stem-final glottal stop, word-medial once a
+    pronoun attaches, is re-seated against the case vowel."""
     base = stem
     if paradigm == "ap-final":
         base = stem[:-1] + "t"
-    reseated = _reseat_final_hamza(base, cell.suffix if cell.suffix in "aui" else "")
-    return substitute_madda(reseated + cell.suffix)
+    if cell.suffix and base.endswith(_FINAL_HAMZA):
+        return seat_hamzas([*base[:-1], HAMZA, cell.suffix])
+    return substitute_madda(base + cell.suffix)
 
 
 def dual_forms(stem: str, paradigm: str) -> dict[tuple[str, str], str]:
@@ -163,7 +153,7 @@ def dual_forms(stem: str, paradigm: str) -> dict[tuple[str, str], str]:
     return cells
 
 
-def _number_cells(stem: str, paradigm: str, gender: str, number: str, entry_id: int) -> list[InflectedForm]:
+def _number_cells(stem: str, paradigm: str, gender: str, number: str) -> list[InflectedForm]:
     forms: list[InflectedForm] = []
     cells = SUFFIX_PARADIGMS[paradigm]
     for d in DEFINITENESS:
@@ -172,26 +162,17 @@ def _number_cells(stem: str, paradigm: str, gender: str, number: str, entry_id: 
             surface = _apply_cell(stem, cell)
             if d == "D":
                 surface = "Al" + surface
-            pro = None
-            if d == "a":
-                pro = _pro_variant(stem, cell, paradigm)
-            if pro is not None and pro == surface:
-                forms.append(InflectedForm(surface, _bundle(gender, number, d, c, True), entry_id))
-            else:
-                forms.append(InflectedForm(surface, _bundle(gender, number, d, c, False), entry_id))
-                if pro is not None:
-                    forms.append(InflectedForm(pro, _bundle(gender, number, d, c, True), entry_id, standalone=False))
+            pro = _pro_variant(stem, cell, paradigm) if d == "a" else None
+            forms.append(InflectedForm(surface, _bundle(gender, number, d, c, pro == surface)))
+            if pro not in (None, surface):
+                forms.append(InflectedForm(pro, _bundle(gender, number, d, c, True), standalone=False))
     return forms
 
 
-def _dual_cells(stem: str, paradigm: str, gender: str, entry_id: int) -> list[InflectedForm]:
-    forms: list[InflectedForm] = []
-    for (d, c), surface in dual_forms(stem, paradigm).items():
-        if d == "a":
-            forms.append(InflectedForm(surface, _bundle(gender, "d", d, c, True), entry_id))
-        else:
-            forms.append(InflectedForm(surface, _bundle(gender, "d", d, c, False), entry_id))
-    return forms
+def _dual_cells(stem: str, paradigm: str, gender: str) -> list[InflectedForm]:
+    # Construct duals lose their -ni, so each one takes a pronoun as it stands.
+    return [InflectedForm(surface, _bundle(gender, "d", d, c, d == "a"))
+            for (d, c), surface in dual_forms(stem, paradigm).items()]
 
 
 def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
@@ -204,7 +185,6 @@ def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
     code = entry.code
     cls = registry.resolve(code)
     bp_stem = render_bp_stem(apply_root_code(entry.sg_root, code.root_code), cls)
-    eid = entry.entry_id
 
     if code.gender_flag == "g":
         gender_stems = [("m", entry.lemma), ("f", entry.lemma + "ap")]
@@ -214,9 +194,9 @@ def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
     forms: list[InflectedForm] = []
     for gender, stem in gender_stems:
         paradigm = "ap-final" if stem.endswith("ap") and not entry.lemma.endswith("ap") else cls.sg_paradigm
-        forms.extend(_number_cells(stem, paradigm, gender, "s", eid))
-        forms.extend(_dual_cells(stem, paradigm, gender, eid))
-    forms.extend(_number_cells(bp_stem, cls.bp_paradigm, "none", "q", eid))
+        forms.extend(_number_cells(stem, paradigm, gender, "s"))
+        forms.extend(_dual_cells(stem, paradigm, gender))
+    forms.extend(_number_cells(bp_stem, cls.bp_paradigm, "none", "q"))
     return forms
 
 

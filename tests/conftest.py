@@ -3,6 +3,7 @@ import struct
 import pytest
 
 from taksir import compile_lexicon, load_registry, load_seed
+from taksir.formdict import FormDictionary, Payload
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +68,13 @@ def corrupt_id(data: bytes, field: str) -> bytes:
     out = bytearray(data)
     struct.pack_into(code, out, offsets[section] + at, header[bound_index])
     return bytes(out)
+
+
+def cyclic_artifact() -> bytes:
+    """The artifact of the one word "aub" with its last arc, b -> state 3,
+    rewritten to u -> state 1.  States 1 and 2 then form a cycle of
+    non-final one-arc states whose word counts all still agree."""
+    data = bytearray(FormDictionary.build({"aub": [Payload(0, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]}).to_bytes())
+    _, offsets = section_offsets(data)
+    struct.pack_into("<BI", data, offsets["trans"] + 2 * 5, ord("u"), 1)
+    return bytes(data)

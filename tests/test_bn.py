@@ -61,6 +61,17 @@ def test_invalid_bn_char():
         bn.to_arabic("Euq~d")
 
 
+@pytest.mark.parametrize("text", ["ba'os", "Eaqod2", "Eaq od", "Eaqod."])
+def test_validate_bn_rejects_what_the_codec_passes_through(text):
+    bn.to_arabic(text)  # passes through the codec ...
+    with pytest.raises(InvalidBnChar):
+        bn.validate_bn(text)  # ... but is no transliteration
+
+
+def test_validate_bn_accepts_the_alphabet():
+    bn.validate_bn("".join(sorted(bn.ALPHABET)))
+
+
 def test_punctuation_passthrough():
     assert bn.to_bn("عُقَد.") == "Euqad."
     assert bn.to_arabic("Euqad.") == KNOT_PL + "."

@@ -9,7 +9,7 @@ from taksir.codes import extract_root
 from taksir.formdict import FormDictionary, Payload
 from taksir.lexicon import load_seed
 
-from conftest import ID_FIELDS, corrupt_id
+from conftest import ID_FIELDS, corrupt_id, cyclic_artifact
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
 
@@ -106,6 +106,13 @@ class TestGen:
         assert main(["gen", "Euqodap,$N3ap-f-FvEvL"]) == 1
         assert "invalid:" in capsys.readouterr().err
 
+    def test_lemma_outside_the_alphabet(self, capsys):
+        # The apostrophe used to pass and gave forms such as Alba'osu.
+        assert main(["gen", "ba'os,$N300-m-FvEvL-FuEuuL-123"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid: ") and "not a transliteration character" in err and "Traceback" not in err
+
     def test_arabic_display(self, capsys):
         assert main(["gen", "Euqodap,$N3ap-f-FvEvL-FuEaL-123", "--arabic"]) == 0
         out = capsys.readouterr().out
@@ -121,7 +128,7 @@ class TestGen:
 class TestAnalyze:
     def test_figure_tokens(self, dict_path, tmp_path, capsys):
         text = write_text(tmp_path, "liEuquwdK maSaAyid AlminoTaqapi OasmaAkihaA\nOanoMiTatihaA\n")
-        assert main(["analyze", str(text), "--dict", str(dict_path), "--lexicon", str(SEED_PATH)]) == 0
+        assert main(["analyze", str(text), "--dict", str(dict_path)]) == 0
         out = capsys.readouterr().out
         assert "liEuquwdK\tli/PREP+EuquwdK/N\tEaqod,N300-m-FvEvL-FuEuuL-123\tN:q:i:G" in out
         assert "OanoMiTatihaA\tOanoMiTati/N+haA/PRO+Gen" in out
@@ -151,6 +158,15 @@ class TestAnalyze:
         assert err.value.code == 2
         printed = capsys.readouterr().err
         assert printed.startswith("error: ") and corruption in printed and "Traceback" not in printed
+
+    def test_cyclic_artifact_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "cyclic.primdict"
+        bad.write_bytes(cyclic_artifact())
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(write_text(tmp_path, "a\n")), "--dict", str(bad)])
+        assert err.value.code == 2
+        printed = capsys.readouterr().err
+        assert printed.startswith("error: ") and "cycle" in printed and "Traceback" not in printed
 
 
 class TestValidateCmd:

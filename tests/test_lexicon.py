@@ -1,3 +1,5 @@
+import pytest
+
 from taksir.lexicon import lexicon_stats, parse_lexicon, serialize, validate_entry
 
 
@@ -35,6 +37,12 @@ class TestParse:
         codes = sorted(d.code for d in diags)
         assert codes == ["E_DUP", "E_FORMAT"]
         assert all(str(d).split(":")[0].isdigit() for d in diags)
+
+    @pytest.mark.parametrize("lemma", ["ba'os", "Eaqod2", "Eaq od", "عُقْد."])
+    def test_lemma_outside_the_alphabet_rejected(self, lemma):
+        lex, diags = parse_lexicon(f"{lemma},$N300-m-FvEvL-FuEuuL-123")
+        assert len(lex) == 0
+        assert [d.code for d in diags] == ["E_LEMMA"]
 
     def test_source_ref_third_field(self):
         lex, _ = parse_lexicon("Euqodap,$N3ap-f-FvEvL-FuEaL-123 / knot / b")
