@@ -6,6 +6,7 @@ transliteration by default; --arabic switches display only, never storage.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -165,7 +166,7 @@ def cmd_stats(args) -> int:
         print(lexicon_stats(lex).format(), end="")
     if args.dict:
         dictionary = _load_dictionary(args)
-        stats = dictionary.stats()
+        stats = dictionary.stats(os.path.getsize(args.dict))
         for key in ("forms", "analyses", "states", "transitions", "serialized_bytes", "listing_bytes"):
             print(f"{key}\t{stats[key]}")
         if args.text:

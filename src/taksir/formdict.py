@@ -54,7 +54,7 @@ class Payload(NamedTuple):
         return (self.code, self.tag, self.drop, self.append, not self.standalone)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Analysis:
     surface: str        # the dictionary form that matched
     lemma: str

@@ -7,7 +7,8 @@ attached pronoun forces the construct state and the pronoun-compatible form
 variant, and the determiner and a pronoun never co-occur.
 """
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -37,73 +38,73 @@ def load_clitics() -> CliticInventory:
     return CliticInventory(tuple(conj), tuple(prep), det[-1], tuple(pro))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     surface: str
     tag: str                      # CONJC | PREP | DET | N | PRO+Gen
     analysis: Analysis | None = None
 
-    def show(self) -> str:
-        return f"{self.surface}/{self.tag}"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reading:
     segments: tuple
-
-    @property
-    def noun(self) -> Analysis:
-        return next(s.analysis for s in self.segments if s.tag == "N")
+    noun: Analysis      # the analysis of the N segment
+    shown: str          # the segments as surface/TAG, joined by "+"
 
     def show(self) -> str:
-        return "+".join(s.show() for s in self.segments)
+        return self.shown
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SegmentLattice:
     token: str
-    readings: list = field(default_factory=list)
+    readings: tuple = ()
 
     def __bool__(self) -> bool:
         return bool(self.readings)
 
 
+def _strip(rest: str, clitics: tuple):
+    """(None, rest), then (clitic, remainder) for each clitic that rest starts with."""
+    yield None, rest
+    for clitic in clitics:
+        if rest.startswith(clitic):
+            yield clitic, rest[len(clitic):]
+
+
 def _splits(token: str, inventory: CliticInventory):
     """All CONJ? PREP? DET? prefix splits and PRO? suffix splits."""
-    for conj in (None, *inventory.conjunctions):
-        rest1 = token
-        if conj is not None:
-            if not token.startswith(conj):
-                continue
-            rest1 = token[len(conj):]
-        for prep in (None, *inventory.prepositions):
-            rest2 = rest1
-            if prep is not None:
-                if not rest1.startswith(prep):
-                    continue
-                rest2 = rest1[len(prep):]
-            for det in (None, inventory.determiner):
-                rest3 = rest2
-                if det is not None:
-                    if not rest2.startswith(det):
-                        continue
-                    rest3 = rest2[len(det):]
-                for pro in (None, *inventory.pronouns):
-                    noun = rest3
-                    if pro is not None:
-                        if not rest3.endswith(pro) or len(rest3) <= len(pro):
-                            continue
-                        noun = rest3[: -len(pro)]
+    # Each remainder is a suffix of the token: only a pronoun the token ends with can end it.
+    pronouns = (None, *(pro for pro in inventory.pronouns if token.endswith(pro)))
+    for conj, rest1 in _strip(token, inventory.conjunctions):
+        for prep, rest2 in _strip(rest1, inventory.prepositions):
+            for det, rest3 in _strip(rest2, (inventory.determiner,)):
+                for pro in pronouns:
+                    noun = rest3 if pro is None else rest3[: -len(pro)] if len(rest3) > len(pro) else ""
                     if noun:
                         yield conj, prep, det, noun, pro
 
 
+#: Distinct (token, mode) pairs whose lattice each dictionary remembers.
+MEMO_SIZE = 1024
+
+
 def segment(token: str, dictionary: FormDictionary, mode: str = "strict",
             inventory: CliticInventory | None = None) -> SegmentLattice:
-    """Enumerate the constraint-satisfying readings of one token."""
-    inventory = inventory or load_clitics()
-    lattice = SegmentLattice(token)
-    seen = set()
+    """Enumerate the constraint-satisfying readings of one token.  With the
+    default inventory the answer comes from the dictionary's memo of its last
+    MEMO_SIZE distinct (token, mode) pairs; lattices are immutable, so it is shared."""
+    if inventory is not None:
+        return _segment(token, dictionary, mode, inventory)
+    memo = getattr(dictionary, "segment_memo", None)
+    if memo is None:
+        ref = weakref.ref(dictionary)  # the memo lives on the dictionary, so it must not keep it alive
+        memo = dictionary.segment_memo = lru_cache(MEMO_SIZE)(lambda t, m: _segment(t, ref(), m, load_clitics()))
+    return memo(token, mode)
+
+
+def _segment(token: str, dictionary: FormDictionary, mode: str, inventory: CliticInventory) -> SegmentLattice:
+    readings = {}
     for conj, prep, det, noun, pro in _splits(token, inventory):
         for analysis in dictionary.lookup(noun, mode):
             f = analysis.features
@@ -127,25 +128,21 @@ def segment(token: str, dictionary: FormDictionary, mode: str = "strict",
             segments.append(Segment(noun, "N", analysis))
             if pro:
                 segments.append(Segment(pro, "PRO+Gen"))
-            reading = Reading(tuple(segments))
-            key = (reading.show(), analysis.code, analysis.lemma, f.tag())
-            if key not in seen:
-                seen.add(key)
-                lattice.readings.append(reading)
-    lattice.readings.sort(key=lambda r: (len(r.segments), r.show(), r.noun.code))
-    return lattice
+            reading = Reading(tuple(segments), analysis, "+".join(f"{s.surface}/{s.tag}" for s in segments))
+            readings.setdefault((reading.shown, analysis.code, analysis.lemma, f.tag()), reading)
+    ordered = sorted(readings.values(), key=lambda r: (len(r.segments), r.shown, r.noun.code))
+    return SegmentLattice(token, tuple(ordered))
 
 
 def format_reading(token: str, reading: Reading) -> str:
     noun = reading.noun
-    return f"{token}\t{reading.show()}\t{noun.lemma},{noun.code}\t{noun.features.tag()}"
+    return f"{token}\t{reading.shown}\t{noun.lemma},{noun.code}\t{noun.features.tag()}"
 
 
 # -- agreement ---------------------------------------------------------------
 
 
-def check_agreement(head: FeatureBundle, head_human: bool, dependent: FeatureBundle,
-                    head_lemma: str = "", exceptions: frozenset | None = None) -> bool:
+def check_agreement(head: FeatureBundle, head_human: bool, dependent: FeatureBundle) -> bool:
     """Acceptability of a plural head with an agreeing dependent: an
     adjective or participle, or a verb following its subject.  The attested
     judgments are the same for both, so the relation is not a parameter.
@@ -163,8 +160,6 @@ def check_agreement(head: FeatureBundle, head_human: bool, dependent: FeatureBun
     dep_fs = dependent.gender == "f" and dependent.number == "s"
     if head.number == "q":
         if head_human:
-            return dep_plural or dep_fs
-        if exceptions is not None and head_lemma and head_lemma in exceptions:
             return dep_plural or dep_fs
         return dep_fs
     # suffixal plural head

@@ -211,6 +211,14 @@ class TestStatsCmd:
         assert "lemmas_covered\t30\t85.7%" in out
         assert out.count("uncovered\t") == 5
 
+    def test_dict_stats_take_the_file_size(self, dict_path, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("stats --dict must not serialise the dictionary again")
+
+        monkeypatch.setattr(FormDictionary, "to_bytes", refuse)
+        assert main(["stats", "--dict", str(dict_path)]) == 0
+        assert f"serialized_bytes\t{dict_path.stat().st_size}\n" in capsys.readouterr().out
+
 
 class TestConcordCmd:
     def test_mask_listing(self, dict_path, tmp_path, capsys):

@@ -1,7 +1,16 @@
-import pytest
+import random
+import weakref
+from dataclasses import FrozenInstanceError
 
-from taksir.paradigm import FeatureBundle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from taksir import bn
+from taksir.formdict import FormDictionary
+from taksir.paradigm import FeatureBundle, inflect
 from taksir.segment import (
+    MEMO_SIZE,
     check_agreement,
     concordance,
     format_reading,
@@ -10,9 +19,25 @@ from taksir.segment import (
     segment,
 )
 
+MODES = ("strict", "diacritic-optional")
+
 
 def reading_strings(lattice):
     return sorted(r.show() for r in lattice.readings)
+
+
+def fresh(dictionary):
+    """A copy of a dictionary with an empty memo."""
+    return FormDictionary.from_bytes(dictionary.to_bytes())
+
+
+def lines(token, lattice):
+    return [format_reading(token, r) for r in lattice.readings] or [f"{token}\tUNK"]
+
+
+def uncached(token, dictionary, mode):
+    """``segment``'s answer computed afresh: an explicit inventory bypasses the memo."""
+    return lines(token, segment(token, dictionary, mode, inventory=load_clitics()))
 
 
 class TestSegmentation:
@@ -75,7 +100,9 @@ class TestSegmentation:
 
     def test_brute_force_oracle_equivalence(self, compiled):
         # Naive alternative: try every template combination independently.
+        # Checked twice on a dictionary of its own: on a cold memo, then a warm one.
         inventory = load_clitics()
+        dictionary = fresh(compiled)
         tokens = [
             "liEuquwdK", "AlminoTaqapi", "OasmaAkihaA", "OanoMiTatihaA", "wabiEuqadK",
             "maSaAyid", "Euqadu", "AlEuqadihaA", "faAlkutubi", "EuqodatuhaA", "xyzzy",
@@ -116,14 +143,16 @@ class TestSegmentation:
                                 if not pro and not a.standalone:
                                     continue
                                 expected.add((conj, prep, det, noun, pro, a.surface, a.code, f.tag()))
-            got = set()
-            for r in segment(token, compiled, "diacritic-optional").readings:
-                parts = {s.tag: s.surface for s in r.segments}
-                got.add((
-                    parts.get("CONJC"), parts.get("PREP"), parts.get("DET"),
-                    parts["N"], parts.get("PRO+Gen"), r.noun.surface, r.noun.code, r.noun.features.tag(),
-                ))
-            assert got == expected, token
+            for memo in ("cold", "warm"):
+                got = set()
+                for r in segment(token, dictionary, "diacritic-optional").readings:
+                    parts = {s.tag: s.surface for s in r.segments}
+                    got.add((
+                        parts.get("CONJC"), parts.get("PREP"), parts.get("DET"),
+                        parts["N"], parts.get("PRO+Gen"), r.noun.surface, r.noun.code, r.noun.features.tag(),
+                    ))
+                assert got == expected, (token, memo)
+        assert dictionary.segment_memo.cache_info().hits == len(tokens)
 
     def test_clitic_inventory_loaded_once(self):
         assert load_clitics() is load_clitics()
@@ -134,6 +163,93 @@ class TestSegmentation:
         token, segs, entry, features = line.split("\t")
         assert segs == "Al/DET+minoTaqapi/N"
         assert entry.startswith("minoTaqap,")
+
+
+class TestMemo:
+    """``segment`` with the default inventory answers from a per-dictionary
+    memo; it must give what the uncached path gives."""
+
+    @pytest.fixture(scope="class")
+    def stream(self, seed, registry):
+        # Surfaces of every 5th seed entry, with clitics and unpointed, plus
+        # non-words; every token occurs at least twice, in shuffled order.
+        rng = random.Random(6)
+        clitics = load_clitics()
+        tokens = ["xyzzy", "qqq", "wa", "Al", "haA", "bi"]
+        for entry in seed.entries[::5]:
+            for form in rng.sample(inflect(entry, registry), 4):
+                surface = form.surface
+                tokens.append(surface)
+                tokens.append(bn.strip_diacritics(surface))
+                if form.standalone:
+                    tokens.append(rng.choice(clitics.conjunctions) + rng.choice(clitics.prepositions) + surface)
+                else:
+                    tokens.append(surface + rng.choice(clitics.pronouns))
+        tokens = list(dict.fromkeys(tokens))
+        stream = tokens * 2
+        rng.shuffle(stream)
+        return stream
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_memo_matches_uncached_path(self, compiled, stream, mode):
+        dictionary = fresh(compiled)
+        expected = [uncached(token, dictionary, mode) for token in stream]
+        for memo in ("cold", "warm"):
+            assert [lines(token, segment(token, dictionary, mode)) for token in stream] == expected, memo
+        info = dictionary.segment_memo.cache_info()
+        assert info.currsize == len(set(stream)) < MEMO_SIZE
+        assert info.hits == 2 * len(stream) - len(set(stream))
+
+    @settings(max_examples=150, deadline=None)
+    @given(token=st.text(alphabet=sorted(bn.ALPHABET), max_size=14), mode=st.sampled_from(MODES))
+    def test_memo_matches_uncached_path_on_any_token(self, compiled, token, mode):
+        expected = uncached(token, compiled, mode)
+        assert lines(token, segment(token, compiled, mode)) == expected
+        assert lines(token, segment(token, compiled, mode)) == expected
+
+    def test_memo_is_bounded(self, compiled):
+        dictionary = fresh(compiled)
+        for i in range(MEMO_SIZE + 100):
+            segment(f"xyz{i}", dictionary, "strict")
+            assert dictionary.segment_memo.cache_info().currsize <= MEMO_SIZE
+        assert dictionary.segment_memo.cache_info().currsize == MEMO_SIZE == 1024
+
+    def test_memo_is_per_dictionary_and_mode(self, compiled):
+        dictionary = fresh(compiled)
+        strict = segment("Euqad", dictionary, "strict")
+        optional = segment("Euqad", dictionary, "diacritic-optional")
+        assert not strict and optional
+        assert segment("Euqad", dictionary, "diacritic-optional") is optional
+        assert dictionary.segment_memo is not compiled.segment_memo
+
+    def test_exceptions_are_not_remembered(self, compiled):
+        dictionary = fresh(compiled)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown lookup mode"):
+                segment("Euqad", dictionary, "loose")
+        assert dictionary.segment_memo.cache_info().currsize == 0
+
+    def test_results_are_immutable(self, compiled):
+        lattice = segment("liEuquwdK", compiled, "diacritic-optional")
+        assert isinstance(lattice.readings, tuple)
+        reading = lattice.readings[0]
+        with pytest.raises(FrozenInstanceError):
+            reading.segments = ()
+        with pytest.raises(FrozenInstanceError):
+            reading.noun = None
+        with pytest.raises(FrozenInstanceError):
+            lattice.readings = ()
+        with pytest.raises(FrozenInstanceError):
+            reading.segments[0].surface = ""
+        with pytest.raises(FrozenInstanceError):
+            reading.noun.lemma = ""
+
+    def test_memo_does_not_keep_its_dictionary_alive(self, compiled):
+        dictionary = fresh(compiled)
+        segment("Euqad", dictionary, "strict")
+        ref = weakref.ref(dictionary)
+        del dictionary  # no reference cycle: freed at once, without the collector
+        assert ref() is None
 
 
 def fb(gender, number):
@@ -170,11 +286,6 @@ class TestAgreement:
         assert check_agreement(head, False, fb("f", "p"))            # rings good:fp
         assert check_agreement(head, False, fb("f", "s"))
         assert not check_agreement(head, False, fb("m", "p"))
-
-    def test_exception_list_reopens_plural(self):
-        head = FeatureBundle("none", "q", "i", "N")
-        assert not check_agreement(head, False, fb("f", "p"), head_lemma="naAqap", exceptions=frozenset())
-        assert check_agreement(head, False, fb("f", "p"), head_lemma="naAqap", exceptions=frozenset({"naAqap"}))
 
     def test_plural_heads_only(self):
         with pytest.raises(ValueError):
@@ -219,9 +330,6 @@ class TestAgreementTotality:
 
 class TestFuzz:
     def test_segmentation_never_breaks_surface_conservation(self, compiled):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
         alphabet = "EuqodapAlbihaAwfKNk"
 
         @settings(max_examples=150, deadline=None)
