@@ -15,7 +15,6 @@ from . import bn
 from .errors import (
     AmbiguousPatternMatch,
     ArityMismatch,
-    IndexOutOfRange,
     MalformedCode,
     NotFullyDiacritized,
     UnknownBpLabel,
@@ -418,15 +417,14 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
 
 
 def apply_root_code(root: SurfaceRoot, code: RootCode) -> SurfaceRoot:
-    """Map a singular surface root onto the plural surface root."""
+    """Map a singular surface root onto the plural surface root.  A root
+    code from ``parse_code`` copies no radical beyond the singular's arity,
+    and ``extract_root`` yields one radical per slot."""
     radicals: list[str] = []
     flags: list[bool] = []
     for tok in code.tokens:
         if tok[0] == "copy":
-            k = tok[1]
-            if k > len(root):
-                raise IndexOutOfRange(f"root code {code} copies radical {k} of a {len(root)}-radical root")
-            radicals.append(root.radicals[k - 1])
+            radicals.append(root.radicals[tok[1] - 1])
             flags.append(False)
         elif tok[0] == "lit":
             radicals.append(tok[1])

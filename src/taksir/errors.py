@@ -48,10 +48,6 @@ class NotFullyDiacritized(TaksirError):
         self.position = position
 
 
-class IndexOutOfRange(TaksirError):
-    """A root-code copy index exceeds the singular root arity."""
-
-
 class UnknownClass(TaksirError):
     def __init__(self, key: str, nearest: list[str]):
         hint = f"; nearest known: {', '.join(nearest)}" if nearest else ""

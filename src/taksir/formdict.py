@@ -26,6 +26,7 @@ may also skip dictionary diacritics the query omits, but a diacritic present
 in the query must match the dictionary exactly; strict mode never skips.
 """
 
+import functools
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from typing import NamedTuple
 from . import bn
 from .classes import ClassRegistry
 from .lexicon import LexiconFile
-from .paradigm import FeatureBundle, inflect
+from .paradigm import FeatureBundle, stem_tables
 
 MAGIC = b"TKDC"
 VERSION = 1
@@ -69,11 +70,12 @@ class Analysis:
 class FormDictionary:
     """Minimal acyclic automaton plus rank-indexed analysis payloads."""
 
-    def __init__(self, arcs, finals, counts, payloads_by_rank):
+    def __init__(self, arcs, finals, counts, payloads_by_rank, listing_bytes=None):
         self.arcs = arcs                      # per state: {label: (target, rank offset)}, label-sorted
         self.finals = finals                  # per state: bool
         self.counts = counts                  # per state: words accepted in its subtree
         self.payloads_by_rank = payloads_by_rank
+        self.listing_bytes = listing_bytes    # UTF-8 size of dump_text(): summed by build, else by stats()
         self.root = 0
 
     # -- construction ------------------------------------------------------
@@ -88,6 +90,9 @@ class FormDictionary:
         any equal state, and its subtree word count is taken then.
 
         Forms with equal payload sets share one payload tuple."""
+        ordered = sorted(words)
+        payloads_by_rank, listing = _payload_sets(words, ordered)
+
         # Two states merge iff finality and labelled successors agree: that
         # is right-language equality in an acyclic automaton.
         registry: dict[tuple, int] = {}
@@ -115,7 +120,6 @@ class FormDictionary:
                 state = register(path_final.pop(), path_edges.pop())
                 path_edges[-1].append((prev[len(path_edges) - 1], state))
 
-        ordered = sorted(words)
         for word in ordered:
             common = _common_prefix_length(prev, word)
             freeze(common)
@@ -139,15 +143,7 @@ class FormDictionary:
         counts = [min_counts[old] for old in order]
         arcs = [_arc_table(min_final[old], min_counts[old], ((ch, remap[t]) for ch, t in min_trans[old]), counts)
                 for old in order]
-        shared: dict[frozenset, tuple] = {}
-        payloads_by_rank = []
-        for w in ordered:
-            members = frozenset(words[w])
-            payloads = shared.get(members)
-            if payloads is None:
-                payloads = shared[members] = tuple(sorted(members, key=Payload.sort_key))
-            payloads_by_rank.append(payloads)
-        return cls(arcs, finals, counts, payloads_by_rank)
+        return cls(arcs, finals, counts, payloads_by_rank, listing)
 
     # -- lookup ------------------------------------------------------------
 
@@ -210,22 +206,25 @@ class FormDictionary:
 
     def stats(self, serialized_bytes: int | None = None) -> dict:
         """Sizes of the dictionary.  ``listing_bytes`` is the UTF-8 size of
-        ``dump_text()``, counted without building it; ``serialized_bytes`` is
+        ``dump_text()``, counted without building it (``build`` sums it; a
+        loaded dictionary walks its forms once); ``serialized_bytes`` is
         the caller's when known (``save`` returns it), else measured."""
-        listing = 0
-        for surface, payloads in self.forms():
-            surface_bytes = len(surface.encode("utf-8"))
-            for p in payloads:
-                # surface TAB lemma TAB code TAB tag NEWLINE
-                lemma_bytes = len(surface[: len(surface) - p.drop].encode("utf-8")) + len(p.append.encode("utf-8"))
-                listing += surface_bytes + lemma_bytes + len(p.code.encode("utf-8")) + len(p.tag.encode("utf-8")) + 4
+        if self.listing_bytes is None:
+            sizes: dict[int, tuple[int, int]] = {}     # by id: ranks share set tuples, which stay alive
+            listing = 0
+            for surface, payloads in self.forms():
+                known = sizes.get(id(payloads))
+                if known is None:
+                    known = sizes[id(payloads)] = _set_sizes(payloads)
+                listing += _listing_bytes(surface, payloads, *known)
+            self.listing_bytes = listing
         return {
             "forms": len(self.payloads_by_rank),
             "analyses": sum(len(p) for p in self.payloads_by_rank),
             "states": len(self.arcs),
             "transitions": sum(len(t) for t in self.arcs),
             "serialized_bytes": len(self.to_bytes()) if serialized_bytes is None else serialized_bytes,
-            "listing_bytes": listing,
+            "listing_bytes": self.listing_bytes,
         }
 
     # -- serialization -----------------------------------------------------
@@ -246,6 +245,23 @@ class FormDictionary:
     # Rank offsets are not stored: loading recomputes them from the counts.
 
     def to_bytes(self) -> bytes:
+        try:
+            return self._encode(lambda fmt, fields: struct.Struct(fmt).pack)
+        except struct.error:
+            # Encode again with each record packed by ``_pack``, whose error
+            # names the field that overflowed.
+            return self._encode(lambda fmt, fields: functools.partial(_pack, fmt, fields))
+
+    def _encode(self, packer) -> bytes:
+        """The artifact, each record packed by ``packer(fmt, fields)``."""
+        pack_length = packer("<H", "string.length")
+        pack_payload = packer("<HHHBB", "payload.append_id payload.code_id payload.tag_id payload.drop payload.flags")
+        pack_set = packer("<B", "set.length")
+        pack_ref = packer("<H", "setref.payload_id")
+        pack_form = packer("<H", "form.set_id")
+        pack_state = packer("<IBB", "state.count state.flags state.fanout")
+        pack_trans = packer("<BI", "trans.label trans.target")
+
         strings: dict[str, int] = {}
         blob = bytearray()
 
@@ -253,7 +269,7 @@ class FormDictionary:
             if s not in strings:
                 strings[s] = len(strings)
                 raw = s.encode("utf-8")
-                blob.extend(_pack("<H", "string.length", len(raw)))
+                blob.extend(pack_length(len(raw)))
                 blob.extend(raw)
             return strings[s]
 
@@ -263,10 +279,8 @@ class FormDictionary:
         def payload_id(p: Payload) -> int:
             if p not in payload_ids:
                 payload_ids[p] = len(payload_ids)
-                payload_rows.extend(_pack(
-                    "<HHHBB", "payload.append_id payload.code_id payload.tag_id payload.drop payload.flags",
-                    intern(p.append), intern(p.code), intern(p.tag), p.drop, 1 if p.standalone else 0,
-                ))
+                payload_rows.extend(pack_payload(
+                    intern(p.append), intern(p.code), intern(p.tag), p.drop, 1 if p.standalone else 0))
             return payload_ids[p]
 
         sets: dict[tuple[Payload, ...], int] = {}
@@ -277,18 +291,17 @@ class FormDictionary:
             set_id = sets.get(payloads)
             if set_id is None:
                 set_id = sets[payloads] = len(sets)
-                set_lens.extend(_pack("<B", "set.length", len(payloads)))
+                set_lens += pack_set(len(payloads))
                 for p in payloads:
-                    set_refs.extend(_pack("<H", "setref.payload_id", payload_id(p)))
-            form_rows.extend(_pack("<H", "form.set_id", set_id))
+                    set_refs += pack_ref(payload_id(p))
+            form_rows += pack_form(set_id)
 
         states = bytearray()
         trans = bytearray()
-        for state, table in enumerate(self.arcs):
-            states.extend(_pack("<IBB", "state.count state.flags state.fanout",
-                                self.counts[state], 1 if self.finals[state] else 0, len(table)))
+        for count, final, table in zip(self.counts, self.finals, self.arcs):
+            states += pack_state(count, 1 if final else 0, len(table))
             for ch, (target, _) in table.items():
-                trans.extend(_pack("<BI", "trans.label trans.target", ord(ch), target))
+                trans += pack_trans(ord(ch), target)
 
         header = struct.pack(
             "<4sHIIIIIII",
@@ -385,6 +398,49 @@ def _pack(fmt: str, fields: str, *values: int) -> bytes:
         raise
 
 
+def _payload_sets(words: dict[str, list[Payload]], ordered: list[str]) -> tuple[list[tuple], int]:
+    """The payload set of each word in ``ordered``, equal sets one sorted
+    tuple, and the UTF-8 size of their ``dump_text()`` lines."""
+    # Per distinct set: the tuple, its listing constant and its largest drop.
+    shared: dict[frozenset, tuple] = {}
+    payloads_by_rank = []
+    listing = 0
+    for w in ordered:
+        members = frozenset(words[w])
+        known = shared.get(members)
+        if known is None:
+            payloads = tuple(sorted(members, key=Payload.sort_key))
+            known = shared[members] = (payloads, *_set_sizes(payloads))
+        payloads, constant, drop = known
+        if drop > len(w):
+            raise ValueError(f"payload.drop {drop} exceeds the length of the form {w!r} that carries it")
+        listing += _listing_bytes(w, payloads, constant, drop)
+        payloads_by_rank.append(payloads)
+    return payloads_by_rank, listing
+
+
+def _set_sizes(payloads) -> tuple[int, int]:
+    """The listing constant of a payload set, and its largest drop.  A
+    payload's ``dump_text()`` line is surface TAB lemma TAB code TAB tag
+    NEWLINE, and its lemma keeps all but ``drop`` letters of the surface,
+    so the constant is what the lines add beyond the surface twice."""
+    constant = drop = 0
+    for p in payloads:
+        constant += len(p.append.encode("utf-8")) + len(p.code.encode("utf-8")) + len(p.tag.encode("utf-8")) + 4 - p.drop
+        if p.drop > drop:
+            drop = p.drop
+    return constant, drop
+
+
+def _listing_bytes(surface: str, payloads, constant: int, drop: int) -> int:
+    """UTF-8 size of the ``dump_text()`` lines of one form, given its
+    payload set's ``_set_sizes``."""
+    if drop <= len(surface) and surface.isascii():   # one byte per letter
+        return 2 * len(payloads) * len(surface) + constant
+    size = len(surface.encode("utf-8"))
+    return constant + sum(size + len(surface[: len(surface) - p.drop].encode("utf-8")) + p.drop for p in payloads)
+
+
 def _common_prefix_length(a: str, b: str) -> int:
     # A plain loop: os.path.commonprefix costs about four times as much on
     # these short strings.
@@ -446,29 +502,57 @@ def dictionary_key(form) -> str:
 def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDictionary, list[str]]:
     """Generate every entry's paradigm and build the automaton.
 
+    Each stem of an entry is filled into its row table: a form's key is
+    the stem with the row's cut and tail.  A stem that extends its lemma
+    (the singular, the feminine in -ap) shares a prefix with it that every
+    key of the table keeps, so a row's payload depends only on the code,
+    the row and what follows that prefix in the stem and in the lemma.  The
+    payloads of a shared table filled from such a stem are therefore made
+    once per (code, table, stem end, lemma end); the payloads of any other
+    stem are its own.
+
     Entries whose generation fails are reported, not fatal; the dictionary is
     built from the rest.
     """
     words: dict[str, list[Payload]] = {}
-    payloads: dict[tuple, Payload] = {}     # one Payload per distinct record
+    records: dict[tuple, Payload] = {}     # one Payload per distinct record
+    filled: dict[tuple, tuple[Payload, ...]] = {}
     failures: list[str] = []
     for entry in lex.entries:
         try:
-            forms = inflect(entry, registry)
+            tables = stem_tables(entry, registry)
         except Exception as exc:  # noqa: BLE001 - reported per entry
             failures.append(f"{entry.lemma},{entry.code}: {exc}")
             continue
         lemma, code = entry.lemma, entry.code.text
-        for form in forms:
-            key = dictionary_key(form)
-            if key.startswith(lemma):
-                drop, append = len(key) - len(lemma), ""
-            else:
-                lcp = _common_prefix_length(key, lemma)
-                drop, append = len(key) - lcp, lemma[lcp:]
-            record = (drop, append, code, form.features.tag(), form.standalone)
-            payload = payloads.get(record)
-            if payload is None:
-                payload = payloads[record] = Payload(*record)
-            words.setdefault(key, []).append(payload)
+        for stem, table in tables:
+            keep = len(stem)
+            common = _common_prefix_length(stem, lemma)
+            key = payloads = None
+            if table.shared and common == len(lemma):
+                prefix = min(common, keep - table.cut)
+                key = (code, table, stem[prefix:], lemma[prefix:])
+                payloads = filled.get(key)
+            if payloads is None:
+                made = []
+                for cut, tail, features, standalone, _ in table.rows:
+                    word = stem[: keep - cut] + tail
+                    # A word that keeps the letter where stem and lemma part
+                    # shares just their common prefix with the lemma.
+                    lcp = common if common < keep - cut else _common_prefix_length(word, lemma)
+                    record = (len(word) - lcp, lemma[lcp:], code, features.tag(), standalone)
+                    payload = records.get(record)
+                    if payload is None:
+                        payload = records[record] = Payload(*record)
+                    made.append(payload)
+                payloads = made
+                if key is not None:
+                    filled[key] = tuple(made)
+            for row, payload in zip(table.rows, payloads):
+                word = stem[: keep - row[0]] + row[1]
+                listed = words.get(word)
+                if listed is None:
+                    listed = words[word] = []
+                listed.append(payload)
+    del records, filled   # freed before the automaton is built
     return FormDictionary.build(words), failures

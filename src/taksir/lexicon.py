@@ -159,9 +159,6 @@ def validate_entry(entry: LexicalEntry, registry: ClassRegistry) -> list[Diagnos
         diags.append(Diagnostic(0, 1, type(exc).__name__, str(exc)))
         return diags
 
-    if len(root) != code.sg_code.arity:
-        diags.append(Diagnostic(0, 1, "E_ARITY", f"extracted {len(root)} radicals for {code.sg_code}"))
-
     # Positional convention: radicals sit at odd indices, except right after a
     # written geminate (the madda letter counts as two positions).
     prev_gem = False

@@ -7,6 +7,10 @@ feminine stem in -ap; the broken plural itself carries no gender.  Construct
 cells additionally yield the variant that combines with an attached genitive
 pronoun: -ap is realised as -at- and a stem-final glottal stop is re-seated
 against the case vowel.
+
+Each class's recipe is generated once per stem shape as a row table: a row
+cuts a few letters off the stem and appends a tail, so filling an entry in
+is one concatenation per form.
 """
 
 import functools
@@ -115,64 +119,131 @@ DUAL_SUFFIXES = {
 }
 
 
-def _apply_cell(stem: str, cell: Cell) -> str:
-    base = stem
-    if cell.transform == "drop-iy":
-        base = stem[:-2]
-    suffix = cell.suffix
-    if suffix == "FA" and (base.endswith("Aoc") or base.endswith("O")):
-        suffix = "F"  # no alif seat after -aA' or hamza-on-alif
-    return substitute_madda(base + suffix)
+class RowTable:
+    """The forms of one stem in one paradigm, gender and number, as rows
+    ``(cut, tail, features, standalone, definite)``: a row spells
+    ``stem[:len(stem) - cut] + tail``, with the article Al- in front when
+    ``definite``.  Stems that cannot meet a glottal-stop spelling share one
+    table per distinct list of rows (see ``_table``), so tables compare and
+    hash by identity."""
+
+    __slots__ = ("rows", "shared", "cut")
+
+    def __init__(self, rows: tuple, shared: bool):
+        self.rows = rows
+        self.shared = shared            # False for the table of one glottal-stop stem
+        self.cut = max(row[0] for row in rows)  # the largest cut of any row
 
 
-def _pro_variant(stem: str, cell: Cell, paradigm: str) -> str:
-    """Construct-cell surface used before an attached pronoun.  -ap is
-    realised as -at-, and a stem-final glottal stop, word-medial once a
-    pronoun attaches, is re-seated against the case vowel."""
-    base = stem
+def _join(stem: str, cut: int, tail: str) -> tuple[int, str]:
+    """The row spelling ``stem[:len(stem) - cut] + tail``.  No suffix holds a
+    hamza-on-alif O, so only a stem with one can contract into madda; its
+    row spells the contracted whole."""
+    if "O" in stem:
+        return len(stem), substitute_madda(stem[: len(stem) - cut] + tail)
+    return cut, tail
+
+
+def _pro_variant(stem: str, suffix: str, paradigm: str) -> tuple[int, str]:
+    """Construct-cell row used before an attached pronoun.  -ap is realised
+    as -at-, and a stem-final glottal stop, word-medial once a pronoun
+    attaches, is re-seated against the case vowel."""
     if paradigm == "ap-final":
-        base = stem[:-1] + "t"
-    if cell.suffix and base.endswith(_FINAL_HAMZA):
-        return seat_hamzas([*base[:-1], HAMZA, cell.suffix])
-    return substitute_madda(base + cell.suffix)
+        return _join(stem, 1, "t" + suffix)
+    if suffix and stem.endswith(_FINAL_HAMZA):
+        return len(stem), seat_hamzas([*stem[:-1], HAMZA, suffix])
+    return _join(stem, 0, suffix)
 
 
-def dual_forms(stem: str, paradigm: str) -> dict[tuple[str, str], str]:
-    """The nine dual cells of a singular stem."""
-    base = stem
-    if paradigm == "ap-final":
-        base = stem[:-1] + "t"
-    elif paradigm == "invariable-aY" and stem.endswith("Y"):
-        base = stem[:-1] + "y"
-    cells = {}
-    for (d, c), suffix in DUAL_SUFFIXES.items():
-        surface = substitute_madda(base + suffix)
-        if d == "D":
-            surface = "Al" + surface
-        cells[(d, c)] = surface
-    return cells
-
-
-def _number_cells(stem: str, paradigm: str, gender: str, number: str) -> list[InflectedForm]:
-    forms: list[InflectedForm] = []
+def _rows(stem: str, paradigm: str, gender: str, number: str) -> tuple:
+    """The nine case cells of a stem, each construct cell followed by its
+    pronoun variant when that is spelled differently, then for a singular
+    stem its nine dual cells."""
+    rows = []
     cells = SUFFIX_PARADIGMS[paradigm]
     for d in DEFINITENESS:
         for c in CASES:
             cell = cells[(d, c)]
-            surface = _apply_cell(stem, cell)
-            if d == "D":
-                surface = "Al" + surface
-            pro = _pro_variant(stem, cell, paradigm) if d == "a" else None
-            forms.append(InflectedForm(surface, _bundle(gender, number, d, c, pro == surface)))
-            if pro not in (None, surface):
-                forms.append(InflectedForm(pro, _bundle(gender, number, d, c, True), standalone=False))
-    return forms
+            cut = 2 if cell.transform == "drop-iy" else 0
+            suffix = cell.suffix
+            if suffix == "FA" and stem[: len(stem) - cut].endswith(("Aoc", "O")):
+                suffix = "F"  # no alif seat after -aA' or hamza-on-alif
+            cut, tail = _join(stem, cut, suffix)
+            if d != "a":
+                rows.append((cut, tail, _bundle(gender, number, d, c, False), True, d == "D"))
+                continue
+            pro_cut, pro_tail = _pro_variant(stem, cell.suffix, paradigm)
+            same = stem[: len(stem) - pro_cut] + pro_tail == stem[: len(stem) - cut] + tail
+            rows.append((cut, tail, _bundle(gender, number, d, c, same), True, False))
+            if not same:
+                rows.append((pro_cut, pro_tail, _bundle(gender, number, d, c, True), False, False))
+    if number == "s":
+        cut, head = 0, ""
+        if paradigm == "ap-final":
+            cut, head = 1, "t"
+        elif paradigm == "invariable-aY" and stem.endswith("Y"):
+            cut, head = 1, "y"
+        # Construct duals lose their -ni, so each one takes a pronoun as it stands.
+        rows += [(*_join(stem, cut, head + suffix), _bundle(gender, "d", d, c, d == "a"), True, d == "D")
+                 for (d, c), suffix in DUAL_SUFFIXES.items()]
+    return tuple(rows)
 
 
-def _dual_cells(stem: str, paradigm: str, gender: str) -> list[InflectedForm]:
-    # Construct duals lose their -ni, so each one takes a pronoun as it stands.
-    return [InflectedForm(surface, _bundle(gender, "d", d, c, d == "a"))
-            for (d, c), surface in dual_forms(stem, paradigm).items()]
+#: The one shared table of each distinct list of rows.
+_shared_table = functools.lru_cache(maxsize=None)(functools.partial(RowTable, shared=True))
+
+
+@functools.lru_cache(maxsize=None)
+def _ending_table(last: str, paradigm: str, gender: str, number: str) -> RowTable:
+    """Cached per last letter: at most the alphabet per paradigm, gender
+    and number."""
+    return _shared_table(_rows(last, paradigm, gender, number))
+
+
+def _table(stem: str, paradigm: str, gender: str, number: str) -> RowTable:
+    """The row table of a stem.  A stem with a hamza-on-alif O can contract
+    with a suffix into madda, and one that ends in a glottal stop re-seats it
+    before a pronoun: such a stem gets rows of its own.  The rows of any
+    other stem read only its last letter (drop-iy cuts two letters unread,
+    and a pronoun variant, the one row compared with another, cuts at most
+    one), so it shares the table of that letter."""
+    if "O" in stem or stem.endswith(_FINAL_HAMZA):
+        return RowTable(_rows(stem, paradigm, gender, number), shared=False)
+    return _ending_table(stem[-1:], paradigm, gender, number)
+
+
+def stem_tables(entry, registry: ClassRegistry) -> list[tuple[str, RowTable]]:
+    """Each stem of an entry with its row table: the singular, for a
+    gender-inflecting entry the feminine singular in -ap next, and last the
+    broken plural."""
+    code = entry.code
+    cls = registry.resolve(code)
+    bp_stem = render_bp_stem(apply_root_code(entry.sg_root, code.root_code), cls)
+
+    lemma = entry.lemma
+    if code.gender_flag == "g":
+        gender_stems = [("m", lemma), ("f", lemma + "ap")]
+    else:
+        gender_stems = [(code.gender_flag, lemma)]
+
+    tables = []
+    for gender, stem in gender_stems:
+        paradigm = "ap-final" if stem.endswith("ap") and not lemma.endswith("ap") else cls.sg_paradigm
+        tables.append((stem, _table(stem, paradigm, gender, "s")))
+    tables.append((bp_stem, _table(bp_stem, cls.bp_paradigm, "none", "q")))
+    return tables
+
+
+def _forms(stem: str, table: RowTable) -> list[InflectedForm]:
+    keep = len(stem)
+    return [InflectedForm(("Al" if definite else "") + stem[: keep - cut] + tail, features, standalone)
+            for cut, tail, features, standalone, definite in table.rows]
+
+
+def dual_forms(stem: str, paradigm: str) -> dict[tuple[str, str], str]:
+    """The nine dual cells of a singular stem."""
+    return {(f.features.definiteness, f.features.case): f.surface
+            for f in _forms(stem, _table(stem, paradigm, "m", "s")) if f.features.number == "d"}
 
 
 def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
@@ -182,22 +253,7 @@ def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
     pronoun; everything else is a base form.  The base forms number 27 for a
     fixed-gender entry and 45 for a gender-inflecting one.
     """
-    code = entry.code
-    cls = registry.resolve(code)
-    bp_stem = render_bp_stem(apply_root_code(entry.sg_root, code.root_code), cls)
-
-    if code.gender_flag == "g":
-        gender_stems = [("m", entry.lemma), ("f", entry.lemma + "ap")]
-    else:
-        gender_stems = [(code.gender_flag, entry.lemma)]
-
-    forms: list[InflectedForm] = []
-    for gender, stem in gender_stems:
-        paradigm = "ap-final" if stem.endswith("ap") and not entry.lemma.endswith("ap") else cls.sg_paradigm
-        forms.extend(_number_cells(stem, paradigm, gender, "s"))
-        forms.extend(_dual_cells(stem, paradigm, gender))
-    forms.extend(_number_cells(bp_stem, cls.bp_paradigm, "none", "q"))
-    return forms
+    return [form for stem, table in stem_tables(entry, registry) for form in _forms(stem, table)]
 
 
 def form_count(entry) -> int:

@@ -1,9 +1,12 @@
 import struct
 
 import pytest
+from hypothesis import strategies as st
 
 from taksir import compile_lexicon, load_registry, load_seed
+from taksir.codes import HAMZA
 from taksir.formdict import FormDictionary, Payload
+from taksir.lexicon import LexicalEntry
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +24,32 @@ def compiled(seed, registry):
     dictionary, failures = compile_lexicon(seed, registry)
     assert not failures, failures
     return dictionary
+
+
+#: Consonants a strong radical may be replaced with: no weak letter, taa
+#: marbuta or glottal-stop spelling.
+STRONG = "btvjHxdJrzsMSDTZEgfqklmnh"
+
+
+def _strong_slots(e):
+    """Lemma indices of the strong radicals of an entry (a madda letter C
+    stands for four positions of the expanded stem)."""
+    index = [i for i, c in enumerate(e.lemma) for _ in range(4 if c == "C" else 1)]
+    return sorted({index[pos - 1] for radical, pos in zip(e.sg_root.radicals, e.sg_root.positions)
+                   if radical not in (HAMZA, "w", "y", "A", "Y")})
+
+
+_SEED = [(e, _strong_slots(e)) for e in load_seed().entries]
+
+
+@st.composite
+def seed_variants(draw):
+    """A seed entry with its strong radicals redrawn."""
+    e, slots = draw(st.sampled_from(_SEED))
+    lemma = list(e.lemma)
+    for i in slots:
+        lemma[i] = draw(st.sampled_from(STRONG))
+    return LexicalEntry("".join(lemma), e.code)
 
 
 def load_golden():

@@ -71,7 +71,7 @@ class TestCompile:
         assert sorted(calls) == sorted(e.lemma for e in load_seed().entries)
 
     def test_format_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
-        d = FormDictionary.build({"kutubN": [Payload(300, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
+        d = FormDictionary.build({"kutubN" * 50: [Payload(300, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
         monkeypatch.setattr(cli, "compile_lexicon", lambda lex, registry: (d, []))
         out = tmp_path / "x.primdict"
         with pytest.raises(SystemExit) as err:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from taksir.codes import (
@@ -16,6 +16,7 @@ from taksir.errors import (
     ArityMismatch,
     MalformedCode,
     NotFullyDiacritized,
+    TaksirError,
     UnknownBpLabel,
 )
 
@@ -183,3 +184,61 @@ class TestApplyRootCode:
         root = SurfaceRoot(tuple(letters))
         identity = parse_root_code("".join(str(i + 1) for i in range(len(letters))))
         assert apply_root_code(root, identity).radicals == root.radicals
+
+
+@st.composite
+def coded_lemmas(draw):
+    """A code of 2-6 slots joined by short or long vowels, with any root
+    code, and a lemma spelled from the singular pattern: mostly strong
+    consonants, sometimes weak or glottal-stop ones.  A slot may be
+    geminated by the pattern (``EE``), and a written geminate may fill two
+    slots (``MidGap``: M d d)."""
+    arity = draw(st.integers(2, 6))
+    consonant = st.sampled_from("btdkqmlnrsfj" * 3 + "wyAcOe")
+    slots = "FELBDJ"[:arity]
+    sg, lemma, k = "", "", 0
+    while k < arity:
+        letter = draw(consonant)
+        if 0 < k < arity - 1 and draw(st.booleans()):      # one written geminate, two slots
+            sg += slots[k] + "v" + slots[k + 1]
+            lemma += letter + "G"
+            k += 2
+        elif 0 < k and draw(st.booleans()):                # a geminate slot of the pattern
+            sg += slots[k] * 2
+            lemma += letter + "G"
+            k += 1
+        else:
+            sg += slots[k]
+            lemma += letter
+            k += 1
+        if k < arity:
+            long_vowel = draw(st.booleans())
+            sg += "vv" if long_vowel else "v"
+            lemma += draw(st.sampled_from(("aAo", "iyo", "uwo") if long_vowel else ("a", "i", "u", "o")))
+    root = draw(st.text(alphabet="123456wyAYhm", min_size=1, max_size=5)) + draw(st.sampled_from(("", "G")))
+    return f"$N{arity}00-m-{sg}-FuEuL-{root}", lemma
+
+
+class TestArity:
+    """Codes from parse_code never give a root of the wrong length: the
+    extracted singular root has one radical per slot, and every radical the
+    root code copies exists."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(coded_lemmas())
+    def test_roots_match_their_code(self, coded):
+        text, lemma = coded
+        try:
+            code = parse_code(text)
+            root = extract_root(lemma, code.sg_code, code.class_tag)
+        except TaksirError:
+            reject()
+        assert len(root) == code.sg_code.arity
+        copies = [t[1] for t in code.root_code.tokens if t[0] == "copy"]
+        assert all(k <= len(root) for k in copies)
+        plural = apply_root_code(root, code.root_code)
+        assert len(plural) == sum(1 for t in code.root_code.tokens if t[0] != "gemfinal")
+
+    def test_seed_roots_match_their_code(self, seed):
+        for e in seed:
+            assert len(e.sg_root) == e.code.sg_code.arity, e.lemma

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paradigm_reference as reference
 from taksir import bn
 from taksir.codes import parse_code
 from taksir.formdict import FormDictionary, Payload, compile_lexicon
-from taksir.lexicon import parse_lexicon
+from taksir.lexicon import LexiconFile, parse_lexicon
 
-from conftest import ID_FIELDS, corrupt_id, cyclic_artifact, section_offsets
+from conftest import ID_FIELDS, corrupt_id, cyclic_artifact, section_offsets, seed_variants
 
 PAYLOAD = Payload(0, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)
 
@@ -98,6 +99,48 @@ class TestBuild:
         limit = sys.getrecursionlimit()
         compile_lexicon(seed, registry)
         assert sys.getrecursionlimit() == limit
+
+    def test_drop_longer_than_its_form_rejected(self):
+        with pytest.raises(ValueError, match=r"payload\.drop 9 exceeds the length of the form 'ab'"):
+            FormDictionary.build({"ab": [Payload(9, "x", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
+
+
+def reference_listing(lex, registry) -> list[str]:
+    """The lines of dump_text(), sorted, from the reference generator: each
+    form's key (without the article) with its own entry's lemma and code."""
+    lines = []
+    for e in lex.entries:
+        for surface, tag, _ in reference.inflect(e, registry):
+            key = surface[2:] if tag.split(":")[2] == "D" else surface
+            lines.append(f"{key}\t{e.lemma}\t{e.code.text}\t{tag}")
+    return sorted(lines)
+
+
+class TestCompileOracle:
+    """Every generated form analyses to the entry that generated it, and
+    to nothing else: payloads filled once per table and stem ending give
+    each entry its own lemma."""
+
+    def test_seed(self, compiled, seed, registry):
+        assert sorted(compiled.dump_text().splitlines()) == reference_listing(seed, registry)
+
+    def test_stems_that_differ_where_a_row_cuts(self, registry):
+        # Defective-iy singulars drop their last two letters in the
+        # nunated cells: raAoEK must give back each lemma.
+        lex, diagnostics = parse_lexicon("raAoEiy,$N300-m-FvvEvL-FuEoLaan-12y+Hum\n"
+                                         "raAoEib,$N300-m-FvvEvL-FuEoLaan-12y+Hum\n")
+        assert not diagnostics
+        d, failures = compile_lexicon(lex, registry)
+        assert not failures
+        assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(seed_variants(), min_size=1, max_size=25, unique_by=lambda e: (e.lemma, e.code.text)))
+    def test_seed_variants(self, registry, entries):
+        lex = LexiconFile(entries)
+        d, failures = compile_lexicon(lex, registry)
+        good = [e for e in entries if not any(f.startswith(f"{e.lemma},{e.code}:") for f in failures)]
+        assert sorted(d.dump_text().splitlines()) == reference_listing(LexiconFile(good), registry)
 
 
 class TestLookup:
@@ -199,7 +242,7 @@ class TestSerialization:
         assert clone.dump_text() == compiled.dump_text()
 
     def test_format_overflow_names_the_field(self):
-        d = FormDictionary.build({"kutubN": [Payload(300, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
+        d = FormDictionary.build({"kutubN" * 50: [Payload(300, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
         with pytest.raises(ValueError, match=r"payload\.drop 300 exceeds the format v1 limit of 255"):
             d.to_bytes()
 
@@ -220,6 +263,12 @@ class TestSerialization:
     def test_stats_listing_bytes_counts_dump_text(self, compiled):
         assert compiled.stats()["listing_bytes"] == len(compiled.dump_text().encode("utf-8"))
         assert FormDictionary.build({}).stats()["listing_bytes"] == 0
+        wide = FormDictionary.build({"\u00e9b\u00e9": [PAYLOAD._replace(drop=2, append="\u00fc")], "b": [PAYLOAD]})
+        # Format v1 loads a drop longer than its form (the lemma is then the tail alone).
+        data = bytearray(FormDictionary.build({"ab": [PAYLOAD._replace(drop=2)]}).to_bytes())
+        data[section_offsets(data)[1]["payload"] + 6] = 9
+        for d in (wide, FormDictionary.from_bytes(wide.to_bytes()), FormDictionary.from_bytes(bytes(data))):
+            assert d.stats()["listing_bytes"] == len(d.dump_text().encode("utf-8"))
 
     def test_stats_takes_known_serialized_size(self, compiled, tmp_path):
         size = compiled.save(tmp_path / "seed.primdict")

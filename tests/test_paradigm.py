@@ -1,9 +1,19 @@
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import paradigm_reference as reference
+from conftest import seed_variants
+from taksir.classes import PARADIGM_IDS
 from taksir.codes import parse_code
+from taksir.errors import TaksirError
 from taksir.lexicon import LexicalEntry
 from taksir.paradigm import (
     FeatureBundle,
+    _forms,
+    _table,
     dual_forms,
     form_count,
     inflect,
@@ -190,3 +200,54 @@ class TestInterning:
         for f in shared:
             assert f.features is knot_cells[f.features.tag()]
             assert FeatureBundle.from_tag(f.features.tag()) is f.features
+
+
+def triples(forms):
+    return [(f.surface, f.features.tag(), f.standalone) for f in forms]
+
+
+class TestRowsMatchReference:
+    """The row tables generate what the per-cell reference generator
+    (tests/paradigm_reference.py) does, form for form and in order."""
+
+    #: 5,049 forms: sha256 over surface TAB tag TAB standalone NEWLINE, in
+    #: seed-entry order.
+    SEED_INFLECT = (5049, "ed8cc99766b7fc738cf0dd9e7efc5580c2188c4dcd8038e0227ed32dd5d14ba5")
+
+    def test_seed_digest(self, seed, registry):
+        lines = [f"{s}\t{t}\t{a}\n" for e in seed for s, t, a in triples(inflect(e, registry))]
+        assert (len(lines), hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()) == self.SEED_INFLECT
+
+    @pytest.mark.parametrize("lemma, code", [
+        ("mabodaO", "$N400-m-FvEvLvB-FaEaaLiB-123h"),   # O: madda at the dual junction (mabodaCni)
+        ("raeiyos", "$N300-m-FvEvvL-FuEaLaaB-123h"),    # plural ends in a re-seated glottal stop
+        ("EuDow", "$N300-m-FvEvL-OaFoEaaL-12h"),        # plural with O and a final glottal stop
+        ("Euqodap", "$N3ap-f-FvEvL-FuEaL-123"),         # ap-final
+        ("layolap", "$N3ap-f-FvEvL-FaEaaLiB-123y"),     # defective-iy plural
+        ("HabolaY", "$N3aY-f-FvEvL-FaEaaLiB-123Y"),     # invariable-aY
+        ("kaAotib", "$N300-g-FvvEvL-FuEEaL-123"),       # gender-inflecting: a feminine stem in -ap
+    ])
+    def test_forced_stems(self, registry, lemma, code):
+        e = entry(lemma, code)
+        assert triples(inflect(e, registry)) == reference.inflect(e, registry)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed_variants())
+    def test_seed_variants(self, registry, e):
+        try:
+            want = reference.inflect(e, registry)
+        except TaksirError as exc:
+            with pytest.raises(type(exc)):
+                inflect(e, registry)
+        else:
+            assert triples(inflect(e, registry)) == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="btkqlAwyYiuaoGpOcWeCt", min_size=1, max_size=8),
+           st.sampled_from(PARADIGM_IDS), st.sampled_from(("m", "f", "none")))
+    def test_any_stem(self, stem, paradigm, gender):
+        # Many stems end alike, so most of them meet a shared table filled
+        # from another stem.
+        number = "q" if gender == "none" else "s"
+        table = _table(stem, paradigm, gender, number)
+        assert triples(_forms(stem, table)) == reference.stem_cells(stem, paradigm, gender, number)
