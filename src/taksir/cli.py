@@ -14,7 +14,7 @@ from . import bn
 from .classes import load_registry
 from .errors import InvalidBnChar, TaksirError, UnmappedCodepoint
 from .formdict import FormDictionary, compile_lexicon
-from .lexicon import LexicalEntry, lexicon_stats, parse_lexicon, validate_entry
+from .lexicon import Diagnostic, lexicon_stats, parse_lexicon, validate_entry
 from .paradigm import form_count, inflect
 from .segment import concordance, format_reading, segment
 
@@ -28,8 +28,11 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        reason = str(exc)
+    except UnicodeDecodeError as exc:
+        reason = f"{path} is not UTF-8 text: {exc}"
+    print(f"error: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _check_lexicon(path: str, registry):
@@ -83,7 +86,7 @@ def cmd_compile(args) -> int:
     elapsed = time.perf_counter() - started
     try:
         stats = dictionary.stats(dictionary.save(args.out))
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     print(f"wrote {args.out}")
@@ -98,23 +101,17 @@ def cmd_compile(args) -> int:
     return 1 if errors or failures else 0
 
 
-def _parse_entry_spec(spec: str) -> LexicalEntry:
-    from .codes import parse_code
-
-    if "," not in spec:
-        raise TaksirError("entry spec must be 'lemma,$code'")
-    lemma, code_text = spec.split(",", 1)
-    lemma = lemma.strip()
-    if bn.looks_arabic(lemma):
-        lemma = bn.to_bn(lemma)
-    bn.validate_bn(lemma)
-    return LexicalEntry(lemma, parse_code(code_text.strip()))
-
-
 def cmd_gen(args) -> int:
     registry = load_registry()
+    lex, diagnostics = parse_lexicon(args.entry)
+    if not diagnostics and len(lex.entries) != 1:   # a comment, or several lines
+        diagnostics.append(Diagnostic(1, 1, "E_FORMAT", "expected one 'lemma,$code' entry"))
+    for d in diagnostics:
+        print(f"invalid: {d}", file=sys.stderr)
+    if diagnostics:
+        return 1
+    (entry,) = lex.entries
     try:
-        entry = _parse_entry_spec(args.entry)
         for d in validate_entry(entry, registry):
             if d.severity == "error":
                 print(f"invalid: {d}", file=sys.stderr)

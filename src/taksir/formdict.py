@@ -26,11 +26,12 @@ may also skip dictionary diacritics the query omits, but a diacritic present
 in the query must match the dictionary exactly; strict mode never skips.
 """
 
-import functools
 import struct
+import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from . import bn
@@ -39,7 +40,12 @@ from .lexicon import LexiconFile
 from .paradigm import FeatureBundle, stem_tables
 
 MAGIC = b"TKDC"
-VERSION = 1
+VERSION = 2
+
+_HEADER = struct.Struct("<4sH7Q")    # see the byte layout below
+
+#: Struct codes of the column widths, narrowest first.
+_WIDTHS = "BHIQ"
 
 
 class Payload(NamedTuple):
@@ -230,86 +236,47 @@ class FormDictionary:
     # -- serialization -----------------------------------------------------
     #
     # Little-endian byte layout, in order:
-    #   header:  magic "TKDC", u16 version, u32 states, u32 transitions,
-    #            u32 forms, u32 payload sets, u32 set refs, u32 payloads,
-    #            u32 strings
-    #   state:   u32 subtree word count, u8 flags (bit0 final), u8 fanout
-    #   trans:   u8 label, u32 target            (per state, label-sorted)
-    #   form:    u16 payload-set id              (rank order)
-    #   set:     u8 length                       (ids assigned in first-use order)
-    #   setref:  u16 payload id                  (concatenated set contents)
-    #   payload: u16 append string id, u16 code string id, u16 tag string id,
-    #            u8 drop, u8 flags (bit0 standalone)
-    #   string:  u16 byte length, utf-8 bytes    (ids in first-use order)
+    #   header:  magic "TKDC", u16 version, u64 states, u64 transitions,
+    #            u64 forms, u64 payload sets, u64 set refs, u64 payloads,
+    #            u64 strings
+    #   columns: one per integer field below, each a struct code (B, H, I
+    #            or Q) and then one value per record at that width, the
+    #            narrowest that holds the column's largest value:
+    #     state:   count (subtree word count), final, fanout
+    #     trans:   label (code point), target      (per state, label-sorted)
+    #     form:    set_id                          (rank order)
+    #     set:     length                          (ids in first-use order)
+    #     setref:  payload_id                      (concatenated set contents)
+    #     payload: tag_id, code_id, append_id (string ids), drop, standalone
+    #     string:  length in utf-8 bytes           (ids in first-use order
+    #                                               over the three id columns)
+    #   strings: their utf-8 bytes, concatenated
     #
     # Rank offsets are not stored: loading recomputes them from the counts.
 
     def to_bytes(self) -> bytes:
-        try:
-            return self._encode(lambda fmt, fields: struct.Struct(fmt).pack)
-        except struct.error:
-            # Encode again with each record packed by ``_pack``, whose error
-            # names the field that overflowed.
-            return self._encode(lambda fmt, fields: functools.partial(_pack, fmt, fields))
-
-    def _encode(self, packer) -> bytes:
-        """The artifact, each record packed by ``packer(fmt, fields)``."""
-        pack_length = packer("<H", "string.length")
-        pack_payload = packer("<HHHBB", "payload.append_id payload.code_id payload.tag_id payload.drop payload.flags")
-        pack_set = packer("<B", "set.length")
-        pack_ref = packer("<H", "setref.payload_id")
-        pack_form = packer("<H", "form.set_id")
-        pack_state = packer("<IBB", "state.count state.flags state.fanout")
-        pack_trans = packer("<BI", "trans.label trans.target")
-
-        strings: dict[str, int] = {}
-        blob = bytearray()
-
-        def intern(s: str) -> int:
-            if s not in strings:
-                strings[s] = len(strings)
-                raw = s.encode("utf-8")
-                blob.extend(pack_length(len(raw)))
-                blob.extend(raw)
-            return strings[s]
-
-        payload_ids: dict[Payload, int] = {}
-        payload_rows = bytearray()
-
-        def payload_id(p: Payload) -> int:
-            if p not in payload_ids:
-                payload_ids[p] = len(payload_ids)
-                payload_rows.extend(pack_payload(
-                    intern(p.append), intern(p.code), intern(p.tag), p.drop, 1 if p.standalone else 0))
-            return payload_ids[p]
-
-        sets: dict[tuple[Payload, ...], int] = {}
-        set_lens = bytearray()
-        set_refs = bytearray()
-        form_rows = bytearray()
-        for payloads in self.payloads_by_rank:
-            set_id = sets.get(payloads)
-            if set_id is None:
-                set_id = sets[payloads] = len(sets)
-                set_lens += pack_set(len(payloads))
-                for p in payloads:
-                    set_refs += pack_ref(payload_id(p))
-            form_rows += pack_form(set_id)
-
-        states = bytearray()
-        trans = bytearray()
-        for count, final, table in zip(self.counts, self.finals, self.arcs):
-            states += pack_state(count, 1 if final else 0, len(table))
-            for ch, (target, _) in table.items():
-                trans += pack_trans(ord(ch), target)
-
-        header = struct.pack(
-            "<4sHIIIIIII",
-            MAGIC, VERSION,
-            len(self.arcs), len(trans) // 5, len(self.payloads_by_rank),
-            len(sets), len(set_refs) // 2, len(payload_ids), len(strings),
-        )
-        return bytes(header + states + trans + form_rows + set_lens + set_refs + payload_rows + blob)
+        arcs, sets, payload_ids, strings = self.arcs, {}, {}, {}
+        # One column at a time, each listed and encoded before the next;
+        # set, payload and string ids are assigned in first-use order.
+        out = bytearray(_HEADER.size)     # the header is packed in last
+        out += _column(self.counts)
+        out += _column(self.finals)
+        out += _column(len(t) for t in arcs)
+        out += _column(ord(ch) for t in arcs for ch in t)
+        out += _column(target for t in arcs for target, _ in t.values())
+        out += _column(sets.setdefault(payloads, len(sets)) for payloads in self.payloads_by_rank)
+        out += _column(len(s) for s in sets)
+        out += _column(payload_ids.setdefault(p, len(payload_ids)) for payloads in sets for p in payloads)
+        # Tags and codes are few: interned first, they keep narrow ids.
+        for field in (3, 2, 1):   # tag, code, append
+            out += _column(strings.setdefault(p[field], len(strings)) for p in payload_ids)
+        out += _column(p.drop for p in payload_ids)
+        out += _column(p.standalone for p in payload_ids)
+        out += _column(len(s.encode("utf-8")) for s in strings)
+        out += "".join(strings).encode("utf-8")
+        _HEADER.pack_into(out, 0, MAGIC, VERSION, len(arcs), sum(map(len, arcs)), len(self.payloads_by_rank),
+                          len(sets), sum(map(len, sets)), len(payload_ids), len(strings))
+        return bytes(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FormDictionary":
@@ -322,60 +289,65 @@ class FormDictionary:
                 raise ValueError("truncated dictionary")
             return view[start:off]
 
-        def records(fmt: str, n: int):
-            """The next n fixed-size records, decoded lazily."""
-            return struct.iter_unpack(fmt, take(struct.calcsize(fmt) * n))
+        def column(n: int) -> array:
+            code = chr(take(1)[0])
+            if code not in _WIDTHS:
+                raise ValueError(f"corrupt dictionary: unknown column width code {code!r}")
+            values = array(code)
+            values.frombytes(take(n * values.itemsize))
+            if sys.byteorder == "big":
+                values.byteswap()
+            return values
 
-        ((magic, version, n_states, n_trans, n_forms, n_sets, n_refs, n_payloads, n_strings),) = records("<4sHIIIIIII", 1)
+        # Magic and version first: an artifact of another version is named
+        # as such, however its header is laid out.
+        magic, version = struct.unpack("<4sH", take(6))
         if magic != MAGIC:
             raise ValueError("not a compiled dictionary (bad magic bytes)")
         if version != VERSION:
             raise ValueError(f"unsupported dictionary version {version}")
-        state_rows = list(records("<IBB", n_states))
-        trans_rows = records("<BI", n_trans)
-        form_rows = records("<H", n_forms)
-        set_lens = records("<B", n_sets)
-        ref_rows = records("<H", n_refs)
-        payload_rows = records("<HHHBB", n_payloads)
-
-        string_table = []
-        for _ in range(n_strings):
-            length = int.from_bytes(take(2), "little")
-            string_table.append(str(take(length), "utf-8"))
+        n_states, n_trans, n_forms, n_sets, n_refs, n_payloads, n_strings = struct.unpack("<7Q", take(56))
+        counts, finals, fanouts = column(n_states), column(n_states), column(n_states)
+        labels, targets = column(n_trans), column(n_trans)
+        form_sets, set_lens, refs = column(n_forms), column(n_sets), column(n_refs)
+        tags, codes, appends, drops, standalones = (column(n_payloads) for _ in range(5))
+        lengths = column(n_strings)
+        bounds = list(accumulate(lengths, initial=0))
+        blob = take(bounds[-1])
+        string_table = [str(blob[start:end], "utf-8") for start, end in zip(bounds, bounds[1:])]
         if off != len(data):
             raise ValueError(f"trailing bytes after the dictionary: {len(data) - off}")
 
-        counts = [count for count, _, _ in state_rows]
-        finals = [bool(flags & 1) for _, flags, _ in state_rows]
         if not counts or counts[0] != n_forms:
             raise ValueError(f"corrupt dictionary: the root does not count the {n_forms} forms")
-        if sum(fanout for _, _, fanout in state_rows) != n_trans:
+        if sum(fanouts) != n_trans:
             raise ValueError(f"corrupt dictionary: state fanouts do not sum to the {n_trans} transitions")
+        if any(label > 0x10FFFF or 0xD800 <= label < 0xE000 for label in set(labels)):
+            raise ValueError("corrupt dictionary: a trans.label is not a character")
+        edges = zip(map(chr, labels), targets)
         with _ids_below(n_states, "trans.target", "states"):
-            arcs = [_arc_table(final, count, ((chr(label), target) for label, target in islice(trans_rows, fanout)), counts)
-                    for final, (count, _, fanout) in zip(finals, state_rows)]
+            arcs = [_arc_table(final, count, islice(edges, fanout), counts)
+                    for final, count, fanout in zip(finals, counts, fanouts)]
         _require_acyclic(arcs)
 
         with _ids_below(n_strings, "payload string id", "strings"):
-            payloads = [
-                Payload(drop, string_table[a], string_table[c], string_table[t], bool(flag & 1))
-                for a, c, t, drop, flag in payload_rows
-            ]
+            string = string_table.__getitem__
+            payloads = list(map(Payload._make, zip(drops, map(string, appends), map(string, codes), map(string, tags),
+                                                   map(bool, standalones))))
         for tag in {p.tag for p in payloads}:
             FeatureBundle.from_tag(tag)  # a malformed tag raises ValueError here, not at lookup
-        set_lens = list(set_lens)
-        if sum(n for (n,) in set_lens) != n_refs:
+        if sum(set_lens) != n_refs:
             raise ValueError(f"corrupt dictionary: set lengths do not sum to the {n_refs} set refs")
         with _ids_below(n_payloads, "setref.payload_id", "payloads"):
-            refs = (payloads[pid] for (pid,) in ref_rows)
-            set_contents = [tuple(islice(refs, n)) for (n,) in set_lens]
+            members = map(payloads.__getitem__, refs)
+            set_contents = [tuple(islice(members, n)) for n in set_lens]
         with _ids_below(n_sets, "form.set_id", "payload sets"):
-            payloads_by_rank = [set_contents[sid] for (sid,) in form_rows]
+            payloads_by_rank = [set_contents[sid] for sid in form_sets]
         return cls(arcs, finals, counts, payloads_by_rank)
 
     def save(self, path) -> int:
         """Write the artifact; returns its size in bytes."""
-        data = self.to_bytes()  # before opening: a format overflow leaves no file behind
+        data = self.to_bytes()
         with open(path, "wb") as fh:
             return fh.write(data)
 
@@ -385,17 +357,16 @@ class FormDictionary:
             return cls.from_bytes(fh.read())
 
 
-def _pack(fmt: str, fields: str, *values: int) -> bytes:
-    """One record of unsigned fields, named in ``fields``; a value too wide
-    for its v1 field raises ValueError naming the field and its limit."""
-    try:
-        return struct.pack(fmt, *values)
-    except struct.error:
-        for name, code, value in zip(fields.split(), fmt[1:], values):
-            limit = 256 ** struct.calcsize(code) - 1
-            if not 0 <= value <= limit:
-                raise ValueError(f"{name} {value} exceeds the format v1 limit of {limit}") from None
-        raise
+def _column(values) -> bytes:
+    """One column: the struct code of the narrowest width that holds every
+    value, then the values at that width."""
+    values = list(values)
+    top = max(values, default=0)
+    code = next(c for c in _WIDTHS if top >> 8 * array(c).itemsize == 0)
+    column = array(code, values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return code.encode() + column.tobytes()
 
 
 def _payload_sets(words: dict[str, list[Payload]], ordered: list[str]) -> tuple[list[tuple], int]:

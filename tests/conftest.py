@@ -1,4 +1,5 @@
 import struct
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
@@ -7,6 +8,8 @@ from taksir import compile_lexicon, load_registry, load_seed
 from taksir.codes import HAMZA
 from taksir.formdict import FormDictionary, Payload
 from taksir.lexicon import LexicalEntry
+
+PAYLOAD = Payload(0, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)
 
 
 @pytest.fixture(scope="session")
@@ -66,44 +69,98 @@ def load_golden():
     return rows
 
 
-#: Per fixed-size section of a format v1 artifact, in file order: the header
-#: field counting its records, and the record size in bytes.
-SECTIONS = (("state", 2, 6), ("trans", 3, 5), ("form", 4, 2), ("set", 5, 1), ("setref", 6, 2), ("payload", 7, 8))
+#: The columns of a format v2 artifact in file order, each with the index of
+#: the header count that gives its length (states, transitions, forms,
+#: payload sets, set refs, payloads, strings).
+COLUMNS = (
+    ("state.count", 0), ("state.final", 0), ("state.fanout", 0), ("trans.label", 1), ("trans.target", 1),
+    ("form.set_id", 2), ("set.length", 3), ("setref.payload_id", 4),
+    ("payload.tag_id", 5), ("payload.code_id", 5), ("payload.append_id", 5), ("payload.drop", 5),
+    ("payload.standalone", 5), ("string.length", 6),
+)
 
-#: Id field -> (section, byte offset in its record, struct code, the header
-#: field counting what the id indexes).
+#: Id field -> (its column, the index of the header count it must stay below).
 ID_FIELDS = {
-    "trans.target": ("trans", 1, "<I", 2),
-    "form.set_id": ("form", 0, "<H", 5),
-    "setref.payload_id": ("setref", 0, "<H", 7),
-    "payload string id": ("payload", 0, "<H", 8),
+    "trans.target": ("trans.target", 0),
+    "form.set_id": ("form.set_id", 3),
+    "setref.payload_id": ("setref.payload_id", 5),
+    "payload string id": ("payload.append_id", 6),
 }
 
+HEADER = struct.Struct("<4sH7Q")
 
-def section_offsets(data: bytes) -> tuple[tuple, dict[str, int]]:
-    """The header fields of an artifact and the byte offset of each section."""
-    header = struct.unpack_from("<4sHIIIIIII", data)
-    offsets, off = {}, struct.calcsize("<4sHIIIIIII")
-    for name, count_index, size in SECTIONS:
-        offsets[name] = off
-        off += size * header[count_index]
-    return header, offsets
+#: A format v1 artifact: the word "ab" with one payload.
+V1_ARTIFACT = bytes.fromhex(
+    "544b4443010003000000020000000100000001000000010000000100000003000000010000000001010000000001010000000100610100"
+    "000062020000000000010000000001000200000100001700244e3330302d6d2d467645764c2d467545754c2d31323307004e3a713a693a47"
+)
+
+
+def narrowest(values) -> str:
+    """The struct code of the narrowest column width that holds ``values``."""
+    return next(code for code in "BHIQ" if max(values, default=0) < 256 ** struct.calcsize(code))
+
+
+@dataclass
+class Artifact:
+    """A format v2 artifact decoded field by field with ``struct``, apart
+    from the loader, so that tests can edit it and encode it again."""
+
+    counts: list[int]                   # the seven header counts
+    columns: dict[str, list[int]]
+    widths: dict[str, str]              # column -> struct code, as stored
+    strings: bytes
+
+    @classmethod
+    def decode(cls, data: bytes) -> "Artifact":
+        magic, version, *counts = HEADER.unpack_from(data)
+        assert (magic, version) == (b"TKDC", 2)
+        columns, widths, off = {}, {}, HEADER.size
+        for name, count in COLUMNS:
+            code, n = chr(data[off]), counts[count]
+            widths[name] = code
+            columns[name] = list(struct.unpack_from(f"<{n}{code}", data, off + 1))
+            off += 1 + n * struct.calcsize(code)
+        return cls(counts, columns, widths, data[off:])
+
+    def encode(self) -> bytes:
+        """The artifact, each column at its narrowest width."""
+        out = HEADER.pack(b"TKDC", 2, *self.counts)
+        for name, _ in COLUMNS:
+            values = self.columns[name]
+            code = narrowest(values)
+            out += code.encode() + struct.pack(f"<{len(values)}{code}", *values)
+        return out + self.strings
 
 
 def corrupt_id(data: bytes, field: str) -> bytes:
     """The artifact with the first ``field`` set one past its valid range."""
-    header, offsets = section_offsets(data)
-    section, at, code, bound_index = ID_FIELDS[field]
-    out = bytearray(data)
-    struct.pack_into(code, out, offsets[section] + at, header[bound_index])
-    return bytes(out)
+    artifact = Artifact.decode(data)
+    column, bound = ID_FIELDS[field]
+    artifact.columns[column][0] = artifact.counts[bound]
+    return artifact.encode()
 
 
 def cyclic_artifact() -> bytes:
     """The artifact of the one word "aub" with its last arc, b -> state 3,
     rewritten to u -> state 1.  States 1 and 2 then form a cycle of
     non-final one-arc states whose word counts all still agree."""
-    data = bytearray(FormDictionary.build({"aub": [Payload(0, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]}).to_bytes())
-    _, offsets = section_offsets(data)
-    struct.pack_into("<BI", data, offsets["trans"] + 2 * 5, ord("u"), 1)
-    return bytes(data)
+    artifact = Artifact.decode(FormDictionary.build({"aub": [PAYLOAD]}).to_bytes())
+    artifact.columns["trans.label"][2] = ord("u")
+    artifact.columns["trans.target"][2] = 1
+    return artifact.encode()
+
+
+@pytest.fixture(scope="session")
+def beyond_v1():
+    """A dictionary that format v1's fixed widths could not hold: a drop of
+    300, a set of 300 payloads, 72,000 distinct payloads and strings, and a
+    root with 300 labels above U+00FF."""
+    words = {"kutubN" * 50: [PAYLOAD._replace(drop=300)]}
+    for i in range(300):
+        word = chr(0x100 + i)
+        if i < 240:
+            words[word] = [PAYLOAD._replace(append=f"{i}.{j}") for j in range(300)]
+        else:
+            words[word] = [PAYLOAD]
+    return FormDictionary.build(words)

@@ -6,10 +6,10 @@ import pytest
 from taksir import cli
 from taksir.cli import main
 from taksir.codes import extract_root
-from taksir.formdict import FormDictionary, Payload
+from taksir.formdict import FormDictionary
 from taksir.lexicon import load_seed
 
-from conftest import ID_FIELDS, corrupt_id, cyclic_artifact
+from conftest import ID_FIELDS, V1_ARTIFACT, corrupt_id, cyclic_artifact
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
 
@@ -70,15 +70,29 @@ class TestCompile:
         assert main(["compile", str(SEED_PATH), "--out", str(tmp_path / "seed.primdict")]) == 0
         assert sorted(calls) == sorted(e.lemma for e in load_seed().entries)
 
-    def test_format_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
-        d = FormDictionary.build({"kutubN" * 50: [Payload(300, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
-        monkeypatch.setattr(cli, "compile_lexicon", lambda lex, registry: (d, []))
+    def test_compiles_beyond_v1_limits(self, beyond_v1, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "compile_lexicon", lambda lex, registry: (beyond_v1, []))
         out = tmp_path / "x.primdict"
-        with pytest.raises(SystemExit) as err:
-            main(["compile", str(SEED_PATH), "--out", str(out)])
-        assert err.value.code == 2
-        assert "error: payload.drop 300 exceeds the format v1 limit of 255" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["compile", str(SEED_PATH), "--out", str(out)]) == 0
+        assert out.read_bytes() == beyond_v1.to_bytes()
+        assert FormDictionary.load(out).dump_text() == beyond_v1.dump_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{bad}", "--dict", "{dict}"],
+    ["validate", "{bad}"],
+    ["compile", "{bad}", "--out", "{out}"],
+    ["concord", "{bad}", "--dict", "{dict}"],
+    ["stats", "--lexicon", "{bad}"],
+])
+def test_non_utf8_input_exits_2(argv, dict_path, tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"kutubu \xff\n")
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(bad=bad, dict=dict_path, out=tmp_path / "x.primdict") for arg in argv])
+    assert err.value.code == 2
+    printed = capsys.readouterr().err
+    assert printed.startswith(f"error: {bad} is not UTF-8 text: ") and "Traceback" not in printed
 
 
 def write_text(tmp_path, content, name="text.txt"):
@@ -105,6 +119,12 @@ class TestGen:
     def test_malformed_spec(self, capsys):
         assert main(["gen", "Euqodap,$N3ap-f-FvEvL"]) == 1
         assert "invalid:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["# kitaAob,$N300-m-FvEvL-FuEuL-123", ""])
+    def test_spec_without_an_entry(self, spec, capsys):
+        assert main(["gen", spec]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "invalid: 1:1 E_FORMAT expected one 'lemma,$code' entry\n"
 
     def test_lemma_outside_the_alphabet(self, capsys):
         # The apostrophe used to pass and gave forms such as Alba'osu.
@@ -158,6 +178,14 @@ class TestAnalyze:
         assert err.value.code == 2
         printed = capsys.readouterr().err
         assert printed.startswith("error: ") and corruption in printed and "Traceback" not in printed
+
+    def test_v1_artifact_exits_2(self, tmp_path, capsys):
+        old = tmp_path / "v1.primdict"
+        old.write_bytes(V1_ARTIFACT)
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(write_text(tmp_path, "ab\n")), "--dict", str(old)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "error: unsupported dictionary version 1\n"
 
     def test_cyclic_artifact_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cyclic.primdict"

@@ -12,9 +12,8 @@ from taksir.codes import parse_code
 from taksir.formdict import FormDictionary, Payload, compile_lexicon
 from taksir.lexicon import LexiconFile, parse_lexicon
 
-from conftest import ID_FIELDS, corrupt_id, cyclic_artifact, section_offsets, seed_variants
-
-PAYLOAD = Payload(0, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)
+from conftest import (HEADER, ID_FIELDS, PAYLOAD, V1_ARTIFACT, Artifact, corrupt_id, cyclic_artifact, narrowest,
+                      seed_variants)
 
 
 def ref_optional_match(dict_form: str, query: str) -> bool:
@@ -241,10 +240,39 @@ class TestSerialization:
         clone = FormDictionary.load(path)
         assert clone.dump_text() == compiled.dump_text()
 
-    def test_format_overflow_names_the_field(self):
-        d = FormDictionary.build({"kutubN" * 50: [Payload(300, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
-        with pytest.raises(ValueError, match=r"payload\.drop 300 exceeds the format v1 limit of 255"):
-            d.to_bytes()
+    def test_round_trip_beyond_v1_limits(self, beyond_v1):
+        data = beyond_v1.to_bytes()
+        artifact = Artifact.decode(data)
+        columns = artifact.columns
+        assert max(columns["payload.drop"]) == 300 and max(columns["set.length"]) == 300
+        assert artifact.counts[5] > 65535 and artifact.counts[6] > 65535     # payloads, strings
+        root_labels = columns["trans.label"][:columns["state.fanout"][0]]
+        assert sum(label > 0xFF for label in root_labels) == 300
+        clone = FormDictionary.from_bytes(data)
+        assert clone.to_bytes() == data
+        assert clone.dump_text() == beyond_v1.dump_text()
+
+    def test_columns_take_the_narrowest_width(self, compiled, beyond_v1):
+        widths = set()
+        for d in (compiled, beyond_v1):
+            data = d.to_bytes()
+            artifact = Artifact.decode(data)
+            for name, values in artifact.columns.items():
+                assert artifact.widths[name] == narrowest(values), name
+            assert artifact.encode() == data
+            widths.update(artifact.widths.values())
+        assert widths == {"B", "H", "I"}
+
+    def test_unknown_width_code_rejected(self):
+        data = bytearray(FormDictionary.build({"ab": [PAYLOAD]}).to_bytes())
+        data[HEADER.size] = ord("X")
+        with pytest.raises(ValueError, match="corrupt dictionary: unknown column width code 'X'"):
+            FormDictionary.from_bytes(bytes(data))
+
+    def test_v1_artifact_names_its_version(self):
+        for cut in range(6, len(V1_ARTIFACT) + 1):     # magic and version are all it takes
+            with pytest.raises(ValueError, match="unsupported dictionary version 1"):
+                FormDictionary.from_bytes(V1_ARTIFACT[:cut])
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -264,10 +292,10 @@ class TestSerialization:
         assert compiled.stats()["listing_bytes"] == len(compiled.dump_text().encode("utf-8"))
         assert FormDictionary.build({}).stats()["listing_bytes"] == 0
         wide = FormDictionary.build({"\u00e9b\u00e9": [PAYLOAD._replace(drop=2, append="\u00fc")], "b": [PAYLOAD]})
-        # Format v1 loads a drop longer than its form (the lemma is then the tail alone).
-        data = bytearray(FormDictionary.build({"ab": [PAYLOAD._replace(drop=2)]}).to_bytes())
-        data[section_offsets(data)[1]["payload"] + 6] = 9
-        for d in (wide, FormDictionary.from_bytes(wide.to_bytes()), FormDictionary.from_bytes(bytes(data))):
+        # The loader accepts a drop longer than its form (the lemma is then the tail alone).
+        long_drop = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD._replace(drop=2)]}).to_bytes())
+        long_drop.columns["payload.drop"][0] = 9
+        for d in (wide, FormDictionary.from_bytes(wide.to_bytes()), FormDictionary.from_bytes(long_drop.encode())):
             assert d.stats()["listing_bytes"] == len(d.dump_text().encode("utf-8"))
 
     def test_stats_takes_known_serialized_size(self, compiled, tmp_path):
@@ -290,17 +318,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match="trailing bytes"):
             FormDictionary.from_bytes(compiled.to_bytes() + b"garbage")
 
-    @pytest.mark.parametrize("section, at, message", [
-        ("state", 0, "root does not count"),    # the root's word count
-        ("state", 6, "state.count of 2"),       # the next state's word count
-        ("state", 5, "fanouts"),                # the root's fanout
-        ("set", 0, "set lengths"),              # the first set's length
+    # The case ids are the names these cases have always run under.
+    @pytest.mark.parametrize("column, index, message", [
+        pytest.param("state.count", 0, "root does not count", id="state-0-root does not count"),
+        pytest.param("state.count", 1, "state.count of 2", id="state-6-state.count of 2"),   # the next state
+        pytest.param("state.fanout", 0, "fanouts", id="state-5-fanouts"),
+        pytest.param("set.length", 0, "set lengths", id="set-0-set lengths"),
     ])
-    def test_inconsistent_counts_rejected(self, section, at, message):
-        data = bytearray(FormDictionary.build({"ab": [PAYLOAD], "b": [PAYLOAD]}).to_bytes())
-        data[section_offsets(data)[1][section] + at] += 1
+    def test_inconsistent_counts_rejected(self, column, index, message):
+        artifact = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD], "b": [PAYLOAD]}).to_bytes())
+        artifact.columns[column][index] += 1
         with pytest.raises(ValueError, match=message):
-            FormDictionary.from_bytes(bytes(data))
+            FormDictionary.from_bytes(artifact.encode())
+
+    @pytest.mark.parametrize("label", [0xD800, 0x110000])
+    def test_label_outside_unicode_rejected(self, label):
+        artifact = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD]}).to_bytes())
+        artifact.columns["trans.label"][0] = label
+        with pytest.raises(ValueError, match="a trans.label is not a character"):
+            FormDictionary.from_bytes(artifact.encode())
 
     def test_cycle_rejected_at_load(self):
         # Loaded, the cycle made diacritic-optional lookup of "a" run forever.
@@ -345,11 +381,42 @@ class TestLookupFuzz:
         run()
 
 
+class TestLoaderFuzz:
+    """Every byte flip, insertion or truncation of an artifact is either
+    rejected with ValueError or loads into a dictionary that can be listed,
+    measured and searched."""
+
+    def test_mutated_artifacts_raise_value_error_or_load(self, compiled):
+        small = FormDictionary.build({"ab": [PAYLOAD], "b": [PAYLOAD, PAYLOAD._replace(drop=1, tag="N:q:i:A")]})
+        artifacts = [small.to_bytes(), compiled.to_bytes()]
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.sampled_from(artifacts), st.sampled_from(["flip", "insert", "truncate"]), st.floats(0, 1),
+               st.integers(1, 255), st.binary(min_size=1, max_size=8), st.sampled_from(["ab", "b", "kutubu", "Eqd"]))
+        def run(artifact, edit, where, mask, inserted, query):
+            at = int(where * (len(artifact) - 1))
+            if edit == "flip":
+                mutated = artifact[:at] + bytes([artifact[at] ^ mask]) + artifact[at + 1:]
+            elif edit == "insert":
+                mutated = artifact[:at] + inserted + artifact[at:]
+            else:
+                mutated = artifact[:at]
+            try:
+                d = FormDictionary.from_bytes(mutated)
+            except ValueError:
+                return
+            d.dump_text()
+            d.stats()
+            d.lookup(query, "diacritic-optional")
+
+        run()
+
+
 class TestPinnedOutputs:
     """The seed lexicon's artifact and listing, pinned: a change to either
     is a change of format or of behaviour, not a refactoring."""
 
-    ARTIFACT = (69421, "f268437b779fa87acf15a4dfa9c4870dd4af0f20c6a17e36b406292f92efce99")
+    ARTIFACT = (55665, "f0ffa1bc804a798775a58c1e6d9b606124dc73cc32fc0f54b9daebbcb84a399c")
     LISTING = (299472, "821e1c7dff0f57a97405955b3e813495b812a9fe31bb5c1dda384fbb69459571")
 
     @staticmethod
@@ -366,7 +433,7 @@ class TestPinnedOutputs:
         assert self.digest(clone.dump_text().encode("utf-8")) == self.LISTING
 
     STATS = {"forms": 2593, "analyses": 5049, "states": 1000, "transitions": 1405,
-             "serialized_bytes": 69421, "listing_bytes": 299472}
+             "serialized_bytes": 55665, "listing_bytes": 299472}
 
     def test_stats(self, compiled):
         assert compiled.stats() == self.STATS
