@@ -50,6 +50,9 @@ BASIC_LETTERS = frozenset(c for c in _BN2AR if c not in DIACRITICS)
 
 ALPHABET = BASIC_LETTERS | DIACRITICS
 
+_TO_BN = str.maketrans(_AR2BN)
+_TO_BN_KNOWN = frozenset(_AR2BN) | _PASSTHROUGH
+
 
 def classify(c: str) -> str:
     """Classify a transliteration character as ``'basic'`` or ``'diacritic'``.
@@ -70,15 +73,10 @@ def is_diacritic(c: str) -> bool:
 
 def to_bn(text: str) -> str:
     """Transliterate Arabic script, character by character."""
-    out = []
-    for i, ch in enumerate(text):
-        if ch in _AR2BN:
-            out.append(_AR2BN[ch])
-        elif ch in _PASSTHROUGH:
-            out.append(ch)
-        else:
-            raise UnmappedCodepoint(ch, i)
-    return "".join(out)
+    if _TO_BN_KNOWN.issuperset(text):
+        return text.translate(_TO_BN)
+    i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in _TO_BN_KNOWN)
+    raise UnmappedCodepoint(ch, i)
 
 
 def to_arabic(text: str) -> str:
@@ -96,7 +94,7 @@ def to_arabic(text: str) -> str:
 
 def looks_arabic(text: str) -> bool:
     """True if the string contains any codepoint from the Arabic table."""
-    return any(ch in _AR2BN for ch in text)
+    return not _AR2BN.keys().isdisjoint(text)
 
 
 def validate_bn(text: str) -> None:

@@ -23,7 +23,9 @@ noun part only, carrying the D feature.
 
 One iterative walk serves both lookup modes.  In diacritic-optional mode it
 may also skip dictionary diacritics the query omits, but a diacritic present
-in the query must match the dictionary exactly; strict mode never skips.
+in the query must match the dictionary exactly; strict mode never skips.  A
+walk reports the forms ending at each of several positions of its text, so
+the segmenter walks a token once per noun start.
 """
 
 import struct
@@ -153,9 +155,10 @@ class FormDictionary:
 
     # -- lookup ------------------------------------------------------------
 
-    def _analysis(self, path: str, payload: Payload) -> Analysis:
-        lemma = path[: len(path) - payload.drop] + payload.append
-        return Analysis(path, lemma, payload.code, FeatureBundle.from_tag(payload.tag), payload.standalone)
+    def analysis(self, form: str, payload: Payload) -> Analysis:
+        """The analysis a payload gives the dictionary form that carries it."""
+        lemma = form[: len(form) - payload.drop] + payload.append
+        return Analysis(form, lemma, payload.code, FeatureBundle.from_tag(payload.tag), payload.standalone)
 
     def lookup(self, surface: str, mode: str = "strict") -> list[Analysis]:
         """Analyses of a surface string; empty list when absent.
@@ -163,29 +166,42 @@ class FormDictionary:
         strict: exact traversal.  diacritic-optional: dictionary diacritics
         may be skipped, but any diacritic present in the query must match.
         """
+        return [self.analysis(form, p) for _, form, rank in self.walk(surface, 0, (len(surface),), mode)
+                for p in self.payloads_by_rank[rank]]
+
+    def walk(self, text: str, start: int, ends, mode: str) -> list[tuple[int, str, int]]:
+        """Every (end, dictionary form, rank) where ``text[start:end]`` matches
+        a form and ``end`` is one of ``ends``, sorted: per end, forms come in
+        rank order, which is form order.  The inner loop follows the text's
+        letters; a skipped diacritic starts a stack entry, whose form is
+        ``built + text[at:qi]``."""
         if mode not in ("strict", "diacritic-optional"):
             raise ValueError(f"unknown lookup mode {mode!r}")
         skip = mode == "diacritic-optional"
-        arcs, finals, diacritics, end = self.arcs, self.finals, bn.DIACRITICS, len(surface)
-        # Ranks of the matched dictionary forms.  Skipping can reach one form
-        # along several alignments with the query; each form counts once.
-        matched: dict[str, int] = {}
-        stack = [(self.root, 0, 0, "")]
+        arcs, finals, diacritics, last = self.arcs, self.finals, bn.DIACRITICS, max(ends)
+        # Skipping can reach a form along several alignments, in any order;
+        # each (end, form) counts once.  Without it, forms come in end order.
+        found: dict[tuple[int, int], str] = {}
+        stack = [(self.root, 0, start, "", start)]
         while stack:
-            state, rank, qi, path = stack.pop()
-            table = arcs[state]
-            if qi < end:
-                arc = table.get(surface[qi])
-                if arc is not None:
-                    stack.append((arc[0], rank + arc[1], qi + 1, path + surface[qi]))
-            elif finals[state]:
-                matched[path] = rank
-            if skip:
-                for label, (target, offset) in table.items():
-                    if label in diacritics:
-                        stack.append((target, rank + offset, qi, path + label))
-        # A form's payloads are already in (code, tag) order.
-        return [self._analysis(path, p) for path in sorted(matched) for p in self.payloads_by_rank[matched[path]]]
+            state, rank, qi, built, at = stack.pop()
+            while True:
+                table = arcs[state]
+                if finals[state] and qi in ends:
+                    found[qi, rank] = built + text[at:qi]
+                if skip:
+                    for label, (target, offset) in table.items():
+                        if label in diacritics:
+                            stack.append((target, rank + offset, qi, built + text[at:qi] + label, qi))
+                if qi == last:
+                    break
+                arc = table.get(text[qi])
+                if arc is None:
+                    break
+                state, offset = arc
+                rank += offset
+                qi += 1
+        return [(end, form, rank) for (end, rank), form in (sorted(found.items()) if skip else found.items())]
 
     # -- enumeration -------------------------------------------------------
 
@@ -205,7 +221,7 @@ class FormDictionary:
         lines = []
         for surface, payloads in self.forms():
             for p in payloads:
-                lines.append(self._analysis(surface, p).line())
+                lines.append(self.analysis(surface, p).line())
         return "\n".join(lines) + ("\n" if lines else "")
 
     # -- stats -------------------------------------------------------------
@@ -328,7 +344,7 @@ class FormDictionary:
         with _ids_below(n_states, "trans.target", "states"):
             arcs = [_arc_table(final, count, islice(edges, fanout), counts)
                     for final, count, fanout in zip(finals, counts, fanouts)]
-        _require_acyclic(arcs)
+        _require_acyclic(arcs, n_trans)
 
         with _ids_below(n_strings, "payload string id", "strings"):
             string = string_table.__getitem__
@@ -446,13 +462,16 @@ def _arc_table(final: bool, count: int, edges, counts: list[int]) -> dict[str, t
     return table
 
 
-def _require_acyclic(arcs: list[dict]) -> None:
+def _require_acyclic(arcs: list[dict], n_trans: int) -> None:
     """Kahn's algorithm in O(states + arcs).  A cycle is a corrupt artifact
-    that the count checks cannot see, and a walk along it never ends."""
+    that the count checks cannot see, and a walk along it never ends.  So
+    is a state that repeats a label: its arc table keeps only the last arc."""
     indegree = [0] * len(arcs)
     for table in arcs:
         for target, _ in table.values():
             indegree[target] += 1
+    if sum(indegree) != n_trans:
+        raise ValueError("corrupt dictionary: a state repeats a trans.label")
     ready = [state for state, n in enumerate(indegree) if not n]
     for state in ready:
         for target, _ in arcs[state].values():

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .classes import ClassRegistry, render_bp_stem, seat_hamzas, substitute_madda
 from .codes import HAMZA, apply_root_code
 
+NUMBERS = ("s", "d", "p", "q")
 DEFINITENESS = ("D", "i", "a")
 CASES = ("N", "A", "G")
 
@@ -53,12 +54,12 @@ class FeatureBundle:
     @functools.lru_cache(maxsize=None)
     def from_tag(cls, tag: str) -> "FeatureBundle":
         parts = tag.split(":")
-        if not 4 <= len(parts) <= 5 or parts[0] != "N" or len(parts[1]) not in (1, 2):
+        if (len(parts) not in (4, 5) or parts[0] != "N" or parts[1][:-1] not in ("", "m", "f")
+                or parts[1][-1:] not in NUMBERS or parts[2] not in DEFINITENESS or parts[3] not in CASES
+                or parts[4:] not in ([], ["+pro"])):
             raise ValueError(f"malformed feature tag {tag!r}")
-        gn = parts[1]
-        gender = gn[0] if len(gn) == 2 else "none"
-        number = gn[-1]
-        return _bundle(gender, number, parts[2], parts[3], len(parts) > 4 and parts[4] == "+pro")
+        gender = parts[1][0] if len(parts[1]) == 2 else "none"
+        return _bundle(gender, parts[1][-1], parts[2], parts[3], len(parts) == 5)
 
 
 #: The one FeatureBundle of a feature set (arguments positional).

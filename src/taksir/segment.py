@@ -9,7 +9,7 @@ variant, and the determiner and a pronoun never co-occur.
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .formdict import Analysis, FormDictionary
@@ -22,6 +22,24 @@ class CliticInventory:
     prepositions: tuple
     determiner: str
     pronouns: tuple
+
+    @cached_property
+    def affixes(self) -> tuple:
+        """The affix tables, built once per inventory: each CONJ? PREP? DET?
+        string maps to its splits (clitic segments, shown head, has PREP,
+        has DET), each pronoun to its segments and shown tail.  With their
+        key lengths, a token's splits are one slice and lookup per length."""
+        prefixes: dict[str, tuple] = {}
+        for conj in (None, *self.conjunctions):
+            for prep in (None, *self.prepositions):
+                for det in (None, self.determiner):
+                    segments = tuple(Segment(s, tag) for s, tag in ((conj, "CONJC"), (prep, "PREP"), (det, "DET")) if s)
+                    head = "".join(f"{s.surface}/{s.tag}+" for s in segments)
+                    key = "".join(s.surface for s in segments)
+                    prefixes[key] = (*prefixes.get(key, ()), (segments, head, prep is not None, det is not None))
+        # An empty pronoun would leave no noun.
+        pronouns = {pro: ((Segment(pro, "PRO+Gen"),), f"+{pro}/PRO+Gen") for pro in self.pronouns if pro}
+        return prefixes, tuple(sorted({len(p) for p in prefixes})), pronouns, tuple(sorted({len(p) for p in pronouns}))
 
 
 @lru_cache(maxsize=1)
@@ -64,25 +82,14 @@ class SegmentLattice:
         return bool(self.readings)
 
 
-def _strip(rest: str, clitics: tuple):
-    """(None, rest), then (clitic, remainder) for each clitic that rest starts with."""
-    yield None, rest
-    for clitic in clitics:
-        if rest.startswith(clitic):
-            yield clitic, rest[len(clitic):]
-
-
-def _splits(token: str, inventory: CliticInventory):
-    """All CONJ? PREP? DET? prefix splits and PRO? suffix splits."""
-    # Each remainder is a suffix of the token: only a pronoun the token ends with can end it.
-    pronouns = (None, *(pro for pro in inventory.pronouns if token.endswith(pro)))
-    for conj, rest1 in _strip(token, inventory.conjunctions):
-        for prep, rest2 in _strip(rest1, inventory.prepositions):
-            for det, rest3 in _strip(rest2, (inventory.determiner,)):
-                for pro in pronouns:
-                    noun = rest3 if pro is None else rest3[: -len(pro)] if len(rest3) > len(pro) else ""
-                    if noun:
-                        yield conj, prep, det, noun, pro
+@lru_cache(maxsize=2048)
+def _fits(tag: str, standalone: bool, prep: bool, det: bool, pro: bool) -> bool:
+    """Whether a payload's noun may stand in a split of this shape.  Every
+    loaded tag is valid, and 120 tags by 2 flags by 8 shapes fit the cache."""
+    f = FeatureBundle.from_tag(tag)
+    if (prep and f.case != "G") or det != (f.definiteness == "D"):
+        return False
+    return f.definiteness == "a" and f.pro_compat if pro else standalone
 
 
 #: Distinct (token, mode) pairs whose lattice each dictionary remembers.
@@ -104,32 +111,32 @@ def segment(token: str, dictionary: FormDictionary, mode: str = "strict",
 
 
 def _segment(token: str, dictionary: FormDictionary, mode: str, inventory: CliticInventory) -> SegmentLattice:
+    """One walk per noun start, that is per prefix the token starts with;
+    each walk finds the nouns that end the token or a pronoun it ends with."""
+    prefixes, prefix_lengths, pronouns, pronoun_lengths = inventory.affixes
+    n = len(token)
+    ends = {n: ((), "")}        # where a noun may end -> the segments and shown tail after it
+    for length in pronoun_lengths:
+        pro = pronouns.get(token[n - length:]) if length < n else None
+        if pro is not None:
+            ends[n - length] = pro
+    payloads_by_rank = dictionary.payloads_by_rank
     readings = {}
-    for conj, prep, det, noun, pro in _splits(token, inventory):
-        for analysis in dictionary.lookup(noun, mode):
-            f = analysis.features
-            if prep is not None and f.case != "G":
-                continue
-            if det is not None and f.definiteness != "D":
-                continue
-            if det is None and f.definiteness == "D":
-                continue
-            if pro is not None and not (f.definiteness == "a" and f.pro_compat):
-                continue
-            if pro is None and not analysis.standalone:
-                continue
-            segments = []
-            if conj:
-                segments.append(Segment(conj, "CONJC"))
-            if prep:
-                segments.append(Segment(prep, "PREP"))
-            if det:
-                segments.append(Segment(det, "DET"))
-            segments.append(Segment(noun, "N", analysis))
-            if pro:
-                segments.append(Segment(pro, "PRO+Gen"))
-            reading = Reading(tuple(segments), analysis, "+".join(f"{s.surface}/{s.tag}" for s in segments))
-            readings.setdefault((reading.shown, analysis.code, analysis.lemma, f.tag()), reading)
+    for start in prefix_lengths:
+        splits = prefixes.get(token[:start]) if start < n else None
+        if splits is None:
+            continue
+        for end, form, rank in dictionary.walk(token, start, ends, mode):
+            if end == start:
+                continue        # a form of skipped diacritics alone: no noun
+            noun, (pro, tail) = token[start:end], ends[end]
+            for clitics, head, prep, det in splits:
+                for p in payloads_by_rank[rank]:
+                    if _fits(p.tag, p.standalone, prep, det, end < n):
+                        analysis = dictionary.analysis(form, p)
+                        shown = f"{head}{noun}/N{tail}"
+                        reading = Reading((*clitics, Segment(noun, "N", analysis), *pro), analysis, shown)
+                        readings.setdefault((shown, p.code, analysis.lemma, p.tag), reading)
     ordered = sorted(readings.values(), key=lambda r: (len(r.segments), r.shown, r.noun.code))
     return SegmentLattice(token, tuple(ordered))
 

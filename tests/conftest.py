@@ -45,14 +45,20 @@ def _strong_slots(e):
 _SEED = [(e, _strong_slots(e)) for e in load_seed().entries]
 
 
+def seed_variant(choose):
+    """A seed entry with its strong radicals redrawn; ``choose`` picks one
+    item of a sequence."""
+    e, slots = choose(_SEED)
+    lemma = list(e.lemma)
+    for i in slots:
+        lemma[i] = choose(STRONG)
+    return LexicalEntry("".join(lemma), e.code)
+
+
 @st.composite
 def seed_variants(draw):
     """A seed entry with its strong radicals redrawn."""
-    e, slots = draw(st.sampled_from(_SEED))
-    lemma = list(e.lemma)
-    for i in slots:
-        lemma[i] = draw(st.sampled_from(STRONG))
-    return LexicalEntry("".join(lemma), e.code)
+    return seed_variant(lambda items: draw(st.sampled_from(items)))
 
 
 def load_golden():
@@ -148,6 +154,27 @@ def cyclic_artifact() -> bytes:
     artifact = Artifact.decode(FormDictionary.build({"aub": [PAYLOAD]}).to_bytes())
     artifact.columns["trans.label"][2] = ord("u")
     artifact.columns["trans.target"][2] = 1
+    return artifact.encode()
+
+
+def retagged_artifact(tag: str) -> bytes:
+    """The artifact of the one word "ab" with its one tag rewritten.  Tags
+    are interned first, so the tag is string 0."""
+    artifact = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD]}).to_bytes())
+    old = len(PAYLOAD.tag.encode("utf-8"))
+    artifact.columns["string.length"][0] = len(tag.encode("utf-8"))
+    artifact.strings = tag.encode("utf-8") + artifact.strings[old:]
+    return artifact.encode()
+
+
+def repeated_label_artifact() -> bytes:
+    """The artifact of {"ab", "ac"} with the label c rewritten to b: the
+    state after "a" then holds two arcs labelled b, whose word counts still
+    add up."""
+    words = {"ab": [PAYLOAD], "ac": [PAYLOAD._replace(tag="N:q:i:A")]}
+    artifact = Artifact.decode(FormDictionary.build(words).to_bytes())
+    labels = artifact.columns["trans.label"]
+    labels[labels.index(ord("c"))] = ord("b")
     return artifact.encode()
 
 

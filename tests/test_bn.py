@@ -95,3 +95,30 @@ def test_round_trip_over_seed_lemmas(seed):
 def test_round_trip_over_generated_forms(compiled):
     for surface, _ in compiled.forms():
         assert bn.to_bn(bn.to_arabic(surface)) == surface
+
+
+def to_bn_by_character(text: str) -> str:
+    """The character-by-character transliteration that ``to_bn`` replaced."""
+    out = []
+    for i, ch in enumerate(text):
+        if ch in bn._AR2BN:
+            out.append(bn._AR2BN[ch])
+        elif ch in bn._PASSTHROUGH:
+            out.append(ch)
+        else:
+            raise UnmappedCodepoint(ch, i)
+    return "".join(out)
+
+
+@given(st.text(st.one_of(st.characters(min_codepoint=0x0600, max_codepoint=0x06FF),
+                         st.sampled_from(sorted(bn._PASSTHROUGH)),
+                         st.characters(exclude_categories=("Cs",))), max_size=30))
+def test_to_bn_matches_the_character_loop(text):
+    try:
+        expected = to_bn_by_character(text)
+    except UnmappedCodepoint as exc:
+        with pytest.raises(UnmappedCodepoint) as err:
+            bn.to_bn(text)
+        assert (err.value.char, err.value.position, str(err.value)) == (exc.char, exc.position, str(exc))
+    else:
+        assert bn.to_bn(text) == expected

@@ -9,7 +9,7 @@ from taksir.codes import extract_root
 from taksir.formdict import FormDictionary
 from taksir.lexicon import load_seed
 
-from conftest import ID_FIELDS, V1_ARTIFACT, corrupt_id, cyclic_artifact
+from conftest import ID_FIELDS, V1_ARTIFACT, corrupt_id, cyclic_artifact, repeated_label_artifact, retagged_artifact
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
 
@@ -195,6 +195,19 @@ class TestAnalyze:
         assert err.value.code == 2
         printed = capsys.readouterr().err
         assert printed.startswith("error: ") and "cycle" in printed and "Traceback" not in printed
+
+    @pytest.mark.parametrize("artifact, message", [
+        (lambda: retagged_artifact("N:q:zz:yy"), "malformed feature tag 'N:q:zz:yy'"),
+        (repeated_label_artifact, "a state repeats a trans.label"),
+    ], ids=["tag value", "repeated label"])
+    def test_artifact_the_analyses_cannot_trust_exits_2(self, tmp_path, capsys, artifact, message):
+        bad = tmp_path / "bad.primdict"
+        bad.write_bytes(artifact())
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(write_text(tmp_path, "ab\n")), "--dict", str(bad)])
+        assert err.value.code == 2
+        printed = capsys.readouterr().err
+        assert printed.startswith("error: ") and message in printed and "Traceback" not in printed
 
 
 class TestValidateCmd:

@@ -13,7 +13,7 @@ from taksir.formdict import FormDictionary, Payload, compile_lexicon
 from taksir.lexicon import LexiconFile, parse_lexicon
 
 from conftest import (HEADER, ID_FIELDS, PAYLOAD, V1_ARTIFACT, Artifact, corrupt_id, cyclic_artifact, narrowest,
-                      seed_variants)
+                      repeated_label_artifact, retagged_artifact, seed_variants)
 
 
 def ref_optional_match(dict_form: str, query: str) -> bool:
@@ -347,6 +347,23 @@ class TestSerialization:
         data = FormDictionary.build({"a": [PAYLOAD._replace(tag="junk")]}).to_bytes()
         with pytest.raises(ValueError, match="malformed feature tag 'junk'"):
             FormDictionary.from_bytes(data)
+
+    @pytest.mark.parametrize("tag", ["N:q:zz:yy", "N:xs:i:N", "N:mz:i:N", "N:s:x:N", "N:s:i:x", "N:s:a:G:pro",
+                                     "N:s:a:G:+PRO", "N::i:N", "N:q:i:N:"])
+    def test_tag_value_outside_the_inventory_rejected_at_load(self, tag):
+        with pytest.raises(ValueError, match="malformed feature tag"):
+            FormDictionary.from_bytes(retagged_artifact(tag))
+
+    @pytest.mark.parametrize("tag", ["N:q:i:G", "N:ms:D:N", "N:fd:a:A:+pro", "N:p:a:G"])
+    def test_tag_inside_the_inventory_loads(self, tag):
+        d = FormDictionary.from_bytes(retagged_artifact(tag))
+        assert [a.features.tag() for a in d.lookup("ab")] == [tag]
+
+    def test_repeated_label_rejected(self):
+        # Loaded, the second b arc replaced the first: stats() counted two
+        # forms, but lookup("ab") gave the payloads of "ac".
+        with pytest.raises(ValueError, match="a state repeats a trans.label"):
+            FormDictionary.from_bytes(repeated_label_artifact())
 
     def test_dump_line_format(self, compiled):
         line = compiled.dump_text().splitlines()[0]

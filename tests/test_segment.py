@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taksir import bn
-from taksir.formdict import FormDictionary
+from segment_reference import Reference
+from taksir import bn, cli
+from taksir.formdict import FormDictionary, Payload, compile_lexicon
+from taksir.lexicon import LexiconFile
 from taksir.paradigm import FeatureBundle, inflect
 from taksir.segment import (
     MEMO_SIZE,
@@ -18,6 +20,8 @@ from taksir.segment import (
     parse_mask,
     segment,
 )
+
+from conftest import seed_variant
 
 MODES = ("strict", "diacritic-optional")
 
@@ -99,60 +103,20 @@ class TestSegmentation:
                     assert noun.standalone
 
     def test_brute_force_oracle_equivalence(self, compiled):
-        # Naive alternative: try every template combination independently.
-        # Checked twice on a dictionary of its own: on a cold memo, then a warm one.
-        inventory = load_clitics()
+        # Checked twice per mode on a dictionary of its own: on a cold memo, then a warm one.
+        reference = Reference(compiled, load_clitics())
         dictionary = fresh(compiled)
         tokens = [
             "liEuquwdK", "AlminoTaqapi", "OasmaAkihaA", "OanoMiTatihaA", "wabiEuqadK",
             "maSaAyid", "Euqadu", "AlEuqadihaA", "faAlkutubi", "EuqodatuhaA", "xyzzy",
         ]
-        for token in tokens:
-            expected = set()
-            for conj in [None, *inventory.conjunctions]:
-                t1 = token[len(conj):] if conj and token.startswith(conj) else (token if conj is None else None)
-                if t1 is None:
-                    continue
-                for prep in [None, *inventory.prepositions]:
-                    t2 = t1[len(prep):] if prep and t1.startswith(prep) else (t1 if prep is None else None)
-                    if t2 is None:
-                        continue
-                    for det in [None, "Al"]:
-                        t3 = t2[len(det):] if det and t2.startswith(det) else (t2 if det is None else None)
-                        if t3 is None:
-                            continue
-                        for pro in [None, *inventory.pronouns]:
-                            if pro is None:
-                                noun = t3
-                            elif t3.endswith(pro) and len(t3) > len(pro):
-                                noun = t3[: -len(pro)]
-                            else:
-                                continue
-                            if not noun:
-                                continue
-                            for a in compiled.lookup(noun, "diacritic-optional"):
-                                f = a.features
-                                if prep and f.case != "G":
-                                    continue
-                                if det and f.definiteness != "D":
-                                    continue
-                                if not det and f.definiteness == "D":
-                                    continue
-                                if pro and not (f.definiteness == "a" and f.pro_compat):
-                                    continue
-                                if not pro and not a.standalone:
-                                    continue
-                                expected.add((conj, prep, det, noun, pro, a.surface, a.code, f.tag()))
-            for memo in ("cold", "warm"):
-                got = set()
-                for r in segment(token, dictionary, "diacritic-optional").readings:
-                    parts = {s.tag: s.surface for s in r.segments}
-                    got.add((
-                        parts.get("CONJC"), parts.get("PREP"), parts.get("DET"),
-                        parts["N"], parts.get("PRO+Gen"), r.noun.surface, r.noun.code, r.noun.features.tag(),
-                    ))
-                assert got == expected, (token, memo)
-        assert dictionary.segment_memo.cache_info().hits == len(tokens)
+        for mode in MODES:
+            for token in tokens:
+                expected = reference.lines(token, mode)
+                for memo in ("cold", "warm"):
+                    got = [format_reading(token, r) for r in segment(token, dictionary, mode).readings]
+                    assert got == expected, (token, mode, memo)
+        assert dictionary.segment_memo.cache_info().hits == len(tokens) * len(MODES)
 
     def test_clitic_inventory_loaded_once(self):
         assert load_clitics() is load_clitics()
@@ -163,6 +127,100 @@ class TestSegmentation:
         token, segs, entry, features = line.split("\t")
         assert segs == "Al/DET+minoTaqapi/N"
         assert entry.startswith("minoTaqap,")
+
+
+def clitic_chains(rng, nouns, n):
+    """n tokens, each a noun, or three times in ten its diacritic-free
+    skeleton, with a random chain of clitics around it."""
+    inv = load_clitics()
+    tokens = []
+    for _ in range(n):
+        noun = rng.choice(nouns)
+        if rng.random() < 0.3:
+            noun = bn.strip_diacritics(noun) or noun
+        prefix = [rng.choice((None, *inv.conjunctions)), rng.choice((None, *inv.prepositions)),
+                  rng.choice((None, inv.determiner))]
+        pro = rng.choice((None, None, *inv.pronouns))
+        tokens.append("".join(c for c in (*prefix, noun, pro) if c))
+    return tokens
+
+
+#: The tags of the small dictionary below: some fit a preposition, the
+#: article or a pronoun, and one is bound.
+SMALL_TAGS = ("N:q:i:G", "N:q:D:G", "N:ms:a:G:+pro", "N:ms:a:N", "N:fs:D:N", "N:fs:i:G")
+
+
+@pytest.fixture(scope="module")
+def small():
+    """One-letter forms and forms spelled like clitics, each with every tag
+    of SMALL_TAGS; forms kab and kub share a skeleton, and lemmas that drop
+    the whole form make equal readings of different forms."""
+    def payloads(word):
+        return [Payload(len(word) if i % 2 else 0, "X" if i % 2 else "", f"$c{i % 2}", tag, not tag.endswith("+pro"))
+                for i, tag in enumerate(SMALL_TAGS)]
+    words = ["k", "a", "b", "h", "u", "y", "ka", "bi", "hu", "ya", "Al", "wa", "kab", "kub", "kb", "kabu", "kaAhu"]
+    return FormDictionary.build({w: payloads(w) for w in words})
+
+
+class TestOracleAtScale:
+    """``segment`` against the brute-force reference, line for line and in
+    order, in both modes."""
+
+    @pytest.fixture(scope="class")
+    def variants(self, registry):
+        # About 300 seed entries with their strong radicals redrawn.
+        rng = random.Random(300)
+        entries = {}
+        while len(entries) < 300:
+            e = seed_variant(rng.choice)
+            entries.setdefault((e.lemma, e.code.text), e)
+        dictionary, _ = compile_lexicon(LexiconFile(list(entries.values())), registry)
+        return dictionary
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_seed(self, compiled, mode):
+        nouns = [form for form, _ in compiled.forms()]
+        tokens = clitic_chains(random.Random(41), nouns, 1500) + nouns[::7]
+        reference = Reference(compiled, load_clitics())
+        for token in tokens:
+            assert uncached(token, compiled, mode) == (reference.lines(token, mode) or [f"{token}\tUNK"]), token
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_seed_variants(self, variants, mode):
+        nouns = [form for form, _ in variants.forms()]
+        assert len(nouns) > 4000
+        tokens = clitic_chains(random.Random(42), nouns, 1500)
+        reference = Reference(variants, load_clitics())
+        for token in tokens:
+            assert uncached(token, variants, mode) == (reference.lines(token, mode) or [f"{token}\tUNK"]), token
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), which=st.sampled_from(["seed", "small"]), mode=st.sampled_from(MODES))
+    def test_tokens_of_forms_and_clitics(self, compiled, small, data, which, mode):
+        # Clitics in any order and number ("ka" is a preposition and a
+        # pronoun), forms of the dictionary, whole or without diacritics,
+        # and single letters.
+        dictionary = compiled if which == "seed" else small
+        inv = load_clitics()
+        forms = [form for form, _ in dictionary.forms()]
+        piece = st.one_of(st.sampled_from([*inv.conjunctions, *inv.prepositions, inv.determiner, *inv.pronouns]),
+                          st.sampled_from(forms), st.sampled_from(forms).map(bn.strip_diacritics),
+                          st.sampled_from("kabhuyiAl"))
+        token = "".join(data.draw(st.lists(piece, min_size=1, max_size=5)))
+        expected = Reference(dictionary, inv).lines(token, mode) or [f"{token}\tUNK"]
+        assert uncached(token, dictionary, mode) == expected
+
+    def test_equal_readings_keep_form_then_payload_order(self, small):
+        # Four forms match kb in diacritic-optional mode, and their
+        # readings tie on segmentation and code: form order decides, then
+        # payload order.  Every form gives the two $c1 lines; the first
+        # form's readings are kept.
+        lattice = segment("kb", small, "diacritic-optional", inventory=load_clitics())
+        assert [format_reading("kb", r) for r in lattice.readings] == [
+            "kb\tkb/N\tkab,$c0\tN:q:i:G", "kb\tkb/N\tkabu,$c0\tN:q:i:G", "kb\tkb/N\tkb,$c0\tN:q:i:G",
+            "kb\tkb/N\tkub,$c0\tN:q:i:G", "kb\tkb/N\tX,$c1\tN:fs:i:G", "kb\tkb/N\tX,$c1\tN:ms:a:N",
+        ] == Reference(small, load_clitics()).lines("kb", "diacritic-optional")
+        assert [r.noun.surface for r in lattice.readings] == ["kab", "kabu", "kb", "kub", "kab", "kab"]
 
 
 class TestMemo:
@@ -328,7 +386,25 @@ class TestAgreementTotality:
             assert check_agreement(head, human, dep) in (True, False)
 
 
+#: Arabic letters and marks, punctuation the tokenizer strips or keeps,
+#: tatweel, whitespace, and any other character outside the surrogates.
+RUNNING_TEXT = st.text(st.one_of(
+    st.characters(min_codepoint=0x0600, max_codepoint=0x06FF),
+    st.sampled_from(list(".,;:!?()[]{}\"'«»…-_/\u060c\u061b\u061f\u0640 \t\n")),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF, exclude_categories=("Cs",)),
+    st.characters(exclude_categories=("Cs",)),
+), max_size=40)
+
+
 class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(text=RUNNING_TEXT)
+    def test_arbitrary_text_never_raises(self, compiled, text):
+        for token in cli.tokenize(text):
+            for mode in MODES:
+                for reading in segment(token, compiled, mode).readings:
+                    format_reading(token, reading)
+
     def test_segmentation_never_breaks_surface_conservation(self, compiled):
         alphabet = "EuqodapAlbihaAwfKNk"
 
