@@ -12,7 +12,7 @@ are seated from their orthographic context when the stem is rendered.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from . import bn
@@ -28,6 +28,22 @@ class InflectionClass:
     bp_template: str
     sg_paradigm: str
     bp_paradigm: str
+
+    @cached_property
+    def radical_slots(self) -> tuple[dict[int, int], int]:
+        """Where ``render_bp_stem`` writes each plural radical, radical ->
+        stem index (the first when a radical recurs), and the length of the
+        stem it writes before a madda contraction."""
+        slots: dict[int, int] = {}
+        at = i = 0
+        while i < len(self.bp_template):
+            if self.bp_template[i].isdigit():
+                slots.setdefault(int(self.bp_template[i]), at)
+            elif self.bp_template[i] == "=":
+                i += 1          # =k writes a gemination mark
+            at += 1
+            i += 1
+        return slots, at
 
 
 class ClassRegistry:

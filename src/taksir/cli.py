@@ -16,6 +16,7 @@ from .errors import InvalidBnChar, TaksirError, UnmappedCodepoint
 from .formdict import FormDictionary, compile_lexicon
 from .lexicon import Diagnostic, lexicon_stats, parse_lexicon, validate_entry
 from .paradigm import form_count, inflect
+from .rewrite import CorruptDictionary
 from .segment import concordance, format_reading, segment
 
 #: Stripped from both ends of a token: ASCII punctuation and the Arabic
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
     except TaksirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CorruptDictionary as exc:    # found where the loaded dictionary is used
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ sorted forms (Daciuk, Mihov, Watson & Watson 2000), so construction never
 holds more than the minimal automaton plus one word's path.
 
 Payloads do not name entries directly: they hold the feature tag, the
-inflectional code and a rewrite that reconstructs the lemma from the matched
-surface (drop k characters, append a tail).  Entries of the same class
-therefore share payload records.  In memory, built or loaded,
-each distinct record is one ``Payload`` tuple and forms with equal payload
-sets share one tuple of them, so serialising resolves each set once.
+inflectional code and a positional rewrite that rebuilds the lemma from the
+matched surface (``taksir.rewrite``).  Entries of the same class therefore
+share payload records.  In memory, built or loaded, each distinct record is
+one ``Payload`` tuple and forms with equal payload sets share one tuple of
+them, so serialising resolves each set once.
 
 Definite cells are stored without the article: Al- is a determiner segment
 (the segmenter restores it), so a definite surface in the automaton is the
@@ -40,11 +40,12 @@ from . import bn
 from .classes import ClassRegistry
 from .lexicon import LexiconFile
 from .paradigm import FeatureBundle, stem_tables
+from .rewrite import Rewrite, RewritePool, common_prefix_length, cut_pieces, past_the_form, radical_rewrite
 
 MAGIC = b"TKDC"
-VERSION = 2
+VERSION = 3
 
-_HEADER = struct.Struct("<4sH7Q")    # see the byte layout below
+_HEADER = struct.Struct("<4sH9Q")    # see the byte layout below
 
 #: Struct codes of the column widths, narrowest first.
 _WIDTHS = "BHIQ"
@@ -53,14 +54,13 @@ _WIDTHS = "BHIQ"
 class Payload(NamedTuple):
     """Analysis record attached to a form (entry-independent)."""
 
-    drop: int           # characters to drop from the surface ...
-    append: str         # ... and tail to append, giving the lemma
+    rewrite: Rewrite    # gives the lemma from the surface
     code: str           # full inflectional code text
     tag: str            # feature tag, e.g. N:q:i:G
     standalone: bool    # usable without an attached pronoun
 
     def sort_key(self):
-        return (self.code, self.tag, self.drop, self.append, not self.standalone)
+        return (self.code, self.tag, self.rewrite, not self.standalone)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +129,7 @@ class FormDictionary:
                 path_edges[-1].append((prev[len(path_edges) - 1], state))
 
         for word in ordered:
-            common = _common_prefix_length(prev, word)
+            common = common_prefix_length(prev, word)
             freeze(common)
             path_final.extend([False] * (len(word) - common))
             path_edges.extend([[] for _ in range(len(word) - common)])
@@ -157,8 +157,8 @@ class FormDictionary:
 
     def analysis(self, form: str, payload: Payload) -> Analysis:
         """The analysis a payload gives the dictionary form that carries it."""
-        lemma = form[: len(form) - payload.drop] + payload.append
-        return Analysis(form, lemma, payload.code, FeatureBundle.from_tag(payload.tag), payload.standalone)
+        return Analysis(form, payload.rewrite.apply(form), payload.code, FeatureBundle.from_tag(payload.tag),
+                        payload.standalone)
 
     def lookup(self, surface: str, mode: str = "strict") -> list[Analysis]:
         """Analyses of a surface string; empty list when absent.
@@ -232,12 +232,12 @@ class FormDictionary:
         loaded dictionary walks its forms once); ``serialized_bytes`` is
         the caller's when known (``save`` returns it), else measured."""
         if self.listing_bytes is None:
-            sizes: dict[int, tuple[int, int]] = {}     # by id: ranks share set tuples, which stay alive
+            sizes: dict[int, tuple[int, int, int]] = {}     # by id: ranks share set tuples, which stay alive
             listing = 0
             for surface, payloads in self.forms():
                 known = sizes.get(id(payloads))
                 if known is None:
-                    known = sizes[id(payloads)] = _set_sizes(payloads)
+                    known = sizes[id(payloads)] = _set_sizes(payloads)[:3]
                 listing += _listing_bytes(surface, payloads, *known)
             self.listing_bytes = listing
         return {
@@ -254,7 +254,7 @@ class FormDictionary:
     # Little-endian byte layout, in order:
     #   header:  magic "TKDC", u16 version, u64 states, u64 transitions,
     #            u64 forms, u64 payload sets, u64 set refs, u64 payloads,
-    #            u64 strings
+    #            u64 rewrites, u64 rewrite pieces, u64 strings
     #   columns: one per integer field below, each a struct code (B, H, I
     #            or Q) and then one value per record at that width, the
     #            narrowest that holds the column's largest value:
@@ -263,7 +263,11 @@ class FormDictionary:
     #     form:    set_id                          (rank order)
     #     set:     length                          (ids in first-use order)
     #     setref:  payload_id                      (concatenated set contents)
-    #     payload: tag_id, code_id, append_id (string ids), drop, standalone
+    #     payload: tag_id, code_id (string ids), rewrite_id, standalone
+    #     rewrite: length (its pieces)             (ids in first-use order)
+    #     piece:   start, stop, literal_id         (concatenated rewrites; a
+    #              stop s from the start is stored as 2s, a stop k letters
+    #              back from the end as 2k + 1)
     #     string:  length in utf-8 bytes           (ids in first-use order
     #                                               over the three id columns)
     #   strings: their utf-8 bytes, concatenated
@@ -271,9 +275,9 @@ class FormDictionary:
     # Rank offsets are not stored: loading recomputes them from the counts.
 
     def to_bytes(self) -> bytes:
-        arcs, sets, payload_ids, strings = self.arcs, {}, {}, {}
+        arcs, sets, payload_ids, rewrites, strings = self.arcs, {}, {}, {}, {}
         # One column at a time, each listed and encoded before the next;
-        # set, payload and string ids are assigned in first-use order.
+        # set, payload, rewrite and string ids are assigned in first-use order.
         out = bytearray(_HEADER.size)     # the header is packed in last
         out += _column(self.counts)
         out += _column(self.finals)
@@ -284,14 +288,19 @@ class FormDictionary:
         out += _column(len(s) for s in sets)
         out += _column(payload_ids.setdefault(p, len(payload_ids)) for payloads in sets for p in payloads)
         # Tags and codes are few: interned first, they keep narrow ids.
-        for field in (3, 2, 1):   # tag, code, append
-            out += _column(strings.setdefault(p[field], len(strings)) for p in payload_ids)
-        out += _column(p.drop for p in payload_ids)
+        out += _column(strings.setdefault(p.tag, len(strings)) for p in payload_ids)
+        out += _column(strings.setdefault(p.code, len(strings)) for p in payload_ids)
+        out += _column(rewrites.setdefault(p.rewrite, len(rewrites)) for p in payload_ids)
         out += _column(p.standalone for p in payload_ids)
+        out += _column(len(r) for r in rewrites)
+        out += _column(start for r in rewrites for start, _, _ in r)
+        out += _column(2 * stop if stop >= 0 else 2 * ~stop + 1 for r in rewrites for _, stop, _ in r)
+        out += _column(strings.setdefault(literal, len(strings)) for r in rewrites for _, _, literal in r)
         out += _column(len(s.encode("utf-8")) for s in strings)
         out += "".join(strings).encode("utf-8")
         _HEADER.pack_into(out, 0, MAGIC, VERSION, len(arcs), sum(map(len, arcs)), len(self.payloads_by_rank),
-                          len(sets), sum(map(len, sets)), len(payload_ids), len(strings))
+                          len(sets), sum(map(len, sets)), len(payload_ids), len(rewrites), sum(map(len, rewrites)),
+                          len(strings))
         return bytes(out)
 
     @classmethod
@@ -322,11 +331,14 @@ class FormDictionary:
             raise ValueError("not a compiled dictionary (bad magic bytes)")
         if version != VERSION:
             raise ValueError(f"unsupported dictionary version {version}")
-        n_states, n_trans, n_forms, n_sets, n_refs, n_payloads, n_strings = struct.unpack("<7Q", take(56))
+        n_states, n_trans, n_forms, n_sets, n_refs, n_payloads, n_rewrites, n_pieces, n_strings = \
+            struct.unpack("<9Q", take(72))
         counts, finals, fanouts = column(n_states), column(n_states), column(n_states)
         labels, targets = column(n_trans), column(n_trans)
         form_sets, set_lens, refs = column(n_forms), column(n_sets), column(n_refs)
-        tags, codes, appends, drops, standalones = (column(n_payloads) for _ in range(5))
+        tags, codes, rewrite_ids, standalones = (column(n_payloads) for _ in range(4))
+        rewrite_lens = column(n_rewrites)
+        starts, stops, literals = (column(n_pieces) for _ in range(3))
         lengths = column(n_strings)
         bounds = list(accumulate(lengths, initial=0))
         blob = take(bounds[-1])
@@ -346,12 +358,22 @@ class FormDictionary:
                     for final, count, fanout in zip(finals, counts, fanouts)]
         _require_acyclic(arcs, n_trans)
 
+        string = string_table.__getitem__
+        if sum(rewrite_lens) != n_pieces:
+            raise ValueError(f"corrupt dictionary: rewrite lengths do not sum to the {n_pieces} rewrite pieces")
+        stops = [stop >> 1 if stop & 1 == 0 else ~(stop >> 1) for stop in stops]
+        if any(0 <= stop < start for start, stop in zip(starts, stops)):
+            raise ValueError("corrupt dictionary: a rewrite piece stops before it starts")
+        with _ids_below(n_strings, "piece.literal_id", "strings"):
+            pieces = zip(starts, stops, map(string, literals))
+            rewrites = [Rewrite(islice(pieces, n)) for n in rewrite_lens]
+        with _ids_below(n_rewrites, "payload.rewrite_id", "rewrites"):
+            payload_rewrites = list(map(rewrites.__getitem__, rewrite_ids))
         with _ids_below(n_strings, "payload string id", "strings"):
-            string = string_table.__getitem__
-            payloads = list(map(Payload._make, zip(drops, map(string, appends), map(string, codes), map(string, tags),
+            payloads = list(map(Payload._make, zip(payload_rewrites, map(string, codes), map(string, tags),
                                                    map(bool, standalones))))
-        for tag in {p.tag for p in payloads}:
-            FeatureBundle.from_tag(tag)  # a malformed tag raises ValueError here, not at lookup
+        for tag in set(tags):       # ids checked above
+            FeatureBundle.from_tag(string(tag))  # a malformed tag raises ValueError here, not at lookup
         if sum(set_lens) != n_refs:
             raise ValueError(f"corrupt dictionary: set lengths do not sum to the {n_refs} set refs")
         with _ids_below(n_payloads, "setref.payload_id", "payloads"):
@@ -388,8 +410,9 @@ def _column(values) -> bytes:
 def _payload_sets(words: dict[str, list[Payload]], ordered: list[str]) -> tuple[list[tuple], int]:
     """The payload set of each word in ``ordered``, equal sets one sorted
     tuple, and the UTF-8 size of their ``dump_text()`` lines."""
-    # Per distinct set: the tuple, its listing constant and its largest drop.
+    # Per distinct set: the tuple and its _set_sizes.
     shared: dict[frozenset, tuple] = {}
+    orders: dict[tuple, tuple] = {}
     payloads_by_rank = []
     listing = 0
     for w in ordered:
@@ -398,45 +421,53 @@ def _payload_sets(words: dict[str, list[Payload]], ordered: list[str]) -> tuple[
         if known is None:
             payloads = tuple(sorted(members, key=Payload.sort_key))
             known = shared[members] = (payloads, *_set_sizes(payloads))
-        payloads, constant, drop = known
-        if drop > len(w):
-            raise ValueError(f"payload.drop {drop} exceeds the length of the form {w!r} that carries it")
-        listing += _listing_bytes(w, payloads, constant, drop)
+        payloads, constant, slope, reach, tied = known
+        listing += _listing_bytes(w, payloads, constant, slope, reach)
+        if tied:
+            payloads = _form_order(w, payloads)
+            payloads = orders.setdefault(payloads, payloads)
         payloads_by_rank.append(payloads)
     return payloads_by_rank, listing
 
 
-def _set_sizes(payloads) -> tuple[int, int]:
-    """The listing constant of a payload set, and its largest drop.  A
+def _form_order(form: str, payloads: tuple) -> tuple:
+    """Payloads of one code and tag come in the order of their lemmas as
+    the form sees them: the longer the prefix a lemma shares with the form,
+    the sooner, and then alphabetically."""
+    def key(p):
+        lemma = p.rewrite.apply(form)
+        return (p.code, p.tag, -common_prefix_length(form, lemma), lemma, not p.standalone)
+
+    return tuple(sorted(payloads, key=key))
+
+
+def _set_sizes(payloads) -> tuple[int, int, int, bool]:
+    """The listing constant and slope of a sorted payload set, the reach of
+    its rewrites, and whether two of its payloads share a code and tag.  A
     payload's ``dump_text()`` line is surface TAB lemma TAB code TAB tag
-    NEWLINE, and its lemma keeps all but ``drop`` letters of the surface,
-    so the constant is what the lines add beyond the surface twice."""
-    constant = drop = 0
-    for p in payloads:
-        constant += len(p.append.encode("utf-8")) + len(p.code.encode("utf-8")) + len(p.tag.encode("utf-8")) + 4 - p.drop
-        if p.drop > drop:
-            drop = p.drop
-    return constant, drop
+    NEWLINE, so on an ASCII surface of n letters the set's lines take
+    ``slope * n + constant`` bytes."""
+    constant = slope = reach = 0
+    tied, code, tag = False, None, None
+    for rewrite, next_code, next_tag, _ in payloads:
+        constant += rewrite.fixed + len(next_code.encode("utf-8")) + len(next_tag.encode("utf-8")) + 4
+        slope += 1 + rewrite.ends
+        if rewrite.reach > reach:
+            reach = rewrite.reach
+        if next_code == code and next_tag == tag:
+            tied = True
+        code, tag = next_code, next_tag
+    return constant, slope, reach, tied
 
 
-def _listing_bytes(surface: str, payloads, constant: int, drop: int) -> int:
+def _listing_bytes(surface: str, payloads, constant: int, slope: int, reach: int) -> int:
     """UTF-8 size of the ``dump_text()`` lines of one form, given its
     payload set's ``_set_sizes``."""
-    if drop <= len(surface) and surface.isascii():   # one byte per letter
-        return 2 * len(payloads) * len(surface) + constant
-    size = len(surface.encode("utf-8"))
-    return constant + sum(size + len(surface[: len(surface) - p.drop].encode("utf-8")) + p.drop for p in payloads)
-
-
-def _common_prefix_length(a: str, b: str) -> int:
-    # A plain loop: os.path.commonprefix costs about four times as much on
-    # these short strings.
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
+    if reach > len(surface):
+        raise past_the_form(next(p.rewrite for p in payloads if p.rewrite.reach > len(surface)), surface)
+    if surface.isascii():   # one byte per letter
+        return slope * len(surface) + constant
+    return sum(len(f"{surface}\t{p.rewrite.apply(surface)}\t{p.code}\t{p.tag}\n".encode("utf-8")) for p in payloads)
 
 
 @contextmanager
@@ -493,21 +524,30 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
     """Generate every entry's paradigm and build the automaton.
 
     Each stem of an entry is filled into its row table: a form's key is
-    the stem with the row's cut and tail.  A stem that extends its lemma
-    (the singular, the feminine in -ap) shares a prefix with it that every
-    key of the table keeps, so a row's payload depends only on the code,
-    the row and what follows that prefix in the stem and in the lemma.  The
-    payloads of a shared table filled from such a stem are therefore made
-    once per (code, table, stem end, lemma end); the payloads of any other
-    stem are its own.
+    the stem with the row's cut and tail.  A singular stem (the lemma, or
+    the feminine in -ap) extends its lemma, so every key of its table keeps
+    the lemma up to the row's cut, and a row's one-piece rewrite depends
+    only on the code, the row and what follows that prefix in the stem and
+    in the lemma.  The payloads of a shared table filled from such a stem are
+    therefore made once per (code, table, stem end, lemma end).
+
+    The broken-plural stem gets a positional stem-to-lemma rewrite from
+    where its class template put each radical (``radical_rewrite``); the
+    entries of a class that spell their pattern letters alike get the same
+    one, whatever their radicals.  A row keeps that rewrite, except that
+    letters its cut removes are spelled out, so the payloads of a shared
+    table are made once per (code, table, rewrite, stem length, stem end).
+    The payloads of an unshared table are its own.
 
     Entries whose generation fails are reported, not fatal; the dictionary is
     built from the rest.
     """
     words: dict[str, list[Payload]] = {}
     records: dict[tuple, Payload] = {}     # one Payload per distinct record
-    filled: dict[tuple, tuple[Payload, ...]] = {}
+    rewrites = RewritePool()
+    filled: dict[tuple, list[Payload]] = {}
     failures: list[str] = []
+
     for entry in lex.entries:
         try:
             tables = stem_tables(entry, registry)
@@ -515,34 +555,41 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
             failures.append(f"{entry.lemma},{entry.code}: {exc}")
             continue
         lemma, code = entry.lemma, entry.code.text
-        for stem, table in tables:
+        for n, (stem, table) in enumerate(tables):
             keep = len(stem)
-            common = _common_prefix_length(stem, lemma)
-            key = payloads = None
-            if table.shared and common == len(lemma):
-                prefix = min(common, keep - table.cut)
+            singular = n < len(tables) - 1      # stem_tables puts the broken plural last
+            if singular:
+                prefix = min(len(lemma), keep - table.cut)
                 key = (code, table, stem[prefix:], lemma[prefix:])
-                payloads = filled.get(key)
+            else:
+                rewrite = rewrites[radical_rewrite(entry, stem, *registry.resolve(entry.code).radical_slots)]
+                key = (code, table, rewrite, keep, stem[keep - table.cut:])
+            payloads = filled.get(key) if table.shared else None
             if payloads is None:
-                made = []
+                payloads = []
                 for cut, tail, features, standalone, _ in table.rows:
-                    word = stem[: keep - cut] + tail
-                    # A word that keeps the letter where stem and lemma part
-                    # shares just their common prefix with the lemma.
-                    lcp = common if common < keep - cut else _common_prefix_length(word, lemma)
-                    record = (len(word) - lcp, lemma[lcp:], code, features.tag(), standalone)
+                    kept, tag = keep - cut, features.tag()
+                    if singular:
+                        # A word that keeps more of the stem than the lemma
+                        # spells shares all of the lemma.  The record is
+                        # (drop, tail, ...), its rewrite made only if new.
+                        lcp = len(lemma) if len(lemma) < kept else common_prefix_length(stem[:kept] + tail, lemma)
+                        record = (kept + len(tail) - lcp, lemma[lcp:], code, tag, standalone)
+                    else:
+                        pieces = rewrite if kept >= rewrite.reach else cut_pieces(rewrite, stem, lemma, kept, tail)
+                        record = (pieces, code, tag, standalone)
                     payload = records.get(record)
                     if payload is None:
-                        payload = records[record] = Payload(*record)
-                    made.append(payload)
-                payloads = made
-                if key is not None:
-                    filled[key] = tuple(made)
+                        pieces = ((0, ~record[0], record[1]),) if singular else record[0]
+                        payload = records[record] = Payload(rewrites[pieces], code, tag, standalone)
+                    payloads.append(payload)
+                if table.shared:
+                    filled[key] = payloads
             for row, payload in zip(table.rows, payloads):
                 word = stem[: keep - row[0]] + row[1]
                 listed = words.get(word)
                 if listed is None:
                     listed = words[word] = []
                 listed.append(payload)
-    del records, filled   # freed before the automaton is built
+    del records, rewrites, filled   # freed before the automaton is built
     return FormDictionary.build(words), failures

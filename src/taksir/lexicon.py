@@ -75,6 +75,7 @@ def parse_lexicon(text: str) -> tuple[LexiconFile, list[Diagnostic]]:
     lex = LexiconFile()
     diagnostics: list[Diagnostic] = []
     seen: dict[tuple[str, str], int] = {}
+    codes: dict[str, InflectionalCode | TaksirError] = {}     # each distinct code text parsed once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -99,10 +100,14 @@ def parse_lexicon(text: str) -> tuple[LexiconFile, list[Diagnostic]]:
         except TaksirError as exc:
             diagnostics.append(Diagnostic(lineno, 1, "E_LEMMA", str(exc)))
             continue
-        try:
-            code = parse_code(code_text)
-        except TaksirError as exc:
-            diagnostics.append(Diagnostic(lineno, len(lemma_text) + 2, "E_CODE", str(exc)))
+        code = codes.get(code_text)
+        if code is None:
+            try:
+                code = codes[code_text] = parse_code(code_text)
+            except TaksirError as exc:
+                code = codes[code_text] = exc
+        if isinstance(code, TaksirError):
+            diagnostics.append(Diagnostic(lineno, len(lemma_text) + 2, "E_CODE", str(code)))
             continue
         entry = LexicalEntry(lemma, code, gloss, source, line=lineno)
         if entry.key in seen:

@@ -8,8 +8,15 @@ from taksir import compile_lexicon, load_registry, load_seed
 from taksir.codes import HAMZA
 from taksir.formdict import FormDictionary, Payload
 from taksir.lexicon import LexicalEntry
+from taksir.rewrite import Rewrite
 
-PAYLOAD = Payload(0, "", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)
+
+def tail(drop: int, append: str) -> Rewrite:
+    """The one-piece rewrite: all but the last ``drop`` letters, then ``append``."""
+    return Rewrite(((0, ~drop, append),))
+
+
+PAYLOAD = Payload(tail(0, ""), "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)
 
 
 @pytest.fixture(scope="session")
@@ -42,13 +49,14 @@ def _strong_slots(e):
                    if radical not in (HAMZA, "w", "y", "A", "Y")})
 
 
-_SEED = [(e, _strong_slots(e)) for e in load_seed().entries]
+#: Each seed entry with the lemma indices of its strong radicals.
+SEED_SLOTS = [(e, _strong_slots(e)) for e in load_seed().entries]
 
 
 def seed_variant(choose):
     """A seed entry with its strong radicals redrawn; ``choose`` picks one
     item of a sequence."""
-    e, slots = choose(_SEED)
+    e, slots = choose(SEED_SLOTS)
     lemma = list(e.lemma)
     for i in slots:
         lemma[i] = choose(STRONG)
@@ -75,14 +83,14 @@ def load_golden():
     return rows
 
 
-#: The columns of a format v2 artifact in file order, each with the index of
+#: The columns of a format v3 artifact in file order, each with the index of
 #: the header count that gives its length (states, transitions, forms,
-#: payload sets, set refs, payloads, strings).
+#: payload sets, set refs, payloads, rewrites, rewrite pieces, strings).
 COLUMNS = (
     ("state.count", 0), ("state.final", 0), ("state.fanout", 0), ("trans.label", 1), ("trans.target", 1),
     ("form.set_id", 2), ("set.length", 3), ("setref.payload_id", 4),
-    ("payload.tag_id", 5), ("payload.code_id", 5), ("payload.append_id", 5), ("payload.drop", 5),
-    ("payload.standalone", 5), ("string.length", 6),
+    ("payload.tag_id", 5), ("payload.code_id", 5), ("payload.rewrite_id", 5), ("payload.standalone", 5),
+    ("rewrite.length", 6), ("piece.start", 7), ("piece.stop", 7), ("piece.literal_id", 7), ("string.length", 8),
 )
 
 #: Id field -> (its column, the index of the header count it must stay below).
@@ -90,15 +98,24 @@ ID_FIELDS = {
     "trans.target": ("trans.target", 0),
     "form.set_id": ("form.set_id", 3),
     "setref.payload_id": ("setref.payload_id", 5),
-    "payload string id": ("payload.append_id", 6),
+    "payload string id": ("payload.code_id", 8),
+    "payload.rewrite_id": ("payload.rewrite_id", 6),
+    "piece.literal_id": ("piece.literal_id", 8),
 }
 
-HEADER = struct.Struct("<4sH7Q")
+HEADER = struct.Struct("<4sH9Q")
 
 #: A format v1 artifact: the word "ab" with one payload.
 V1_ARTIFACT = bytes.fromhex(
     "544b4443010003000000020000000100000001000000010000000100000003000000010000000001010000000001010000000100610100"
     "000062020000000000010000000001000200000100001700244e3330302d6d2d467645764c2d467545754c2d31323307004e3a713a693a47"
+)
+
+#: A format v2 artifact: the word "ab" with one payload.
+V2_ARTIFACT = bytes.fromhex(
+    "544b444302000300000000000000020000000000000001000000000000000100000000000000010000000000000001000000000000000300"
+    "00000000000042010101420000014201010042616242010242004201420042004201420242004201420717004e3a713a693a47244e333030"
+    "2d6d2d467645764c2d467545754c2d313233"
 )
 
 
@@ -109,10 +126,10 @@ def narrowest(values) -> str:
 
 @dataclass
 class Artifact:
-    """A format v2 artifact decoded field by field with ``struct``, apart
+    """A format v3 artifact decoded field by field with ``struct``, apart
     from the loader, so that tests can edit it and encode it again."""
 
-    counts: list[int]                   # the seven header counts
+    counts: list[int]                   # the nine header counts
     columns: dict[str, list[int]]
     widths: dict[str, str]              # column -> struct code, as stored
     strings: bytes
@@ -120,7 +137,7 @@ class Artifact:
     @classmethod
     def decode(cls, data: bytes) -> "Artifact":
         magic, version, *counts = HEADER.unpack_from(data)
-        assert (magic, version) == (b"TKDC", 2)
+        assert (magic, version) == (b"TKDC", 3)
         columns, widths, off = {}, {}, HEADER.size
         for name, count in COLUMNS:
             code, n = chr(data[off]), counts[count]
@@ -131,7 +148,7 @@ class Artifact:
 
     def encode(self) -> bytes:
         """The artifact, each column at its narrowest width."""
-        out = HEADER.pack(b"TKDC", 2, *self.counts)
+        out = HEADER.pack(b"TKDC", 3, *self.counts)
         for name, _ in COLUMNS:
             values = self.columns[name]
             code = narrowest(values)
@@ -167,6 +184,16 @@ def retagged_artifact(tag: str) -> bytes:
     return artifact.encode()
 
 
+def overreaching_artifact(stop: int) -> bytes:
+    """The artifact of the one word "ab" whose one rewrite, ``[0:-2]+'x'``,
+    gets ``stop`` as its stored stop (2s for s from the start, 2k + 1 for
+    k back from the end)."""
+    words = {"ab": [PAYLOAD._replace(rewrite=tail(2, "x"))]}
+    artifact = Artifact.decode(FormDictionary.build(words).to_bytes())
+    artifact.columns["piece.stop"][0] = stop
+    return artifact.encode()
+
+
 def repeated_label_artifact() -> bytes:
     """The artifact of {"ab", "ac"} with the label c rewritten to b: the
     state after "a" then holds two arcs labelled b, whose word counts still
@@ -183,11 +210,11 @@ def beyond_v1():
     """A dictionary that format v1's fixed widths could not hold: a drop of
     300, a set of 300 payloads, 72,000 distinct payloads and strings, and a
     root with 300 labels above U+00FF."""
-    words = {"kutubN" * 50: [PAYLOAD._replace(drop=300)]}
+    words = {"kutubN" * 50: [PAYLOAD._replace(rewrite=tail(300, ""))]}
     for i in range(300):
         word = chr(0x100 + i)
         if i < 240:
-            words[word] = [PAYLOAD._replace(append=f"{i}.{j}") for j in range(300)]
+            words[word] = [PAYLOAD._replace(rewrite=tail(0, f"{i}.{j}")) for j in range(300)]
         else:
             words[word] = [PAYLOAD]
     return FormDictionary.build(words)

@@ -61,7 +61,8 @@ class Reference:
                             pieces = ((conj, "CONJC"), (prep, "PREP"), (det, "DET"), (noun, "N"), (pro, "PRO+Gen"))
                             segments = [f"{s}/{tag}" for s, tag in pieces if s]
                             shown = "+".join(segments)
-                            lemma = form[: len(form) - p.drop] + p.append
+                            lemma = "".join(form[start: stop if stop >= 0 else len(form) + stop + 1] + literal
+                                            for start, stop, literal in p.rewrite)
                             line = f"{token}\t{shown}\t{lemma},{p.code}\t{p.tag}"
                             readings.setdefault((shown, p.code, lemma, p.tag), (len(segments), shown, p.code, line))
         return [line for *_, line in sorted(readings.values(), key=lambda r: r[:3])]

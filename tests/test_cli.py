@@ -9,7 +9,8 @@ from taksir.codes import extract_root
 from taksir.formdict import FormDictionary
 from taksir.lexicon import load_seed
 
-from conftest import ID_FIELDS, V1_ARTIFACT, corrupt_id, cyclic_artifact, repeated_label_artifact, retagged_artifact
+from conftest import (ID_FIELDS, V1_ARTIFACT, V2_ARTIFACT, corrupt_id, cyclic_artifact, overreaching_artifact,
+                      repeated_label_artifact, retagged_artifact)
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
 
@@ -186,6 +187,27 @@ class TestAnalyze:
             main(["analyze", str(write_text(tmp_path, "ab\n")), "--dict", str(old)])
         assert err.value.code == 2
         assert capsys.readouterr().err == "error: unsupported dictionary version 1\n"
+
+    def test_v2_artifact_exits_2(self, tmp_path, capsys):
+        old = tmp_path / "v2.primdict"
+        old.write_bytes(V2_ARTIFACT)
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(write_text(tmp_path, "ab\n")), "--dict", str(old)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "error: unsupported dictionary version 2\n"
+
+    @pytest.mark.parametrize("argv", [["analyze", "{text}", "--dict", "{dict}"], ["stats", "--dict", "{dict}"],
+                                      ["analyze", "{text}", "--dict", "{dict}", "--mode", "strict"]])
+    def test_rewrite_past_its_form_exits_2(self, tmp_path, capsys, argv):
+        # Loaded, a drop of 9 from the form "ab" printed the tail alone as its lemma.
+        bad = tmp_path / "bad.primdict"
+        bad.write_bytes(overreaching_artifact(2 * 9 + 1))
+        text = write_text(tmp_path, "ab\n")
+        assert main([arg.format(text=text, dict=bad) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert "\tab\t" not in out and "\tx," not in out    # no line with a lemma
+        assert err == ("error: corrupt dictionary: the lemma rewrite [0:-9]+'x' reaches past the form 'ab' "
+                       "that carries it\n")
 
     def test_cyclic_artifact_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cyclic.primdict"

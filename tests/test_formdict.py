@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import re
 import sys
 
 import pytest
@@ -8,12 +10,15 @@ from hypothesis import strategies as st
 
 import paradigm_reference as reference
 from taksir import bn
-from taksir.codes import parse_code
+from taksir.classes import parse_registry
+from taksir.codes import HAMZA, parse_code
 from taksir.formdict import FormDictionary, Payload, compile_lexicon
-from taksir.lexicon import LexiconFile, parse_lexicon
+from taksir.rewrite import Rewrite
+from taksir.lexicon import LexicalEntry, LexiconFile, parse_lexicon
 
-from conftest import (HEADER, ID_FIELDS, PAYLOAD, V1_ARTIFACT, Artifact, corrupt_id, cyclic_artifact, narrowest,
-                      repeated_label_artifact, retagged_artifact, seed_variants)
+from conftest import (HEADER, ID_FIELDS, PAYLOAD, SEED_SLOTS, STRONG, V1_ARTIFACT, V2_ARTIFACT, Artifact, corrupt_id,
+                      cyclic_artifact, narrowest, overreaching_artifact, repeated_label_artifact, retagged_artifact,
+                      seed_variant, seed_variants, tail)
 
 
 def ref_optional_match(dict_form: str, query: str) -> bool:
@@ -41,6 +46,10 @@ def linear_scan(forms, query, mode):
         if ok:
             hits.extend((surface, p) for p in payloads)
     return sorted(hits, key=lambda sp: (sp[0], sp[1].sort_key()))
+
+
+#: A rewrite of three pieces: "kutubN" -> "kitaAb".
+PIECES = Rewrite(((0, 1, "i"), (2, 3, "aA"), (4, 5, "")))
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +109,8 @@ class TestBuild:
         assert sys.getrecursionlimit() == limit
 
     def test_drop_longer_than_its_form_rejected(self):
-        with pytest.raises(ValueError, match=r"payload\.drop 9 exceeds the length of the form 'ab'"):
-            FormDictionary.build({"ab": [Payload(9, "x", "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
+        with pytest.raises(ValueError, match=r"the lemma rewrite \[0:-9\]\+'x' reaches past the form 'ab'"):
+            FormDictionary.build({"ab": [Payload(tail(9, "x"), "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
 
 
 def reference_listing(lex, registry) -> list[str]:
@@ -132,6 +141,47 @@ class TestCompileOracle:
         d, failures = compile_lexicon(lex, registry)
         assert not failures
         assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
+
+    def test_rows_that_respell_a_copied_radical(self, registry):
+        # The plural stems OajozaAoc and OabodaAoc copy their final glottal
+        # stop c from the lemma; before a pronoun it is re-seated, so those
+        # rows spell it out.
+        lex, _ = parse_lexicon("juzoc,$N300-m-FvEvL-OaFoEaaL-123\nbadoc,$N300-m-FvEvL-OaFoEaaL-123\n")
+        d, failures = compile_lexicon(lex, registry)
+        assert not failures
+        assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
+        assert [a.lemma for a in d.lookup("OajozaAoWu")] == ["juzoc"]
+
+    def test_shared_rows_that_cut_copied_radicals(self):
+        # A class whose plural ends in two copied radicals that drop-iy cuts:
+        # rumy and rusy share a row table and a rewrite, but the letters
+        # their cut rows spell out differ.
+        registry = parse_registry("N300-FvEvL-FuEuL-123\t1u23\ttriptote\tdefective-iy\n")
+        lex, _ = parse_lexicon("ramoy,$N300-m-FvEvL-FuEuL-123\nrasoy,$N300-m-FvEvL-FuEuL-123\n")
+        d, failures = compile_lexicon(lex, registry)
+        assert not failures
+        assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
+        assert {a.lemma for a in d.lookup("ruK")} == {"ramoy", "rasoy"}
+
+    def test_payloads_of_one_code_and_tag_in_lemma_order(self, compiled, registry):
+        # kitaAob and kutaAob share a code and so the plural kutub.  On a
+        # form, payloads of one code and tag come by the prefix their lemma
+        # shares with the form, longest first, and then alphabetically.
+        lex, _ = parse_lexicon("kitaAob,$N300-m-FvEvL-FuEuL-123\nkutaAob,$N300-m-FvEvL-FuEuL-123\n")
+        pair, failures = compile_lexicon(lex, registry)
+        assert not failures
+        tied = 0
+        for d in (pair, compiled):
+            for form, payloads in d.forms():
+                keys = []
+                for p in payloads:
+                    lemma = d.analysis(form, p).lemma
+                    shared = next((i for i, (a, b) in enumerate(zip(form, lemma)) if a != b),
+                                  min(len(form), len(lemma)))
+                    keys.append((p.code, p.tag, -shared, lemma, not p.standalone))
+                assert keys == sorted(keys), form
+                tied += len({key[:2] for key in keys}) < len(keys)
+        assert [a.lemma for a in pair.lookup("kutubFA")] == ["kutaAob", "kitaAob"] and tied
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(seed_variants(), min_size=1, max_size=25, unique_by=lambda e: (e.lemma, e.code.text)))
@@ -244,8 +294,8 @@ class TestSerialization:
         data = beyond_v1.to_bytes()
         artifact = Artifact.decode(data)
         columns = artifact.columns
-        assert max(columns["payload.drop"]) == 300 and max(columns["set.length"]) == 300
-        assert artifact.counts[5] > 65535 and artifact.counts[6] > 65535     # payloads, strings
+        assert max(columns["piece.stop"]) == 2 * 300 + 1 and max(columns["set.length"]) == 300     # drop 300
+        assert artifact.counts[5] > 65535 and artifact.counts[8] > 65535     # payloads, strings
         root_labels = columns["trans.label"][:columns["state.fanout"][0]]
         assert sum(label > 0xFF for label in root_labels) == 300
         clone = FormDictionary.from_bytes(data)
@@ -274,6 +324,11 @@ class TestSerialization:
             with pytest.raises(ValueError, match="unsupported dictionary version 1"):
                 FormDictionary.from_bytes(V1_ARTIFACT[:cut])
 
+    def test_v2_artifact_names_its_version(self):
+        for cut in range(6, len(V2_ARTIFACT) + 1):
+            with pytest.raises(ValueError, match="unsupported dictionary version 2"):
+                FormDictionary.from_bytes(V2_ARTIFACT[:cut])
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             FormDictionary.from_bytes(b"NOPE" + b"\x00" * 40)
@@ -291,12 +346,43 @@ class TestSerialization:
     def test_stats_listing_bytes_counts_dump_text(self, compiled):
         assert compiled.stats()["listing_bytes"] == len(compiled.dump_text().encode("utf-8"))
         assert FormDictionary.build({}).stats()["listing_bytes"] == 0
-        wide = FormDictionary.build({"\u00e9b\u00e9": [PAYLOAD._replace(drop=2, append="\u00fc")], "b": [PAYLOAD]})
-        # The loader accepts a drop longer than its form (the lemma is then the tail alone).
-        long_drop = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD._replace(drop=2)]}).to_bytes())
-        long_drop.columns["payload.drop"][0] = 9
-        for d in (wide, FormDictionary.from_bytes(wide.to_bytes()), FormDictionary.from_bytes(long_drop.encode())):
+        wide = FormDictionary.build({"\u00e9b\u00e9": [PAYLOAD._replace(rewrite=tail(2, "\u00fc"))],
+                                     "b": [PAYLOAD], "k\u00fctubN": [PAYLOAD._replace(rewrite=PIECES)]})
+        for d in (wide, FormDictionary.from_bytes(wide.to_bytes())):
             assert d.stats()["listing_bytes"] == len(d.dump_text().encode("utf-8"))
+        # ASCII forms take the lemma's length from the rewrite alone.
+        ascii_only = FormDictionary.build({"kutubN": [PAYLOAD._replace(rewrite=PIECES)], "b": [PAYLOAD]})
+        assert ascii_only.stats()["listing_bytes"] == len(ascii_only.dump_text().encode("utf-8"))
+
+    @pytest.mark.parametrize("stop, shown", [(2 * 9 + 1, "[0:-9]"), (2 * 5, "[0:5]"), (2 * 3, "[0:3]")])
+    def test_rewrite_past_its_form_gives_no_lemma(self, stop, shown):
+        # Loaded, a drop longer than its form gave the tail alone as the lemma.
+        d = FormDictionary.from_bytes(overreaching_artifact(stop))
+        message = re.escape(f"the lemma rewrite {shown}+'x' reaches past the form 'ab' that carries it")
+        for use in (lambda: d.lookup("ab"), d.dump_text, d.stats, lambda: d.lookup("ab", "diacritic-optional")):
+            with pytest.raises(ValueError, match=message):
+                use()
+
+    def test_piece_that_stops_before_it_starts_rejected_at_load(self):
+        artifact = Artifact.decode(FormDictionary.build({"kutubN": [PAYLOAD._replace(rewrite=PIECES)]}).to_bytes())
+        artifact.columns["piece.start"][1] = 4      # the piece [2:3]
+        with pytest.raises(ValueError, match="corrupt dictionary: a rewrite piece stops before it starts"):
+            FormDictionary.from_bytes(artifact.encode())
+
+    def test_a_used_dictionary_is_freed_without_the_cycle_collector(self, compiled):
+        # A compiled rewrite that kept itself alive kept every loaded
+        # dictionary's rewrites until the next full collection.
+        data = compiled.to_bytes()
+        gc.collect()
+        gc.disable()
+        try:
+            d = FormDictionary.from_bytes(data)
+            d.dump_text()
+            d.lookup("kutubu", "diacritic-optional")
+            del d
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_stats_takes_known_serialized_size(self, compiled, tmp_path):
         size = compiled.save(tmp_path / "seed.primdict")
@@ -324,6 +410,7 @@ class TestSerialization:
         pytest.param("state.count", 1, "state.count of 2", id="state-6-state.count of 2"),   # the next state
         pytest.param("state.fanout", 0, "fanouts", id="state-5-fanouts"),
         pytest.param("set.length", 0, "set lengths", id="set-0-set lengths"),
+        pytest.param("rewrite.length", 0, "rewrite lengths", id="rewrite-0-rewrite lengths"),
     ])
     def test_inconsistent_counts_rejected(self, column, index, message):
         artifact = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD], "b": [PAYLOAD]}).to_bytes())
@@ -404,7 +491,8 @@ class TestLoaderFuzz:
     measured and searched."""
 
     def test_mutated_artifacts_raise_value_error_or_load(self, compiled):
-        small = FormDictionary.build({"ab": [PAYLOAD], "b": [PAYLOAD, PAYLOAD._replace(drop=1, tag="N:q:i:A")]})
+        small = FormDictionary.build({"ab": [PAYLOAD, PAYLOAD._replace(rewrite=Rewrite(((0, 1, "i"), (1, 2, ""))))],
+                                      "b": [PAYLOAD, PAYLOAD._replace(rewrite=tail(1, ""), tag="N:q:i:A")]})
         artifacts = [small.to_bytes(), compiled.to_bytes()]
 
         @settings(max_examples=400, deadline=None)
@@ -422,9 +510,12 @@ class TestLoaderFuzz:
                 d = FormDictionary.from_bytes(mutated)
             except ValueError:
                 return
-            d.dump_text()
-            d.stats()
-            d.lookup(query, "diacritic-optional")
+            # A rewrite that reaches past a form carrying it shows only when used.
+            for use in (d.dump_text, d.stats, lambda: d.lookup(query, "diacritic-optional")):
+                try:
+                    use()
+                except ValueError as exc:
+                    assert "reaches past the form" in str(exc)
 
         run()
 
@@ -433,7 +524,7 @@ class TestPinnedOutputs:
     """The seed lexicon's artifact and listing, pinned: a change to either
     is a change of format or of behaviour, not a refactoring."""
 
-    ARTIFACT = (55665, "f0ffa1bc804a798775a58c1e6d9b606124dc73cc32fc0f54b9daebbcb84a399c")
+    ARTIFACT = (46673, "f42bc77f6a4c8f843eec2980a78b7ead9965cffd90cd863779442b5e1cd0c841")
     LISTING = (299472, "821e1c7dff0f57a97405955b3e813495b812a9fe31bb5c1dda384fbb69459571")
 
     @staticmethod
@@ -450,11 +541,54 @@ class TestPinnedOutputs:
         assert self.digest(clone.dump_text().encode("utf-8")) == self.LISTING
 
     STATS = {"forms": 2593, "analyses": 5049, "states": 1000, "transitions": 1405,
-             "serialized_bytes": 55665, "listing_bytes": 299472}
+             "serialized_bytes": 46673, "listing_bytes": 299472}
 
     def test_stats(self, compiled):
         assert compiled.stats() == self.STATS
         assert FormDictionary.from_bytes(compiled.to_bytes()).stats() == self.STATS
+
+
+def _keeps_its_strong_radicals(e) -> bool:
+    copied = {token[1] for token in e.code.root_code.tokens if token[0] == "copy"}
+    return all(k in copied for k, radical in enumerate(e.sg_root.radicals, start=1)
+               if radical not in (HAMZA, "w", "y", "A", "Y"))
+
+
+#: Seed entries with strong radicals, each radical of which its plural keeps.
+KEEPING = [(e, slots) for e, slots in SEED_SLOTS if slots and _keeps_its_strong_radicals(e)]
+
+
+class TestPluralSharing:
+    """A broken plural's payloads are a fact of its class, not of its entry."""
+
+    def q_payloads(self, registry, entries) -> set:
+        d, failures = compile_lexicon(LexiconFile(entries), registry)
+        assert not failures, failures
+        return {p for s in d.payloads_by_rank for p in s if p.tag.split(":")[1] == "q"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_entries_that_differ_in_strong_radicals(self, registry, data):
+        e, slots = data.draw(st.sampled_from(KEEPING))
+
+        def variant():
+            lemma = list(e.lemma)
+            for i in slots:
+                lemma[i] = data.draw(st.sampled_from(STRONG))
+            return LexicalEntry("".join(lemma), e.code)
+
+        one, other = variant(), variant()
+        assert len(self.q_payloads(registry, [one, other])) <= len(self.q_payloads(registry, [one]))
+
+    def test_fewer_records_than_entries_at_scale(self, registry):
+        # 5,000 seed variants over 130 codes: a record per entry and cell
+        # would make about eight broken-plural records per entry.
+        rng = random.Random(7)
+        entries = {}
+        while len(entries) < 5000:
+            e = seed_variant(rng.choice)
+            entries.setdefault((e.lemma, e.code.text), e)
+        assert len(self.q_payloads(registry, list(entries.values()))) < len(entries)
 
 
 class TestSharing:

@@ -1,5 +1,7 @@
 import pytest
 
+from taksir import lexicon
+from taksir.codes import parse_code
 from taksir.lexicon import lexicon_stats, parse_lexicon, serialize, validate_entry
 
 
@@ -43,6 +45,19 @@ class TestParse:
         lex, diags = parse_lexicon(f"{lemma},$N300-m-FvEvL-FuEuuL-123")
         assert len(lex) == 0
         assert [d.code for d in diags] == ["E_LEMMA"]
+
+    def test_each_code_text_parsed_once(self, monkeypatch):
+        lines = ["Euqodap,$N3ap-f-FvEvL-FuEaL-123", "kitaAob,$N300-m-FvEvL-FuEuL-12x", "Eaqod,$N3ap-f-FvEvL-FuEaL-123",
+                 "Eaqod,$N300-m-FvEvL-FuEuL-12x", "baAb,$N300-m-FvvEvL-FiEaaL-9", "kutub,$N300-m-FvEvL-FuEuL-12x"]
+        alone = []      # each line's diagnostics parsed on its own, renumbered
+        for lineno, line in enumerate(lines, start=1):
+            alone += [f"{lineno}:{str(d).split(':', 1)[1]}" for d in parse_lexicon(line)[1]]
+        calls = []
+        monkeypatch.setattr(lexicon, "parse_code", lambda text: calls.append(text) or parse_code(text))
+        lex, diags = parse_lexicon("\n".join(lines))
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == 3
+        assert [str(d) for d in diags] == alone and [d.code for d in diags] == ["E_CODE"] * 4
+        assert len(lex) == 2 and lex.entries[0].code is lex.entries[1].code
 
     def test_source_ref_third_field(self):
         lex, _ = parse_lexicon("Euqodap,$N3ap-f-FvEvL-FuEaL-123 / knot / b")

@@ -21,7 +21,7 @@ from taksir.segment import (
     segment,
 )
 
-from conftest import seed_variant
+from conftest import seed_variant, tail
 
 MODES = ("strict", "diacritic-optional")
 
@@ -156,7 +156,8 @@ def small():
     of SMALL_TAGS; forms kab and kub share a skeleton, and lemmas that drop
     the whole form make equal readings of different forms."""
     def payloads(word):
-        return [Payload(len(word) if i % 2 else 0, "X" if i % 2 else "", f"$c{i % 2}", tag, not tag.endswith("+pro"))
+        return [Payload(tail(len(word), "X") if i % 2 else tail(0, ""), f"$c{i % 2}", tag,
+                        not tag.endswith("+pro"))
                 for i, tag in enumerate(SMALL_TAGS)]
     words = ["k", "a", "b", "h", "u", "y", "ka", "bi", "hu", "ya", "Al", "wa", "kab", "kub", "kb", "kabu", "kaAhu"]
     return FormDictionary.build({w: payloads(w) for w in words})
