@@ -10,6 +10,12 @@ makes the serialized artifact small.  It is built in one pass over the
 sorted forms (Daciuk, Mihov, Watson & Watson 2000), so construction never
 holds more than the minimal automaton plus one word's path.
 
+Most forms come in units: the rows of one shared row table filled from a
+stem, all starting with one base.  Where no other form starts with a
+unit's base, the states below the base depend only on the unit's suffixes,
+so the pass registers that sub-automaton once per distinct suffix tuple and
+takes the base as one item whose last arc leads into it.
+
 Payloads do not name entries directly: they hold the feature tag, the
 inflectional code and a positional rewrite that rebuilds the lemma from the
 matched surface (``taksir.rewrite``).  Entries of the same class therefore
@@ -31,9 +37,11 @@ the segmenter walks a token once per noun start.
 import struct
 import sys
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import bn
@@ -75,6 +83,25 @@ class Analysis:
         return f"{self.surface}\t{self.lemma}\t{self.code}\t{self.features.tag()}"
 
 
+class Unit:
+    """The forms of one shared row table filled from a stem, after the stem
+    up to the table's largest cut: ``head``, their common prefix, then one
+    of ``tails``, sorted and distinct, each carrying ``lists[i]``.  Every
+    stem with the same table, ending and payloads shares the unit."""
+
+    __slots__ = ("head", "tails", "lists")
+
+    def __init__(self, end: str, table, payloads: list[Payload]):
+        by_suffix: dict[str, list[Payload]] = {}
+        for row, payload in zip(table.rows, payloads):
+            by_suffix.setdefault(end[: len(end) - row[0]] + row[1], []).append(payload)
+        suffixes = sorted(by_suffix)
+        n = common_prefix_length(suffixes[0], suffixes[-1])
+        self.head = suffixes[0][:n]
+        self.tails = tuple(suffix[n:] for suffix in suffixes)
+        self.lists = [by_suffix[suffix] for suffix in suffixes]
+
+
 class FormDictionary:
     """Minimal acyclic automaton plus rank-indexed analysis payloads."""
 
@@ -89,7 +116,7 @@ class FormDictionary:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, words: dict[str, list["Payload"]]) -> "FormDictionary":
+    def build(cls, words: dict[str, list["Payload"]], units=()) -> "FormDictionary":
         """One pass over the sorted words (Daciuk, Mihov, Watson & Watson 2000).
 
         Only the previous word's path is unregistered.  Where the next word
@@ -97,9 +124,54 @@ class FormDictionary:
         each is registered under its (final, arcs) signature, merging it with
         any equal state, and its subtree word count is taken then.
 
+        ``units`` are ``(base, Unit)`` pairs.  A non-empty base that starts
+        no other form (no loose word, no other base, equal ones included, and
+        no form of a unit whose base is a proper prefix of it) is one item
+        whose last arc leads into the sub-automaton of the unit's tails,
+        registered once per distinct tuple of tails.  Other units are
+        expanded into words, as is one that needs sizes per form: a tied
+        set, a non-ASCII form or a rewrite that reaches past a form.
+
         Forms with equal payload sets share one payload tuple."""
-        ordered = sorted(words)
-        payloads_by_rank, listing = _payload_sets(words, ordered)
+        shared: dict[frozenset, tuple] = {}     # per distinct set: the tuple and its _set_sizes
+
+        def payload_set(members) -> tuple:
+            members = frozenset(members)
+            known = shared.get(members)
+            if known is None:
+                payloads = tuple(sorted(members, key=Payload.sort_key))
+                known = shared[members] = (payloads, *_set_sizes(payloads))
+            return known
+
+        def unit_sizes(unit: Unit):
+            """The unit's payload sets, listing slope and constant past the
+            base, and the base length its rewrites need; None where its forms
+            need sizes of their own."""
+            known = [payload_set(payloads) for payloads in unit.lists]
+            if any(k[4] for k in known) or not all(t.isascii() for t in unit.tails):
+                return None
+            return (tuple(k[0] for k in known), sum(k[2] for k in known),
+                    sum(k[1] + k[2] * len(t) for k, t in zip(known, unit.tails)),
+                    max(k[3] - len(t) for k, t in zip(known, unit.tails)))
+
+        ordered, pairs = sorted(words), sorted(units, key=itemgetter(0))
+        sizes = {unit: unit_sizes(unit) for unit in dict.fromkeys(unit for _, unit in pairs)}
+        entries: dict[str, list | Unit] = dict(words)   # loose words and isolated bases
+        ancestors: list[tuple[str, Unit]] = []          # the earlier bases that are prefixes of this one
+        for i, (base, unit) in enumerate(pairs):
+            while ancestors and not base.startswith(ancestors[-1][0]):
+                ancestors.pop()
+            at, known = bisect_left(ordered, base), sizes[unit]
+            if (base and known and base.isascii() and len(base) >= known[3]
+                    and not (i + 1 < len(pairs) and pairs[i + 1][0].startswith(base))
+                    and not (at < len(ordered) and ordered[at].startswith(base))
+                    and not any(t.startswith(base[len(b):]) for b, u in ancestors for t in u.tails)):
+                entries[base] = unit
+            else:
+                for tail, payloads in zip(unit.tails, unit.lists):
+                    listed = entries.get(base + tail)
+                    entries[base + tail] = payloads if listed is None else listed + payloads
+            ancestors.append((base, unit))
 
         # Two states merge iff finality and labelled successors agree: that
         # is right-language equality in an acyclic automaton.
@@ -118,25 +190,63 @@ class FormDictionary:
                 min_counts.append(int(final) + sum(min_counts[t] for _, t in edges))
             return state
 
-        # Per depth of the previous word's path: finality, and the arcs to
-        # registered states, in label order (the arc to the next path state
-        # is added when that state is frozen).
-        path_final, path_edges, prev = [False], [[]], ""
+        def minimal(items) -> int:
+            """The root of sorted ``(string, target)`` items: a word where
+            the target is None, else a path whose last arc leads to it."""
+            # Per depth of the previous item's path: finality, and the arcs
+            # to registered states, in label order (the arc to the next path
+            # state is added when that state is frozen).
+            path_final, path_edges, prev = [False], [[]], ""
 
-        def freeze(depth: int) -> None:
-            while len(path_edges) > depth + 1:
-                state = register(path_final.pop(), path_edges.pop())
-                path_edges[-1].append((prev[len(path_edges) - 1], state))
+            def freeze(depth: int) -> None:
+                while len(path_edges) > depth + 1:
+                    state = register(path_final.pop(), path_edges.pop())
+                    path_edges[-1].append((prev[len(path_edges) - 1], state))
 
-        for word in ordered:
-            common = common_prefix_length(prev, word)
-            freeze(common)
-            path_final.extend([False] * (len(word) - common))
-            path_edges.extend([[] for _ in range(len(word) - common)])
-            path_final[-1] = True
-            prev = word
-        freeze(0)
-        root = register(path_final[0], path_edges[0])
+            for word, target in items:
+                common = common_prefix_length(prev, word)
+                freeze(common)
+                grow = len(word) - common - (target is not None)
+                path_final.extend([False] * grow)
+                path_edges.extend([[] for _ in range(grow)])
+                if target is None:
+                    path_final[-1] = True
+                else:
+                    path_edges[-1].append((word[-1], target))
+                prev = word
+            freeze(0)
+            return register(path_final[0], path_edges[0])
+
+        payloads_by_rank: list[tuple] = []
+        orders: dict[tuple, tuple] = {}
+        subs: dict[tuple, int] = {}     # per distinct tuple of tails: its sub-automaton
+        listing = 0
+
+        def ranked():
+            """The items in rank order, ranking payload sets and counting
+            dump_text() bytes on the way."""
+            nonlocal listing
+            for key in sorted(entries):
+                value = entries[key]
+                if type(value) is Unit:
+                    sets, slope, constant, _ = sizes[value]
+                    payloads_by_rank.extend(sets)
+                    listing += slope * len(key) + constant
+                    sub = subs.get(value.tails)
+                    if sub is None:
+                        sub = subs[value.tails] = minimal((tail, None) for tail in value.tails)
+                    yield key, sub
+                    continue
+                payloads, constant, slope, reach, tied = payload_set(value)
+                listing += _listing_bytes(key, payloads, constant, slope, reach)
+                if tied:
+                    payloads = _form_order(key, payloads)
+                    payloads = orders.setdefault(payloads, payloads)
+                payloads_by_rank.append(payloads)
+                yield key, None
+
+        root = minimal(ranked())
+        del registry, shared, entries, sizes     # freed before the automaton is renumbered
 
         # Renumber breadth-first from the root so the artifact is canonical.
         order = [root]
@@ -407,29 +517,6 @@ def _column(values) -> bytes:
     return code.encode() + column.tobytes()
 
 
-def _payload_sets(words: dict[str, list[Payload]], ordered: list[str]) -> tuple[list[tuple], int]:
-    """The payload set of each word in ``ordered``, equal sets one sorted
-    tuple, and the UTF-8 size of their ``dump_text()`` lines."""
-    # Per distinct set: the tuple and its _set_sizes.
-    shared: dict[frozenset, tuple] = {}
-    orders: dict[tuple, tuple] = {}
-    payloads_by_rank = []
-    listing = 0
-    for w in ordered:
-        members = frozenset(words[w])
-        known = shared.get(members)
-        if known is None:
-            payloads = tuple(sorted(members, key=Payload.sort_key))
-            known = shared[members] = (payloads, *_set_sizes(payloads))
-        payloads, constant, slope, reach, tied = known
-        listing += _listing_bytes(w, payloads, constant, slope, reach)
-        if tied:
-            payloads = _form_order(w, payloads)
-            payloads = orders.setdefault(payloads, payloads)
-        payloads_by_rank.append(payloads)
-    return payloads_by_rank, listing
-
-
 def _form_order(form: str, payloads: tuple) -> tuple:
     """Payloads of one code and tag come in the order of their lemmas as
     the form sees them: the longer the prefix a lemma shares with the form,
@@ -521,7 +608,16 @@ def dictionary_key(form) -> str:
 
 
 def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDictionary, list[str]]:
-    """Generate every entry's paradigm and build the automaton.
+    """Generate every entry's paradigm and build the automaton.  Entries
+    whose generation fails are reported, not fatal; the dictionary is built
+    from the rest."""
+    words, units, failures = fill_lexicon(lex, registry)
+    return FormDictionary.build(words, units), failures
+
+
+def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[dict, list[tuple[str, Unit]], list[str]]:
+    """The loose words and ``(base, Unit)`` pairs of every entry's paradigm
+    for ``FormDictionary.build``, and a message per entry that failed.
 
     Each stem of an entry is filled into its row table: a form's key is
     the stem with the row's cut and tail.  A singular stem (the lemma, or
@@ -537,15 +633,16 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
     one, whatever their radicals.  A row keeps that rewrite, except that
     letters its cut removes are spelled out, so the payloads of a shared
     table are made once per (code, table, rewrite, stem length, stem end).
-    The payloads of an unshared table are its own.
-
-    Entries whose generation fails are reported, not fatal; the dictionary is
-    built from the rest.
+    The payloads of an unshared table are its own, and its forms are loose
+    words.  A shared table's are one ``Unit`` per payload key: the stem up
+    to the table's largest cut is the unit's base, and the key fixes every
+    letter after it.
     """
     words: dict[str, list[Payload]] = {}
+    units: list[tuple[str, Unit]] = []
     records: dict[tuple, Payload] = {}     # one Payload per distinct record
     rewrites = RewritePool()
-    filled: dict[tuple, list[Payload]] = {}
+    filled: dict[tuple, Unit] = {}
     failures: list[str] = []
 
     for entry in lex.entries:
@@ -564,8 +661,8 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
             else:
                 rewrite = rewrites[radical_rewrite(entry, stem, *registry.resolve(entry.code).radical_slots)]
                 key = (code, table, rewrite, keep, stem[keep - table.cut:])
-            payloads = filled.get(key) if table.shared else None
-            if payloads is None:
+            unit = filled.get(key) if table.shared else None
+            if unit is None:
                 payloads = []
                 for cut, tail, features, standalone, _ in table.rows:
                     kept, tag = keep - cut, features.tag()
@@ -583,13 +680,10 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
                         pieces = ((0, ~record[0], record[1]),) if singular else record[0]
                         payload = records[record] = Payload(rewrites[pieces], code, tag, standalone)
                     payloads.append(payload)
-                if table.shared:
-                    filled[key] = payloads
-            for row, payload in zip(table.rows, payloads):
-                word = stem[: keep - row[0]] + row[1]
-                listed = words.get(word)
-                if listed is None:
-                    listed = words[word] = []
-                listed.append(payload)
-    del records, rewrites, filled   # freed before the automaton is built
-    return FormDictionary.build(words), failures
+                if not table.shared:
+                    for row, payload in zip(table.rows, payloads):
+                        words.setdefault(stem[: keep - row[0]] + row[1], []).append(payload)
+                    continue
+                unit = filled[key] = Unit(stem[keep - table.cut:], table, payloads)
+            units.append((stem[: keep - table.cut] + unit.head, unit))
+    return words, units, failures

@@ -58,6 +58,25 @@ class TestCompile:
         assert main(["validate", str(lex)]) == 1
         assert capsys.readouterr().out.startswith("2:")
 
+    def test_each_bad_entry_reported_once(self, tmp_path, capsys, monkeypatch):
+        bad, good = "xyz,$N300-m-FvEvL-FuEuL-123", "kitaAob,$N300-m-FvEvL-FuEuL-123"
+        failed = "failed: xyz,N300-m-FvEvL-FuEuL-123: lemma 'xyz' is not fully diacritized (position 1)"
+
+        def reported(text):
+            out = tmp_path / "l.primdict"
+            assert main(["compile", str(write_text(tmp_path, text, "l.txt")), "--out", str(out)]) == 1
+            assert {a.lemma for a in FormDictionary.load(out).lookup("kutubu")} == {"kitaAob"}
+            return [l for l in capsys.readouterr().err.splitlines() if l.startswith(("invalid:", "failed:"))]
+
+        assert reported(f"{bad}\n{good}\n") == [
+            "invalid: 1:1 NotFullyDiacritized lemma 'xyz' is not fully diacritized (position 1)"]
+        # Unflagged by validation, the entry is reported where generation
+        # fails, and a repeat of it only as a duplicate.
+        monkeypatch.setattr(cli, "validate_entry", lambda entry, registry: [])
+        assert reported(f"{bad}\n{good}\n") == [failed]
+        assert reported(f"{bad}\n{good}\n{bad}\n") == [
+            "invalid: 3:1 E_DUP duplicate of line 1: xyz,N300-m-FvEvL-FuEuL-123", failed]
+
     def test_root_extracted_once_per_entry(self, tmp_path, monkeypatch):
         calls = []
 

@@ -1,7 +1,10 @@
 import gc
 import hashlib
+import os
+import pathlib
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -12,9 +15,10 @@ import paradigm_reference as reference
 from taksir import bn
 from taksir.classes import parse_registry
 from taksir.codes import HAMZA, parse_code
-from taksir.formdict import FormDictionary, Payload, compile_lexicon
+from taksir.formdict import FormDictionary, Payload, Unit, compile_lexicon, fill_lexicon
+from taksir.paradigm import RowTable
 from taksir.rewrite import Rewrite
-from taksir.lexicon import LexicalEntry, LexiconFile, parse_lexicon
+from taksir.lexicon import LexicalEntry, LexiconFile, load_seed, parse_lexicon
 
 from conftest import (HEADER, ID_FIELDS, PAYLOAD, SEED_SLOTS, STRONG, V1_ARTIFACT, V2_ARTIFACT, Artifact, corrupt_id,
                       cyclic_artifact, narrowest, overreaching_artifact, repeated_label_artifact, retagged_artifact,
@@ -47,6 +51,8 @@ def linear_scan(forms, query, mode):
             hits.extend((surface, p) for p in payloads)
     return sorted(hits, key=lambda sp: (sp[0], sp[1].sort_key()))
 
+
+SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
 
 #: A rewrite of three pieces: "kutubN" -> "kitaAb".
 PIECES = Rewrite(((0, 1, "i"), (2, 3, "aA"), (4, 5, "")))
@@ -85,6 +91,25 @@ class TestBuild:
         d1, _ = compile_lexicon(seed, registry)
         d2, _ = compile_lexicon(seed, registry)
         assert d1.to_bytes() == d2.to_bytes()
+
+    def test_artifact_independent_of_line_order(self, compiled, registry):
+        lines = SEED_PATH.read_text("utf-8").splitlines()
+        random.Random(11).shuffle(lines)
+        lex, diagnostics = parse_lexicon("\n".join(lines))
+        assert not diagnostics
+        assert [e.key for e in lex.entries] != [e.key for e in load_seed().entries]
+        shuffled, failures = compile_lexicon(lex, registry)
+        assert not failures
+        assert shuffled.to_bytes() == compiled.to_bytes()
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2"])
+    def test_artifact_independent_of_hash_seed(self, compiled, tmp_path, hash_seed):
+        out = tmp_path / "seed.primdict"
+        src = pathlib.Path(__file__).parents[1] / "src"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-m", "taksir", "compile", str(SEED_PATH), "--out", str(out)], env=env,
+                       check=True, capture_output=True)
+        assert out.read_bytes() == compiled.to_bytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.sets(st.text(alphabet="abc", max_size=8), max_size=40))
@@ -190,6 +215,91 @@ class TestCompileOracle:
         d, failures = compile_lexicon(lex, registry)
         good = [e for e in entries if not any(f.startswith(f"{e.lemma},{e.code}:") for f in failures)]
         assert sorted(d.dump_text().splitlines()) == reference_listing(LexiconFile(good), registry)
+        assert_minimal(d)
+
+
+def unit(rows, payloads, end=""):
+    """The Unit of a shared table of (cut, tail) rows, filled from a stem
+    that ends in ``end``."""
+    return Unit(end, RowTable(tuple((cut, tail, None, True, False) for cut, tail in rows), True), payloads)
+
+
+def build_both_ways(words, units):
+    """The dictionary built from units, checked against the one built word
+    by word from every unit expanded."""
+    expanded = {w: list(payloads) for w, payloads in words.items()}
+    for base, u in units:
+        for tail, payloads in zip(u.tails, u.lists):
+            expanded.setdefault(base + tail, []).extend(payloads)
+    by_units, by_words = FormDictionary.build(words, units), FormDictionary.build(expanded)
+    assert by_units.to_bytes() == by_words.to_bytes()
+    assert by_units.stats() == by_words.stats()
+    assert by_units.payloads_by_rank == by_words.payloads_by_rank
+    assert_minimal(by_units)
+    return by_units
+
+
+class TestUnitBuild:
+    """Building from row-table units gives the automaton that building word
+    by word gives, whether each unit is isolated or not."""
+
+    def test_seed(self, compiled, seed, registry):
+        words, units, _ = fill_lexicon(seed, registry)
+        assert build_both_ways(words, units).to_bytes() == compiled.to_bytes()
+
+    @pytest.mark.parametrize("text", [
+        # The masculine stem is a prefix of the feminine one, and its
+        # forms (kaAotiba, kaAotibaAni, ...) start with the feminine base.
+        "kaAotib,$N300-g-FvvEvL-FuEEaL-123+Hum",
+        # Two codes on one stem: equal bases.
+        "kaAotib,$N300-g-FvvEvL-FuEEaL-123+Hum\nkaAotib,$N300-g-FvvEvL-FaEaLap-123+Hum",
+        "makaAon,$N300-m-FvEvL-OaFoEiLap-123\nmakaAon,$N300-m-FvEvL-FaEaaLiB-h123",
+        # A plural shared by two entries: a tied payload set.
+        "kitaAob,$N300-m-FvEvL-FuEuL-123\nkutaAob,$N300-m-FvEvL-FuEuL-123",
+        # Stems that differ where a row cuts.
+        "raAoEiy,$N300-m-FvvEvL-FuEoLaan-12y+Hum\nraAoEib,$N300-m-FvvEvL-FuEoLaan-12y+Hum",
+        # The masculine stem ends in a glottal stop, so its forms are loose
+        # words, and qaAorica, qaAoricaAni, ... start with the feminine base.
+        "qaAoric,$N300-g-FvvEvL-FuEEaL-123",
+        # Hamza-final and O stems beside the stems of shared tables.
+        "juzoc,$N300-m-FvEvL-OaFoEaaL-123\nbadoc,$N300-m-FvEvL-OaFoEaaL-123\nSaAoHib,$N300-g-FvEvL-OaFoEaaL-123+Hum",
+    ])
+    def test_hand_made_lexicons(self, registry, text):
+        lex, diagnostics = parse_lexicon(text)
+        assert not diagnostics
+        words, units, failures = fill_lexicon(lex, registry)
+        assert units and not failures
+        d = build_both_ways(words, units)
+        assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
+
+    def test_seed_variants_at_scale(self, registry):
+        rng = random.Random(3)
+        lex = LexiconFile([seed_variant(rng.choice) for _ in range(400)])
+        words, units, _ = fill_lexicon(lex, registry)
+        build_both_ways(words, units)
+
+    def test_bases_of_one_letter_and_none(self):
+        payloads = [PAYLOAD._replace(tag=tag) for tag in ("N:q:i:N", "N:q:i:A", "N:q:i:G", "N:q:a:N")]
+        k = unit([(0, "u"), (0, "a"), (0, "aAni"), (1, "ayo")], payloads, end="t")
+        assert (k.head, k.tails) == ("", ("ayo", "ta", "taAni", "tu"))
+        dual = unit([(0, "aAni"), (0, "ayo")], payloads[2:])
+        assert (dual.head, dual.tails) == ("a", ("Ani", "yo"))
+        for units in ([("k", k)], [("", k)], [("k", k), ("ka", dual)], [("a", dual), ("b", k)]):
+            build_both_ways({"ab": [PAYLOAD], "b": [PAYLOAD]}, units)
+            build_both_ways({}, units)
+
+    def test_units_whose_forms_need_their_own_sizes(self):
+        drop = PAYLOAD._replace(rewrite=tail(1, "x"))
+        tied = unit([(0, "u"), (0, "a")], [PAYLOAD, drop])
+        tied.lists[0].append(PAYLOAD)              # two payloads of one code and tag
+        wide = unit([(0, "\u00fc"), (0, "a")], [PAYLOAD, drop])
+        for base, u in [("kutub", tied), ("kutub", wide), ("k\u00fctub", unit([(0, "u")], [drop]))]:
+            build_both_ways({"b": [PAYLOAD]}, [(base, u)])
+
+    def test_rewrite_past_a_unit_form_rejected(self):
+        u = unit([(0, "u"), (0, "")], [PAYLOAD, PAYLOAD._replace(rewrite=tail(9, "x"))])
+        with pytest.raises(ValueError, match=r"the lemma rewrite \[0:-9\]\+'x' reaches past the form 'ab'"):
+            FormDictionary.build({}, [("ab", u)])
 
 
 class TestLookup:
