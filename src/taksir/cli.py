@@ -17,7 +17,7 @@ from .formdict import FormDictionary, compile_lexicon
 from .lexicon import Diagnostic, lexicon_stats, parse_lexicon, validate_entry
 from .paradigm import form_count, inflect
 from .rewrite import CorruptDictionary
-from .segment import concordance, format_reading, segment
+from .segment import concordance, format_reading, parse_mask, segment
 
 #: Stripped from both ends of a token: ASCII punctuation and the Arabic
 #: comma, semicolon and question mark.
@@ -164,6 +164,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if not (args.lexicon or args.dict) or (args.text and not args.dict):
+        print("error: stats needs --lexicon or --dict, and --text needs --dict", file=sys.stderr)
+        raise SystemExit(2)
     status = 0
     if args.lexicon:
         lex, diagnostics = parse_lexicon(_read(args.lexicon))
@@ -204,6 +207,15 @@ def cmd_concord(args) -> int:
     for line in concordance(tokens, dictionary, args.mask, args.mode):
         print(line)
     return 0
+
+
+def _mask(text: str) -> str:
+    """A --mask value, checked when the arguments are parsed."""
+    try:
+        parse_mask(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _add_mode(p):
@@ -247,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("concord", help="concordance of tokens matching a lexical mask")
     p.add_argument("text")
     p.add_argument("--dict", required=True)
-    p.add_argument("--mask", default="N:q")
+    p.add_argument("--mask", default="N:q", type=_mask)
     _add_mode(p)
     p.set_defaults(func=cmd_concord)
     return parser

@@ -9,7 +9,8 @@ the plural surface root: digits copy singular radicals, letters insert
 literals, a final ``G`` geminates the last radical.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from . import bn
 from .errors import (
@@ -97,7 +98,7 @@ class InflectionalCode:
     root_code: RootCode
     human: bool = False
 
-    @property
+    @functools.cached_property
     def text(self) -> str:
         tail = "+Hum" if self.human else ""
         return f"{self.class_tag}-{self.gender_flag}-{self.sg_code}-{self.bp_label}-{self.root_code}{tail}"
@@ -268,15 +269,10 @@ def check_diacritization(lemma: str) -> None:
         i = j
 
 
-@dataclass
-class _Parse:
-    radicals: list = field(default_factory=list)
-    gemflags: list = field(default_factory=list)
-    positions: list = field(default_factory=list)
-    fallback_gem: bool = False
-
-    def copy(self) -> "_Parse":
-        return _Parse(list(self.radicals), list(self.gemflags), list(self.positions), self.fallback_gem)
+#: The pattern parse reads which letters are diacritics, madda or long-vowel
+#: letters and nothing else of a letter; every other basic letter is one
+#: placeholder.
+_SHAPE = str.maketrans(dict.fromkeys(bn.BASIC_LETTERS - set("ACwy"), "b"))
 
 
 def expand_madda(stem: str) -> str:
@@ -305,7 +301,9 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
     """Match the singular-pattern code against the lemma and return the root.
 
     The match must be unique: if the lenient long-vowel discard admits two
-    distinct radical sequences, the entry needs an explicit-vv code.
+    distinct radical sequences, the entry needs an explicit-vv code.  The
+    candidate parses come from the lemma's shape (``_parses``); the
+    radicals, and so uniqueness, are read off the lemma itself.
     """
     check_diacritization(lemma)
     suffix = CLASS_TAG_SUFFIXES.get(class_tag)
@@ -318,11 +316,29 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
     else:
         stem = lemma
     chars = expand_madda(stem)
-    tokens = list(sg_code.tokens)
-    results: dict[tuple, _Parse] = {}
-    fallback_results: dict[tuple, _Parse] = {}
+    chosen: dict[tuple, tuple] = {}     # radicals -> the first parse that reads them
+    for parses in _parses(expand_madda(stem.translate(_SHAPE)), sg_code.tokens):
+        for positions, gemflags in parses:
+            chosen.setdefault(tuple(_as_radical(chars[p - 1]) for p in positions), (positions, gemflags))
+        if chosen:
+            break
+    if not chosen:
+        raise ArityMismatch(f"lemma {lemma!r} does not match pattern code {sg_code} (tag {class_tag})")
+    if len(chosen) > 1:
+        raise AmbiguousPatternMatch(lemma, sorted(chosen))
+    ((radicals, (positions, gemflags)),) = chosen.items()
+    return SurfaceRoot(radicals, gemflags, positions)
 
-    def finish(ci: int, parse: _Parse) -> None:
+
+@functools.lru_cache(maxsize=None)
+def _parses(chars: str, tokens: tuple) -> tuple[tuple, tuple]:
+    """Every match of the pattern tokens against an expanded stem, as
+    distinct ``(positions, gemination flags)`` in walk order: the parses,
+    then the fallback ones, in which a doubled letter fills one slot alone.
+    Stems of one shape share them."""
+    found: tuple[dict, dict] = ({}, {})
+
+    def finish(ci: int, parse: tuple, fallback: bool) -> None:
         # Trailing material may only be diacritics and pattern-owned long vowels.
         j = ci
         while j < len(chars):
@@ -335,18 +351,17 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
                     j += 1
             else:
                 return
-        key = tuple(parse.radicals)
-        (fallback_results if parse.fallback_gem else results).setdefault(key, parse)
+        found[fallback].setdefault(parse)
 
-    def walk(ti: int, ci: int, parse: _Parse) -> None:
+    def walk(ti: int, ci: int, positions: tuple, gems: tuple, fallback: bool) -> None:
         # Discarding a pattern-owned long vowel is always a branch.
         if ci < len(chars) and not bn.is_diacritic(chars[ci]) and _discardable(chars, ci):
             skip = ci + 1
             if skip < len(chars) and chars[skip] == bn.SILENT:
                 skip += 1
-            walk(ti, skip, parse.copy())
+            walk(ti, skip, positions, gems, fallback)
         if ti == len(tokens):
-            finish(ci, parse)
+            finish(ci, (positions, gems), fallback)
             return
         if ci >= len(chars):
             return
@@ -354,27 +369,21 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
         c = chars[ci]
         if tok == ("v",):
             if c in "auio":
-                walk(ti + 1, ci + 1, parse)
+                walk(ti + 1, ci + 1, positions, gems, fallback)
             return
         if tok == ("vv",):
             if c in "aiu" and ci + 1 < len(chars) and chars[ci + 1] == LONG_OF[c]:
                 nxt = ci + 2
                 if nxt < len(chars) and chars[nxt] == bn.SILENT:
                     nxt += 1
-                walk(ti + 1, nxt, parse)
+                walk(ti + 1, nxt, positions, gems, fallback)
             return
         if bn.is_diacritic(c):
             return
-        radical = _as_radical(c)
         geminated = ci + 1 < len(chars) and chars[ci + 1] == bn.SHADDA
         if tok[0] == "gem_slot":
-            if not geminated:
-                return
-            p = parse.copy()
-            p.radicals.append(radical)
-            p.gemflags.append(True)
-            p.positions.append(ci + 1)
-            walk(ti + 1, ci + 2, p)
+            if geminated:
+                walk(ti + 1, ci + 2, positions + (ci + 1,), gems + (True,), fallback)
             return
         # plain slot
         if geminated:
@@ -388,32 +397,13 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
             if nxt < len(tokens) and tokens[nxt] == ("v",):
                 nxt += 1
             if nxt < len(tokens) and tokens[nxt][0] == "slot":
-                p = parse.copy()
-                p.radicals.extend([radical, radical])
-                p.gemflags.extend([True, True])
-                p.positions.extend([ci + 1, ci + 1])
-                walk(nxt + 1, ci + 2, p)
-            p = parse.copy()
-            p.radicals.append(radical)
-            p.gemflags.append(True)
-            p.positions.append(ci + 1)
-            p.fallback_gem = True
-            walk(ti + 1, ci + 2, p)
+                walk(nxt + 1, ci + 2, positions + (ci + 1, ci + 1), gems + (True, True), fallback)
+            walk(ti + 1, ci + 2, positions + (ci + 1,), gems + (True,), True)
             return
-        p = parse.copy()
-        p.radicals.append(radical)
-        p.gemflags.append(False)
-        p.positions.append(ci + 1)
-        walk(ti + 1, ci + 1, p)
+        walk(ti + 1, ci + 1, positions + (ci + 1,), gems + (False,), fallback)
 
-    walk(0, 0, _Parse())
-    chosen = results or fallback_results
-    if not chosen:
-        raise ArityMismatch(f"lemma {lemma!r} does not match pattern code {sg_code} (tag {class_tag})")
-    if len(chosen) > 1:
-        raise AmbiguousPatternMatch(lemma, sorted(chosen))
-    parse = next(iter(chosen.values()))
-    return SurfaceRoot(tuple(parse.radicals), tuple(parse.gemflags), tuple(parse.positions))
+    walk(0, 0, (), (), False)
+    return tuple(found[False]), tuple(found[True])
 
 
 def apply_root_code(root: SurfaceRoot, code: RootCode) -> SurfaceRoot:

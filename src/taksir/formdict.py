@@ -84,17 +84,20 @@ class Analysis:
 
 
 class Unit:
-    """The forms of one shared row table filled from a stem, after the stem
-    up to the table's largest cut: ``head``, their common prefix, then one
-    of ``tails``, sorted and distinct, each carrying ``lists[i]``.  Every
-    stem with the same table, ending and payloads shares the unit."""
+    """The forms of one or more shared row tables, each filled from a stem,
+    after the stems' common prefix up to the tables' largest cuts:
+    ``head``, their common prefix, then one of ``tails``, sorted and
+    distinct, each carrying ``lists[i]``.  ``parts`` are ``(end, table,
+    payloads)``, ``end`` the stem past that prefix.  Every entry whose stems
+    have the same tables, ends and payloads shares the unit."""
 
     __slots__ = ("head", "tails", "lists")
 
-    def __init__(self, end: str, table, payloads: list[Payload]):
+    def __init__(self, parts):
         by_suffix: dict[str, list[Payload]] = {}
-        for row, payload in zip(table.rows, payloads):
-            by_suffix.setdefault(end[: len(end) - row[0]] + row[1], []).append(payload)
+        for end, table, payloads in parts:
+            for row, payload in zip(table.rows, payloads):
+                by_suffix.setdefault(end[: len(end) - row[0]] + row[1], []).append(payload)
         suffixes = sorted(by_suffix)
         n = common_prefix_length(suffixes[0], suffixes[-1])
         self.head = suffixes[0][:n]
@@ -124,13 +127,15 @@ class FormDictionary:
         each is registered under its (final, arcs) signature, merging it with
         any equal state, and its subtree word count is taken then.
 
-        ``units`` are ``(base, Unit)`` pairs.  A non-empty base that starts
-        no other form (no loose word, no other base, equal ones included, and
-        no form of a unit whose base is a proper prefix of it) is one item
-        whose last arc leads into the sub-automaton of the unit's tails,
-        registered once per distinct tuple of tails.  Other units are
-        expanded into words, as is one that needs sizes per form: a tied
-        set, a non-ASCII form or a rewrite that reaches past a form.
+        ``units`` are ``(base, Unit)`` pairs, a unit holding the forms of
+        one or more row tables (an entry's masculine and feminine singular
+        make one).  A non-empty base that starts no other form (no loose
+        word, no other base, equal ones included, and no form of a unit
+        whose base is a proper prefix of it) is one item whose last arc
+        leads into the sub-automaton of the unit's tails, registered once
+        per distinct tuple of tails.  Other units are expanded into words,
+        as is one that needs sizes per form: a tied set, a non-ASCII form or
+        a rewrite that reaches past a form.
 
         Forms with equal payload sets share one payload tuple."""
         shared: dict[frozenset, tuple] = {}     # per distinct set: the tuple and its _set_sizes
@@ -633,10 +638,12 @@ def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[dict, list[
     one, whatever their radicals.  A row keeps that rewrite, except that
     letters its cut removes are spelled out, so the payloads of a shared
     table are made once per (code, table, rewrite, stem length, stem end).
+
     The payloads of an unshared table are its own, and its forms are loose
-    words.  A shared table's are one ``Unit`` per payload key: the stem up
-    to the table's largest cut is the unit's base, and the key fixes every
-    letter after it.
+    words.  The shared tables of the singular stems make one ``Unit``, and
+    the plural's another, one per tuple of payload keys: the stems up to
+    the tables' largest cut are the unit's base (the masculine stem, which
+    the feminine extends, leads), and the keys fix every letter after it.
     """
     words: dict[str, list[Payload]] = {}
     units: list[tuple[str, Unit]] = []
@@ -645,6 +652,27 @@ def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[dict, list[
     filled: dict[tuple, Unit] = {}
     failures: list[str] = []
 
+    def fill(stem: str, table, lemma: str, code: str, rewrite) -> list[Payload]:
+        """The payload of each row; ``rewrite`` is the plural's, None for a singular."""
+        payloads, keep = [], len(stem)
+        for cut, tail, features, standalone, _ in table.rows:
+            kept, tag = keep - cut, features.tag()
+            if rewrite is None:
+                # A word that keeps more of the stem than the lemma spells
+                # shares all of the lemma.  The record is (drop, tail, ...),
+                # its rewrite made only if new.
+                lcp = len(lemma) if len(lemma) < kept else common_prefix_length(stem[:kept] + tail, lemma)
+                record = (kept + len(tail) - lcp, lemma[lcp:], code, tag, standalone)
+            else:
+                pieces = rewrite if kept >= rewrite.reach else cut_pieces(rewrite, stem, lemma, kept, tail)
+                record = (pieces, code, tag, standalone)
+            payload = records.get(record)
+            if payload is None:
+                pieces = ((0, ~record[0], record[1]),) if rewrite is None else record[0]
+                payload = records[record] = Payload(rewrites[pieces], code, tag, standalone)
+            payloads.append(payload)
+        return payloads
+
     for entry in lex.entries:
         try:
             tables = stem_tables(entry, registry)
@@ -652,38 +680,26 @@ def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[dict, list[
             failures.append(f"{entry.lemma},{entry.code}: {exc}")
             continue
         lemma, code = entry.lemma, entry.code.text
+        groups: tuple[list, list] = ([], [])     # (stem, table, key, rewrite) of the shared singular and plural tables
         for n, (stem, table) in enumerate(tables):
-            keep = len(stem)
-            singular = n < len(tables) - 1      # stem_tables puts the broken plural last
-            if singular:
+            keep, rewrite = len(stem), None
+            if n < len(tables) - 1:     # stem_tables puts the broken plural last
                 prefix = min(len(lemma), keep - table.cut)
                 key = (code, table, stem[prefix:], lemma[prefix:])
             else:
                 rewrite = rewrites[radical_rewrite(entry, stem, *registry.resolve(entry.code).radical_slots)]
                 key = (code, table, rewrite, keep, stem[keep - table.cut:])
-            unit = filled.get(key) if table.shared else None
+            if table.shared:
+                groups[rewrite is not None].append((stem, table, key, rewrite))
+                continue
+            for row, payload in zip(table.rows, fill(stem, table, lemma, code, rewrite)):
+                words.setdefault(stem[: keep - row[0]] + row[1], []).append(payload)
+        for group in filter(None, groups):
+            base = min(len(stem) - table.cut for stem, table, _, _ in group)
+            key = tuple(part[2] for part in group)
+            unit = filled.get(key)
             if unit is None:
-                payloads = []
-                for cut, tail, features, standalone, _ in table.rows:
-                    kept, tag = keep - cut, features.tag()
-                    if singular:
-                        # A word that keeps more of the stem than the lemma
-                        # spells shares all of the lemma.  The record is
-                        # (drop, tail, ...), its rewrite made only if new.
-                        lcp = len(lemma) if len(lemma) < kept else common_prefix_length(stem[:kept] + tail, lemma)
-                        record = (kept + len(tail) - lcp, lemma[lcp:], code, tag, standalone)
-                    else:
-                        pieces = rewrite if kept >= rewrite.reach else cut_pieces(rewrite, stem, lemma, kept, tail)
-                        record = (pieces, code, tag, standalone)
-                    payload = records.get(record)
-                    if payload is None:
-                        pieces = ((0, ~record[0], record[1]),) if singular else record[0]
-                        payload = records[record] = Payload(rewrites[pieces], code, tag, standalone)
-                    payloads.append(payload)
-                if not table.shared:
-                    for row, payload in zip(table.rows, payloads):
-                        words.setdefault(stem[: keep - row[0]] + row[1], []).append(payload)
-                    continue
-                unit = filled[key] = Unit(stem[keep - table.cut:], table, payloads)
-            units.append((stem[: keep - table.cut] + unit.head, unit))
+                unit = filled[key] = Unit([(stem[base:], table, fill(stem, table, lemma, code, rewrite))
+                                           for stem, table, _, rewrite in group])
+            units.append((group[0][0][:base] + unit.head, unit))
     return words, units, failures

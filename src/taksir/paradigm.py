@@ -124,9 +124,9 @@ class RowTable:
     """The forms of one stem in one paradigm, gender and number, as rows
     ``(cut, tail, features, standalone, definite)``: a row spells
     ``stem[:len(stem) - cut] + tail``, with the article Al- in front when
-    ``definite``.  Stems that cannot meet a glottal-stop spelling share one
-    table per distinct list of rows (see ``_table``), so tables compare and
-    hash by identity."""
+    ``definite``.  Stems whose rows no glottal-stop spelling reaches, which
+    is most stems with an O too, share one table per distinct list of rows
+    (see ``_table``), so tables compare and hash by identity."""
 
     __slots__ = ("rows", "shared", "cut")
 
@@ -202,13 +202,16 @@ def _ending_table(last: str, paradigm: str, gender: str, number: str) -> RowTabl
 
 
 def _table(stem: str, paradigm: str, gender: str, number: str) -> RowTable:
-    """The row table of a stem.  A stem with a hamza-on-alif O can contract
-    with a suffix into madda, and one that ends in a glottal stop re-seats it
-    before a pronoun: such a stem gets rows of its own.  The rows of any
-    other stem read only its last letter (drop-iy cuts two letters unread,
-    and a pronoun variant, the one row compared with another, cuts at most
-    one), so it shares the table of that letter."""
-    if "O" in stem or stem.endswith(_FINAL_HAMZA):
+    """The row table of a stem.  A stem that ends in a glottal stop re-seats
+    it before a pronoun, one with a hamza-on-alif O in its last five letters
+    may contract with a suffix into madda, and one that contracts by itself
+    does in every row: such a stem gets rows of its own.  A madda spans at
+    most four letters from its O, a row cuts at most two and no suffix holds
+    an O, so an O further back never meets a suffix.  The rows of any other
+    stem read only its last letter (drop-iy cuts two letters unread, and a
+    pronoun variant, the one row compared with another, cuts at most one),
+    so it shares the table of that letter."""
+    if "O" in stem[-5:] or stem.endswith(_FINAL_HAMZA) or substitute_madda(stem) != stem:
         return RowTable(_rows(stem, paradigm, gender, number), shared=False)
     return _ending_table(stem[-1:], paradigm, gender, number)
 

@@ -12,6 +12,7 @@ form and then payload order.
 import re
 
 from taksir import bn
+from taksir.segment import load_clitics
 
 
 class Reference:
@@ -66,3 +67,19 @@ class Reference:
                             line = f"{token}\t{shown}\t{lemma},{p.code}\t{p.tag}"
                             readings.setdefault((shown, p.code, lemma, p.tag), (len(segments), shown, p.code, line))
         return [line for *_, line in sorted(readings.values(), key=lambda r: r[:3])]
+
+
+def clitic_chains(rng, nouns, n):
+    """n tokens, each a noun, or three times in ten its diacritic-free
+    skeleton, with a random chain of clitics around it."""
+    inv = load_clitics()
+    tokens = []
+    for _ in range(n):
+        noun = rng.choice(nouns)
+        if rng.random() < 0.3:
+            noun = bn.strip_diacritics(noun) or noun
+        prefix = [rng.choice((None, *inv.conjunctions)), rng.choice((None, *inv.prepositions)),
+                  rng.choice((None, inv.determiner))]
+        pro = rng.choice((None, None, *inv.pronouns))
+        tokens.append("".join(c for c in (*prefix, noun, pro) if c))
+    return tokens

@@ -16,7 +16,7 @@ from taksir.paradigm import FeatureBundle, form_count, inflect
 from taksir.segment import check_agreement, segment
 
 from conftest import load_golden
-from test_formdict import linear_scan
+from lookup_reference import linear_scan
 
 
 def report(n, text):

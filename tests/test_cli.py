@@ -13,6 +13,7 @@ from conftest import (ID_FIELDS, V1_ARTIFACT, V2_ARTIFACT, corrupt_id, cyclic_ar
                       repeated_label_artifact, retagged_artifact)
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +261,12 @@ class TestValidateCmd:
         lex = write_text(tmp_path, "Eqdap,$N3ap-f-FvEvL-FuEaL-123 / broken\n", "l.txt")
         assert main(["validate", str(lex)]) == 1
 
+    def test_report_on_bad_lemmas(self, capsys):
+        # The report as it was before the pattern parse was memoised per
+        # lemma shape, byte for byte.
+        assert main(["validate", str(DATA / "bad_lemmas.txt")]) == 1
+        assert capsys.readouterr().out == (DATA / "bad_lemmas.validate.txt").read_text("utf-8")
+
 
 class TestStatsCmd:
     def test_lexicon_stats(self, capsys):
@@ -301,6 +308,17 @@ class TestStatsCmd:
         assert main(["stats", "--dict", str(dict_path)]) == 0
         assert f"serialized_bytes\t{dict_path.stat().st_size}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["stats"], ["stats", "--text", "{text}"],
+                                      ["stats", "--lexicon", "{lexicon}", "--text", "{text}"]])
+    def test_nothing_to_report_is_a_usage_error(self, argv, tmp_path, capsys):
+        text = write_text(tmp_path, "kutubu\n")
+        with pytest.raises(SystemExit) as err:
+            main([a.format(text=text, lexicon=SEED_PATH) for a in argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: stats needs --lexicon or --dict, and --text needs --dict\n"
+
 
 class TestConcordCmd:
     def test_mask_listing(self, dict_path, tmp_path, capsys):
@@ -309,6 +327,16 @@ class TestConcordCmd:
         out = capsys.readouterr().out
         assert "EuqadK" in out
         assert "AlkaAtibu" not in out.split("EuqadK")[1]
+
+    @pytest.mark.parametrize("mask, message", [("N:zz", "bad mask component 'zz' in 'N:zz'"),
+                                               ("V:q", "unsupported mask 'V:q'"), ("N:", "bad mask component ''")])
+    def test_bad_mask_is_a_usage_error(self, dict_path, tmp_path, capsys, mask, message):
+        text = write_text(tmp_path, "EuqadK\n")
+        with pytest.raises(SystemExit) as err:
+            main(["concord", str(text), "--dict", str(dict_path), "--mask", mask])
+        assert err.value.code == 2
+        printed = capsys.readouterr().err
+        assert f"error: argument --mask: {message}" in printed and "Traceback" not in printed
 
 
 class TestArabicInput:

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import codes_reference as reference
 from taksir.codes import (
     HAMZA,
+    _parses,
     SurfaceRoot,
     apply_root_code,
     extract_root,
@@ -19,6 +21,8 @@ from taksir.errors import (
     TaksirError,
     UnknownBpLabel,
 )
+
+from conftest import seed_variants
 
 
 def radicals(root):
@@ -217,6 +221,47 @@ def coded_lemmas(draw):
             lemma += draw(st.sampled_from(("aAo", "iyo", "uwo") if long_vowel else ("a", "i", "u", "o")))
     root = draw(st.text(alphabet="123456wyAYhm", min_size=1, max_size=5)) + draw(st.sampled_from(("", "G")))
     return f"$N{arity}00-m-{sg}-FuEuL-{root}", lemma
+
+
+class TestShapeMemo:
+    """``extract_root`` takes its candidate parses from a memo per lemma
+    shape and reads the radicals off the lemma: its root or error is the
+    unmemoised parse's, lemma for lemma."""
+
+    @staticmethod
+    def assert_as_unmemoised(lemma, sg_code, class_tag):
+        def outcome(extract):
+            try:
+                return extract(lemma, sg_code, class_tag)
+            except TaksirError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(extract_root) == outcome(reference.extract_root), lemma
+
+    def test_seed(self, seed):
+        for e in seed:
+            self.assert_as_unmemoised(e.lemma, e.code.sg_code, e.code.class_tag)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed_variants(), st.integers(0, 12), st.sampled_from(["", "A", "w", "y", "G", "o", "a", "b", "O", "C"]))
+    def test_seed_variants_and_edits(self, entry, at, letter):
+        self.assert_as_unmemoised(entry.lemma, entry.code.sg_code, entry.code.class_tag)
+        edited = entry.lemma[:at] + letter + entry.lemma[at + 1:]
+        self.assert_as_unmemoised(edited, entry.code.sg_code, entry.code.class_tag)
+
+    def test_one_shape_ambiguous_in_one_lemma_only(self):
+        # Both lemmas have the shape of two parses, m d d . at (1, 3, 3, 6)
+        # and m d . . at (1, 3, 6, 6); they read one radical sequence where
+        # the third and sixth letters agree.
+        sg = parse_sg_code("FvEvLvB")
+        root = extract_root("madGadG", sg, "N400")
+        assert (radicals(root), root.positions) == ("mddd", (1, 3, 3, 6))
+        with pytest.raises(AmbiguousPatternMatch, match=r"\(mdds \| mdss\)"):
+            extract_root("madGasG", sg, "N400")
+        for order in (("madGadG", "madGasG"), ("madGasG", "madGadG")):     # whichever fills the memo
+            _parses.cache_clear()
+            for lemma in order:
+                self.assert_as_unmemoised(lemma, sg, "N400")
 
 
 class TestArity:

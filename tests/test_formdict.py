@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paradigm_reference as reference
+from lookup_reference import linear_scan, sample_queries
 from taksir import bn
 from taksir.classes import parse_registry
 from taksir.codes import HAMZA, parse_code
@@ -23,33 +24,6 @@ from taksir.lexicon import LexicalEntry, LexiconFile, load_seed, parse_lexicon
 from conftest import (HEADER, ID_FIELDS, PAYLOAD, SEED_SLOTS, STRONG, V1_ARTIFACT, V2_ARTIFACT, Artifact, corrupt_id,
                       cyclic_artifact, narrowest, overreaching_artifact, repeated_label_artifact, retagged_artifact,
                       seed_variant, seed_variants, tail)
-
-
-def ref_optional_match(dict_form: str, query: str) -> bool:
-    """Reference matcher for diacritic-optional lookup, on plain strings:
-    dictionary diacritics may be skipped, query diacritics must match."""
-
-    def walk(di: int, qi: int) -> bool:
-        if qi == len(query):
-            return all(bn.is_diacritic(c) for c in dict_form[di:])
-        if di == len(dict_form):
-            return False
-        if dict_form[di] == query[qi] and walk(di + 1, qi + 1):
-            return True
-        if bn.is_diacritic(dict_form[di]) and walk(di + 1, qi):
-            return True
-        return False
-
-    return walk(0, 0)
-
-
-def linear_scan(forms, query, mode):
-    hits = []
-    for surface, payloads in forms:
-        ok = surface == query if mode == "strict" else ref_optional_match(surface, query)
-        if ok:
-            hits.extend((surface, p) for p in payloads)
-    return sorted(hits, key=lambda sp: (sp[0], sp[1].sort_key()))
 
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
@@ -221,7 +195,7 @@ class TestCompileOracle:
 def unit(rows, payloads, end=""):
     """The Unit of a shared table of (cut, tail) rows, filled from a stem
     that ends in ``end``."""
-    return Unit(end, RowTable(tuple((cut, tail, None, True, False) for cut, tail in rows), True), payloads)
+    return Unit([(end, RowTable(tuple((cut, tail, None, True, False) for cut, tail in rows), True), payloads)])
 
 
 def build_both_ways(words, units):
@@ -263,6 +237,19 @@ class TestUnitBuild:
         "qaAoric,$N300-g-FvvEvL-FuEEaL-123",
         # Hamza-final and O stems beside the stems of shared tables.
         "juzoc,$N300-m-FvEvL-OaFoEaaL-123\nbadoc,$N300-m-FvEvL-OaFoEaaL-123\nSaAoHib,$N300-g-FvEvL-OaFoEaaL-123+Hum",
+        # Singular stems whose last O is 0 (mabodaO), 2 (tawoOam, raOos), 4
+        # (maOozaq, raOosap) and 6 (maOozaqap) letters from the end: only
+        # the last shares a table, so its entry's unit holds that table alone.
+        "mabodaO,$N400-m-FvEvLvB-FaEaaLiB-123h\ntawoOam,$N400-m-FvEvLvB-FaEaaLiB-12h4+Hum\n"
+        "maOozaq,$N400-g-FvEvLvB-FaEaaLiB-1h34\nraOos,$N300-g-FvEvL-FuEuuL-123",
+        # 5 and 6 letters from the end: shared tables, beside O plurals.
+        "OawGal,$N300-m-FvEEvL-FaEaaLiB-12h3\nmaOosaAop,$N4Ap-f-FvEvLvB-FaEaaLiB-1h3y\nkatif,$N300-f-FvEvL-OaFoEaaL-123",
+        # A stem that contracts into madda by itself (OaAo), its O six
+        # letters from the end: rows of its own.
+        "OaAoxir,$N300-m-FvvEvL-FaEaaLiB-hw23\nCxir,$N300-m-FvvEvL-FaEaaLiB-hw23",
+        # Gender-inflecting entries: a lemma in -ap, whose feminine stem
+        # ends in -apap, and one whose plural stem has an O.
+        "Euqodap,$N3ap-g-FvEvL-FuEaL-123\nbaAoeis,$N300-g-FvvEvL-FaEaLap-1h3+Hum",
     ])
     def test_hand_made_lexicons(self, registry, text):
         lex, diagnostics = parse_lexicon(text)
@@ -271,6 +258,20 @@ class TestUnitBuild:
         assert units and not failures
         d = build_both_ways(words, units)
         assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
+
+    @pytest.mark.parametrize("text, bases", [
+        ("kaAotib,$N300-g-FvvEvL-FuEEaL-123+Hum", ["kaAotib", "kutGaAob"]),
+        ("Euqodap,$N3ap-g-FvEvL-FuEaL-123", ["Euqad", "Euqoda"]),
+        # Hamza-final: the masculine forms are loose words, the feminine a unit.
+        ("qaAoric,$N300-g-FvvEvL-FuEEaL-123", ["qaAorica"]),
+    ])
+    def test_gender_inflecting_entry_is_one_unit(self, registry, text, bases):
+        # The feminine stem extends the masculine one, so both tables fill
+        # one unit under the masculine base, which no other base starts.
+        lex, _ = parse_lexicon(text)
+        words, units, _ = fill_lexicon(lex, registry)
+        assert sorted(base for base, _ in units) == bases
+        build_both_ways(words, units)
 
     def test_seed_variants_at_scale(self, registry):
         rng = random.Random(3)
@@ -331,24 +332,7 @@ class TestLookup:
 
 class TestOracle:
     def test_thousand_random_queries_match_linear_scan(self, compiled, form_list):
-        rng = random.Random(20260810)
-        surfaces = [s for s, _ in form_list]
-        queries = []
-        for _ in range(250):
-            queries.append((rng.choice(surfaces), "strict"))
-        for _ in range(250):
-            s = rng.choice(surfaces)
-            kept = "".join(c for c in s if not bn.is_diacritic(c) or rng.random() < 0.4)
-            queries.append((kept, "diacritic-optional"))
-        for _ in range(250):
-            s = rng.choice(surfaces)
-            pos = rng.randrange(len(s))
-            mutated = s[:pos] + rng.choice("bxEKu") + s[pos + 1:]
-            queries.append((mutated, "strict"))
-        for _ in range(250):
-            s = rng.choice(surfaces)
-            mutated = bn.strip_diacritics(s)[::-1] or "q"
-            queries.append((mutated, "diacritic-optional"))
+        queries = sample_queries(random.Random(20260810), [s for s, _ in form_list], 250)
         assert len(queries) == 1000
         for query, mode in queries:
             expected = linear_scan(form_list, query, mode)

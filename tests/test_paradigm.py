@@ -242,6 +242,19 @@ class TestRowsMatchReference:
         else:
             assert triples(inflect(e, registry)) == want
 
+    @pytest.mark.parametrize("stem, shared", [
+        *(("kaO" + "obatil"[:after], after >= 5) for after in range(7)),     # the last O 0-6 letters from the end
+        ("OaAoxir", False),         # contracts into madda by itself
+        ("OakaOobatil", True),      # two Os, both far from the end
+    ])
+    @pytest.mark.parametrize("paradigm", PARADIGM_IDS)
+    def test_o_stems(self, stem, shared, paradigm):
+        # No suffix reaches an O five or more letters back, so such a stem
+        # shares the table of its last letter.
+        table = _table(stem, paradigm, "m", "s")
+        assert table.shared == shared
+        assert triples(_forms(stem, table)) == reference.stem_cells(stem, paradigm, "m", "s")
+
     @settings(max_examples=500, deadline=None)
     @given(st.text(alphabet="btkqlAwyYiuaoGpOcWeCt", min_size=1, max_size=8),
            st.sampled_from(PARADIGM_IDS), st.sampled_from(("m", "f", "none")))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segment_reference import Reference
+from segment_reference import Reference, clitic_chains
 from taksir import bn, cli
 from taksir.formdict import FormDictionary, Payload, compile_lexicon
 from taksir.lexicon import LexiconFile
@@ -127,22 +127,6 @@ class TestSegmentation:
         token, segs, entry, features = line.split("\t")
         assert segs == "Al/DET+minoTaqapi/N"
         assert entry.startswith("minoTaqap,")
-
-
-def clitic_chains(rng, nouns, n):
-    """n tokens, each a noun, or three times in ten its diacritic-free
-    skeleton, with a random chain of clitics around it."""
-    inv = load_clitics()
-    tokens = []
-    for _ in range(n):
-        noun = rng.choice(nouns)
-        if rng.random() < 0.3:
-            noun = bn.strip_diacritics(noun) or noun
-        prefix = [rng.choice((None, *inv.conjunctions)), rng.choice((None, *inv.prepositions)),
-                  rng.choice((None, inv.determiner))]
-        pro = rng.choice((None, None, *inv.pronouns))
-        tokens.append("".join(c for c in (*prefix, noun, pro) if c))
-    return tokens
 
 
 #: The tags of the small dictionary below: some fit a preposition, the
