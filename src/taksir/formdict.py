@@ -51,7 +51,7 @@ from .paradigm import FeatureBundle, stem_tables
 from .rewrite import Rewrite, RewritePool, common_prefix_length, cut_pieces, past_the_form, radical_rewrite
 
 MAGIC = b"TKDC"
-VERSION = 3
+VERSION = 4
 
 _HEADER = struct.Struct("<4sH9Q")    # see the byte layout below
 
@@ -108,13 +108,12 @@ class Unit:
 class FormDictionary:
     """Minimal acyclic automaton plus rank-indexed analysis payloads."""
 
-    def __init__(self, arcs, finals, counts, payloads_by_rank, listing_bytes=None):
+    def __init__(self, arcs, finals, payloads_by_rank, listing_bytes=None):
         self.arcs = arcs                      # per state: {label: (target, rank offset)}, label-sorted
-        self.finals = finals                  # per state: bool
-        self.counts = counts                  # per state: words accepted in its subtree
+        self.finals = finals                  # per state: 1 where a word ends, else 0
         self.payloads_by_rank = payloads_by_rank
         self.listing_bytes = listing_bytes    # UTF-8 size of dump_text(): summed by build, else by stats()
-        self.root = 0
+        self.root = len(arcs) - 1             # states come in postorder: every target before its source
 
     # -- construction ------------------------------------------------------
 
@@ -125,7 +124,7 @@ class FormDictionary:
         Only the previous word's path is unregistered.  Where the next word
         leaves it, the states below the divergence are frozen, deepest first:
         each is registered under its (final, arcs) signature, merging it with
-        any equal state, and its subtree word count is taken then.
+        any equal state.
 
         ``units`` are ``(base, Unit)`` pairs, a unit holding the forms of
         one or more row tables (an entry's masculine and feminine singular
@@ -183,7 +182,6 @@ class FormDictionary:
         registry: dict[tuple, int] = {}
         min_trans: list[tuple] = []
         min_final: list[bool] = []
-        min_counts: list[int] = []
 
         def register(final: bool, edges: list) -> int:
             signature = (final, tuple(edges))
@@ -192,7 +190,6 @@ class FormDictionary:
                 state = registry[signature] = len(min_trans)
                 min_trans.append(signature[1])
                 min_final.append(final)
-                min_counts.append(int(final) + sum(min_counts[t] for _, t in edges))
             return state
 
         def minimal(items) -> int:
@@ -253,20 +250,25 @@ class FormDictionary:
         root = minimal(ranked())
         del registry, shared, entries, sizes     # freed before the automaton is renumbered
 
-        # Renumber breadth-first from the root so the artifact is canonical.
-        order = [root]
-        seen = {root}
-        for state in order:
-            for _, target in min_trans[state]:
+        # Renumber in the postorder of a depth-first walk from the root,
+        # children in label order: every target then comes before its
+        # source, and the numbering depends on the minimal automaton alone,
+        # so the artifact is canonical.
+        order, seen, stack = [], {root}, [(root, iter(min_trans[root]))]
+        while stack:
+            for _, target in stack[-1][1]:
                 if target not in seen:
                     seen.add(target)
-                    order.append(target)
-        remap = {old: new for new, old in enumerate(order)}
-        finals = [min_final[old] for old in order]
-        counts = [min_counts[old] for old in order]
-        arcs = [_arc_table(min_final[old], min_counts[old], ((ch, remap[t]) for ch, t in min_trans[old]), counts)
-                for old in order]
-        return cls(arcs, finals, counts, payloads_by_rank, listing)
+                    stack.append((target, iter(min_trans[target])))
+                    break
+            else:
+                order.append(stack.pop()[0])
+        number = dict(zip(order, range(len(order))))
+        edges = [min_trans[old] for old in order]
+        finals = [int(min_final[old]) for old in order]
+        arcs, _ = _arc_tables(finals, map(len, edges), [ch for e in edges for ch, _ in e],
+                              [number[t] for e in edges for _, t in e])
+        return cls(arcs, finals, payloads_by_rank, listing)
 
     # -- lookup ------------------------------------------------------------
 
@@ -373,7 +375,9 @@ class FormDictionary:
     #   columns: one per integer field below, each a struct code (B, H, I
     #            or Q) and then one value per record at that width, the
     #            narrowest that holds the column's largest value:
-    #     state:   count (subtree word count), final, fanout
+    #     state:   final, fanout                   (postorder: every target
+    #                                               before its source, the
+    #                                               root last)
     #     trans:   label (code point), target      (per state, label-sorted)
     #     form:    set_id                          (rank order)
     #     set:     length                          (ids in first-use order)
@@ -387,14 +391,15 @@ class FormDictionary:
     #                                               over the three id columns)
     #   strings: their utf-8 bytes, concatenated
     #
-    # Rank offsets are not stored: loading recomputes them from the counts.
+    # Neither word counts nor rank offsets are stored: loading takes the
+    # states in order and derives each state's arcs' rank offsets and word
+    # count, its own word plus its targets', from its targets' counts.
 
     def to_bytes(self) -> bytes:
         arcs, sets, payload_ids, rewrites, strings = self.arcs, {}, {}, {}, {}
         # One column at a time, each listed and encoded before the next;
         # set, payload, rewrite and string ids are assigned in first-use order.
         out = bytearray(_HEADER.size)     # the header is packed in last
-        out += _column(self.counts)
         out += _column(self.finals)
         out += _column(len(t) for t in arcs)
         out += _column(ord(ch) for t in arcs for ch in t)
@@ -448,7 +453,7 @@ class FormDictionary:
             raise ValueError(f"unsupported dictionary version {version}")
         n_states, n_trans, n_forms, n_sets, n_refs, n_payloads, n_rewrites, n_pieces, n_strings = \
             struct.unpack("<9Q", take(72))
-        counts, finals, fanouts = column(n_states), column(n_states), column(n_states)
+        finals, fanouts = column(n_states), column(n_states)
         labels, targets = column(n_trans), column(n_trans)
         form_sets, set_lens, refs = column(n_forms), column(n_sets), column(n_refs)
         tags, codes, rewrite_ids, standalones = (column(n_payloads) for _ in range(4))
@@ -461,17 +466,15 @@ class FormDictionary:
         if off != len(data):
             raise ValueError(f"trailing bytes after the dictionary: {len(data) - off}")
 
-        if not counts or counts[0] != n_forms:
-            raise ValueError(f"corrupt dictionary: the root does not count the {n_forms} forms")
+        if max(finals, default=0) > 1:
+            raise ValueError("corrupt dictionary: a state.final is neither 0 nor 1")
         if sum(fanouts) != n_trans:
             raise ValueError(f"corrupt dictionary: state fanouts do not sum to the {n_trans} transitions")
         if any(label > 0x10FFFF or 0xD800 <= label < 0xE000 for label in set(labels)):
             raise ValueError("corrupt dictionary: a trans.label is not a character")
-        edges = zip(map(chr, labels), targets)
-        with _ids_below(n_states, "trans.target", "states"):
-            arcs = [_arc_table(final, count, islice(edges, fanout), counts)
-                    for final, count, fanout in zip(finals, counts, fanouts)]
-        _require_acyclic(arcs, n_trans)
+        arcs, counts = _arc_tables(finals, fanouts, map(chr, labels), targets)
+        if not counts or counts[-1] != n_forms:
+            raise ValueError(f"corrupt dictionary: the root does not count the {n_forms} forms")
 
         string = string_table.__getitem__
         if sum(rewrite_lens) != n_pieces:
@@ -496,7 +499,7 @@ class FormDictionary:
             set_contents = [tuple(islice(members, n)) for n in set_lens]
         with _ids_below(n_sets, "form.set_id", "payload sets"):
             payloads_by_rank = [set_contents[sid] for sid in form_sets]
-        return cls(arcs, finals, counts, payloads_by_rank)
+        return cls(arcs, finals, payloads_by_rank)
 
     def save(self, path) -> int:
         """Write the artifact; returns its size in bytes."""
@@ -572,37 +575,27 @@ def _ids_below(count: int, field: str, what: str):
         raise ValueError(f"corrupt dictionary: a {field} is not below the {count} {what}") from None
 
 
-def _arc_table(final: bool, count: int, edges, counts: list[int]) -> dict[str, tuple[int, int]]:
-    """One state's arcs, label -> (target, rank offset); counts are per-state
-    subtree word counts.  A state whose ``count`` is not its own word plus
-    its targets' is corrupt: its ranks could address forms that do not exist."""
-    offset, table = int(final), {}
-    for label, target in edges:
-        table[label] = (target, offset)
-        offset += counts[target]
-    if offset != count:
-        raise ValueError(f"corrupt dictionary: a state.count of {count} where its arcs hold {offset} words")
-    return table
-
-
-def _require_acyclic(arcs: list[dict], n_trans: int) -> None:
-    """Kahn's algorithm in O(states + arcs).  A cycle is a corrupt artifact
-    that the count checks cannot see, and a walk along it never ends.  So
-    is a state that repeats a label: its arc table keeps only the last arc."""
-    indegree = [0] * len(arcs)
-    for table in arcs:
-        for target, _ in table.values():
-            indegree[target] += 1
-    if sum(indegree) != n_trans:
-        raise ValueError("corrupt dictionary: a state repeats a trans.label")
-    ready = [state for state, n in enumerate(indegree) if not n]
-    for state in ready:
-        for target, _ in arcs[state].values():
-            indegree[target] -= 1
-            if not indegree[target]:
-                ready.append(target)
-    if len(ready) != len(arcs):
-        raise ValueError("corrupt dictionary: the transitions contain a cycle")
+def _arc_tables(finals, fanouts, labels, targets) -> tuple[list[dict[str, tuple[int, int]]], list[int]]:
+    """Per state, its arcs, label -> (target, rank offset), and the words
+    accepted in its subtree: its own word and its targets'.  Each target
+    must come before its source, which rules out a cycle, so taken in order
+    every state's targets are counted before it is; and labels must
+    strictly increase within a state, as a repeated one would hide an arc.
+    A state that breaks either is a corrupt artifact: ValueError."""
+    arcs, counts, edges = [], [], zip(labels, targets)
+    for state, (final, fanout) in enumerate(zip(finals, fanouts)):
+        offset, table, last = final, {}, ""
+        for label, target in islice(edges, fanout):
+            if label <= last:
+                raise ValueError("corrupt dictionary: a state's trans.labels do not strictly increase")
+            if target >= state:
+                raise ValueError("corrupt dictionary: a trans.target is not below the state it leaves")
+            table[label] = (target, offset)
+            offset += counts[target]
+            last = label
+        arcs.append(table)
+        counts.append(offset)
+    return arcs, counts
 
 
 def dictionary_key(form) -> str:

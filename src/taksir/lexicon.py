@@ -20,7 +20,6 @@ from .codes import (
     CLASS_TAG_SUFFIXES,
     InflectionalCode,
     SurfaceRoot,
-    apply_root_code,
     expand_madda,
     extract_root,
     parse_code,
@@ -188,10 +187,12 @@ def validate_entry(entry: LexicalEntry, registry: ClassRegistry) -> list[Diagnos
         diags.append(Diagnostic(0, 1, "UnknownClass", str(exc)))
         return diags
 
-    bp_root = apply_root_code(root, code.root_code)
+    # The plural root has one radical per root-code token but G, which
+    # geminates the last one.
+    arity = sum(token[0] != "gemfinal" for token in code.root_code.tokens)
     template_slots = {int(c) for c in cls.bp_template if c.isdigit()}
-    if template_slots and max(template_slots) != len(bp_root):
-        diags.append(Diagnostic(0, 1, "E_ARITY", f"root code {code.root_code} yields {len(bp_root)} radicals; template {cls.bp_template} expects {max(template_slots)}"))
+    if template_slots and max(template_slots) != arity:
+        diags.append(Diagnostic(0, 1, "E_ARITY", f"root code {code.root_code} yields {arity} radicals; template {cls.bp_template} expects {max(template_slots)}"))
     return diags
 
 

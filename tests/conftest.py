@@ -83,11 +83,11 @@ def load_golden():
     return rows
 
 
-#: The columns of a format v3 artifact in file order, each with the index of
+#: The columns of a format v4 artifact in file order, each with the index of
 #: the header count that gives its length (states, transitions, forms,
 #: payload sets, set refs, payloads, rewrites, rewrite pieces, strings).
 COLUMNS = (
-    ("state.count", 0), ("state.final", 0), ("state.fanout", 0), ("trans.label", 1), ("trans.target", 1),
+    ("state.final", 0), ("state.fanout", 0), ("trans.label", 1), ("trans.target", 1),
     ("form.set_id", 2), ("set.length", 3), ("setref.payload_id", 4),
     ("payload.tag_id", 5), ("payload.code_id", 5), ("payload.rewrite_id", 5), ("payload.standalone", 5),
     ("rewrite.length", 6), ("piece.start", 7), ("piece.stop", 7), ("piece.literal_id", 7), ("string.length", 8),
@@ -118,6 +118,13 @@ V2_ARTIFACT = bytes.fromhex(
     "2d6d2d467645764c2d467545754c2d313233"
 )
 
+#: A format v3 artifact: the word "ab" with one payload.
+V3_ARTIFACT = bytes.fromhex(
+    "544b444303000300000000000000020000000000000001000000000000000100000000000000010000000000000001000000000000000100"
+    "000000000000010000000000000003000000000000004201010142000001420101004261624201024200420142004200420142004201420142"
+    "0042014202420717004e3a713a693a47244e3330302d6d2d467645764c2d467545754c2d313233"
+)
+
 
 def narrowest(values) -> str:
     """The struct code of the narrowest column width that holds ``values``."""
@@ -126,7 +133,7 @@ def narrowest(values) -> str:
 
 @dataclass
 class Artifact:
-    """A format v3 artifact decoded field by field with ``struct``, apart
+    """A format v4 artifact decoded field by field with ``struct``, apart
     from the loader, so that tests can edit it and encode it again."""
 
     counts: list[int]                   # the nine header counts
@@ -137,7 +144,7 @@ class Artifact:
     @classmethod
     def decode(cls, data: bytes) -> "Artifact":
         magic, version, *counts = HEADER.unpack_from(data)
-        assert (magic, version) == (b"TKDC", 3)
+        assert (magic, version) == (b"TKDC", 4)
         columns, widths, off = {}, {}, HEADER.size
         for name, count in COLUMNS:
             code, n = chr(data[off]), counts[count]
@@ -148,7 +155,7 @@ class Artifact:
 
     def encode(self) -> bytes:
         """The artifact, each column at its narrowest width."""
-        out = HEADER.pack(b"TKDC", 3, *self.counts)
+        out = HEADER.pack(b"TKDC", 4, *self.counts)
         for name, _ in COLUMNS:
             values = self.columns[name]
             code = narrowest(values)
@@ -165,12 +172,13 @@ def corrupt_id(data: bytes, field: str) -> bytes:
 
 
 def cyclic_artifact() -> bytes:
-    """The artifact of the one word "aub" with its last arc, b -> state 3,
-    rewritten to u -> state 1.  States 1 and 2 then form a cycle of
-    non-final one-arc states whose word counts all still agree."""
+    """The artifact of the one word "aub" with its last arc, b -> state 0
+    (states come in postorder, the root last), rewritten to u -> state 2.
+    States 1 and 2 then form a cycle of non-final one-arc states."""
     artifact = Artifact.decode(FormDictionary.build({"aub": [PAYLOAD]}).to_bytes())
-    artifact.columns["trans.label"][2] = ord("u")
-    artifact.columns["trans.target"][2] = 1
+    assert artifact.columns["trans.label"] == [ord("b"), ord("u"), ord("a")]
+    artifact.columns["trans.label"][0] = ord("u")
+    artifact.columns["trans.target"][0] = 2
     return artifact.encode()
 
 
@@ -196,8 +204,7 @@ def overreaching_artifact(stop: int) -> bytes:
 
 def repeated_label_artifact() -> bytes:
     """The artifact of {"ab", "ac"} with the label c rewritten to b: the
-    state after "a" then holds two arcs labelled b, whose word counts still
-    add up."""
+    state after "a" then holds two arcs labelled b."""
     words = {"ab": [PAYLOAD], "ac": [PAYLOAD._replace(tag="N:q:i:A")]}
     artifact = Artifact.decode(FormDictionary.build(words).to_bytes())
     labels = artifact.columns["trans.label"]

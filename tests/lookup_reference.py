@@ -33,13 +33,21 @@ def linear_scan(forms, query, mode):
 
 
 def sample_queries(rng, surfaces, n) -> list[tuple[str, str]]:
-    """4n (query, mode) pairs: n listed forms (strict), n forms with about
-    six in ten of their diacritics dropped (diacritic-optional), n forms
-    with one letter replaced (strict) and n reversed skeletons
+    """5n (query, mode) pairs: n listed forms (strict), n forms with one
+    diacritic dropped where they have one (strict), n forms with about six
+    in ten of their diacritics dropped (diacritic-optional), n forms with
+    one letter replaced (strict) and n reversed skeletons
     (diacritic-optional)."""
     queries = []
     for _ in range(n):
         queries.append((rng.choice(surfaces), "strict"))
+    for _ in range(n):
+        s = rng.choice(surfaces)
+        marks = [i for i, c in enumerate(s) if bn.is_diacritic(c)]
+        if marks:
+            i = rng.choice(marks)
+            s = s[:i] + s[i + 1:]
+        queries.append((s, "strict"))
     for _ in range(n):
         s = rng.choice(surfaces)
         kept = "".join(c for c in s if not bn.is_diacritic(c) or rng.random() < 0.4)

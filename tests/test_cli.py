@@ -9,8 +9,8 @@ from taksir.codes import extract_root
 from taksir.formdict import FormDictionary
 from taksir.lexicon import load_seed
 
-from conftest import (ID_FIELDS, V1_ARTIFACT, V2_ARTIFACT, corrupt_id, cyclic_artifact, overreaching_artifact,
-                      repeated_label_artifact, retagged_artifact)
+from conftest import (ID_FIELDS, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT, corrupt_id, cyclic_artifact,
+                      overreaching_artifact, repeated_label_artifact, retagged_artifact)
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
 DATA = pathlib.Path(__file__).parent / "data"
@@ -216,6 +216,14 @@ class TestAnalyze:
         assert err.value.code == 2
         assert capsys.readouterr().err == "error: unsupported dictionary version 2\n"
 
+    def test_v3_artifact_exits_2(self, tmp_path, capsys):
+        old = tmp_path / "v3.primdict"
+        old.write_bytes(V3_ARTIFACT)
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(write_text(tmp_path, "ab\n")), "--dict", str(old)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "error: unsupported dictionary version 3\n"
+
     @pytest.mark.parametrize("argv", [["analyze", "{text}", "--dict", "{dict}"], ["stats", "--dict", "{dict}"],
                                       ["analyze", "{text}", "--dict", "{dict}", "--mode", "strict"]])
     def test_rewrite_past_its_form_exits_2(self, tmp_path, capsys, argv):
@@ -236,11 +244,11 @@ class TestAnalyze:
             main(["analyze", str(write_text(tmp_path, "a\n")), "--dict", str(bad)])
         assert err.value.code == 2
         printed = capsys.readouterr().err
-        assert printed.startswith("error: ") and "cycle" in printed and "Traceback" not in printed
+        assert printed == "error: corrupt dictionary: a trans.target is not below the state it leaves\n"
 
     @pytest.mark.parametrize("artifact, message", [
         (lambda: retagged_artifact("N:q:zz:yy"), "malformed feature tag 'N:q:zz:yy'"),
-        (repeated_label_artifact, "a state repeats a trans.label"),
+        (repeated_label_artifact, "a state's trans.labels do not strictly increase"),
     ], ids=["tag value", "repeated label"])
     def test_artifact_the_analyses_cannot_trust_exits_2(self, tmp_path, capsys, artifact, message):
         bad = tmp_path / "bad.primdict"

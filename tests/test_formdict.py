@@ -21,9 +21,9 @@ from taksir.paradigm import RowTable
 from taksir.rewrite import Rewrite
 from taksir.lexicon import LexicalEntry, LexiconFile, load_seed, parse_lexicon
 
-from conftest import (HEADER, ID_FIELDS, PAYLOAD, SEED_SLOTS, STRONG, V1_ARTIFACT, V2_ARTIFACT, Artifact, corrupt_id,
-                      cyclic_artifact, narrowest, overreaching_artifact, repeated_label_artifact, retagged_artifact,
-                      seed_variant, seed_variants, tail)
+from conftest import (HEADER, ID_FIELDS, PAYLOAD, SEED_SLOTS, STRONG, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT, Artifact,
+                      corrupt_id, cyclic_artifact, narrowest, overreaching_artifact, repeated_label_artifact,
+                      retagged_artifact, seed_variant, seed_variants, tail)
 
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
@@ -332,7 +332,7 @@ class TestLookup:
 
 class TestOracle:
     def test_thousand_random_queries_match_linear_scan(self, compiled, form_list):
-        queries = sample_queries(random.Random(20260810), [s for s, _ in form_list], 250)
+        queries = sample_queries(random.Random(20260810), [s for s, _ in form_list], 200)
         assert len(queries) == 1000
         for query, mode in queries:
             expected = linear_scan(form_list, query, mode)
@@ -390,7 +390,7 @@ class TestSerialization:
         columns = artifact.columns
         assert max(columns["piece.stop"]) == 2 * 300 + 1 and max(columns["set.length"]) == 300     # drop 300
         assert artifact.counts[5] > 65535 and artifact.counts[8] > 65535     # payloads, strings
-        root_labels = columns["trans.label"][:columns["state.fanout"][0]]
+        root_labels = columns["trans.label"][-columns["state.fanout"][-1]:]     # the root is the last state
         assert sum(label > 0xFF for label in root_labels) == 300
         clone = FormDictionary.from_bytes(data)
         assert clone.to_bytes() == data
@@ -422,6 +422,11 @@ class TestSerialization:
         for cut in range(6, len(V2_ARTIFACT) + 1):
             with pytest.raises(ValueError, match="unsupported dictionary version 2"):
                 FormDictionary.from_bytes(V2_ARTIFACT[:cut])
+
+    def test_v3_artifact_names_its_version(self):
+        for cut in range(6, len(V3_ARTIFACT) + 1):
+            with pytest.raises(ValueError, match="unsupported dictionary version 3"):
+                FormDictionary.from_bytes(V3_ARTIFACT[:cut])
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -500,8 +505,8 @@ class TestSerialization:
 
     # The case ids are the names these cases have always run under.
     @pytest.mark.parametrize("column, index, message", [
-        pytest.param("state.count", 0, "root does not count", id="state-0-root does not count"),
-        pytest.param("state.count", 1, "state.count of 2", id="state-6-state.count of 2"),   # the next state
+        pytest.param("state.final", -1, "root does not count", id="state-0-root does not count"),    # the root
+        pytest.param("state.final", 0, "neither 0 nor 1", id="state-final-neither 0 nor 1"),
         pytest.param("state.fanout", 0, "fanouts", id="state-5-fanouts"),
         pytest.param("set.length", 0, "set lengths", id="set-0-set lengths"),
         pytest.param("rewrite.length", 0, "rewrite lengths", id="rewrite-0-rewrite lengths"),
@@ -509,6 +514,22 @@ class TestSerialization:
     def test_inconsistent_counts_rejected(self, column, index, message):
         artifact = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD], "b": [PAYLOAD]}).to_bytes())
         artifact.columns[column][index] += 1
+        with pytest.raises(ValueError, match=message):
+            FormDictionary.from_bytes(artifact.encode())
+
+    @pytest.mark.parametrize("edit, message", [
+        # The root's arc a -> 1 made to lead to the root itself.
+        pytest.param({"trans.target": {1: 2}}, "a trans.target is not below the state it leaves", id="backward target"),
+        # The root's arcs a -> 1 and b -> 0 listed b first.
+        pytest.param({"trans.label": {1: ord("b"), 2: ord("a")}, "trans.target": {1: 0, 2: 1}},
+                     "trans.labels do not strictly increase", id="swapped labels"),
+    ])
+    def test_misordered_transitions_rejected(self, edit, message):
+        artifact = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD], "b": [PAYLOAD]}).to_bytes())
+        assert (artifact.columns["trans.label"], artifact.columns["trans.target"]) == ([98, 97, 98], [0, 1, 0])
+        for column, values in edit.items():
+            for index, value in values.items():
+                artifact.columns[column][index] = value
         with pytest.raises(ValueError, match=message):
             FormDictionary.from_bytes(artifact.encode())
 
@@ -521,7 +542,7 @@ class TestSerialization:
 
     def test_cycle_rejected_at_load(self):
         # Loaded, the cycle made diacritic-optional lookup of "a" run forever.
-        with pytest.raises(ValueError, match="the transitions contain a cycle"):
+        with pytest.raises(ValueError, match="a trans.target is not below the state it leaves"):
             FormDictionary.from_bytes(cyclic_artifact())
 
     def test_malformed_tag_rejected_at_load(self):
@@ -543,7 +564,7 @@ class TestSerialization:
     def test_repeated_label_rejected(self):
         # Loaded, the second b arc replaced the first: stats() counted two
         # forms, but lookup("ab") gave the payloads of "ac".
-        with pytest.raises(ValueError, match="a state repeats a trans.label"):
+        with pytest.raises(ValueError, match="a state's trans.labels do not strictly increase"):
             FormDictionary.from_bytes(repeated_label_artifact())
 
     def test_dump_line_format(self, compiled):
@@ -618,7 +639,7 @@ class TestPinnedOutputs:
     """The seed lexicon's artifact and listing, pinned: a change to either
     is a change of format or of behaviour, not a refactoring."""
 
-    ARTIFACT = (46673, "f42bc77f6a4c8f843eec2980a78b7ead9965cffd90cd863779442b5e1cd0c841")
+    ARTIFACT = (44672, "912745c4630d5bc1706df521daf1ff13fcd7fe4e867a5d267dde242d497a2a23")
     LISTING = (299472, "821e1c7dff0f57a97405955b3e813495b812a9fe31bb5c1dda384fbb69459571")
 
     @staticmethod
@@ -635,7 +656,7 @@ class TestPinnedOutputs:
         assert self.digest(clone.dump_text().encode("utf-8")) == self.LISTING
 
     STATS = {"forms": 2593, "analyses": 5049, "states": 1000, "transitions": 1405,
-             "serialized_bytes": 46673, "listing_bytes": 299472}
+             "serialized_bytes": 44672, "listing_bytes": 299472}
 
     def test_stats(self, compiled):
         assert compiled.stats() == self.STATS
