@@ -11,13 +11,14 @@ gemination mark instead, anything else is a literal.  Glottal-stop radicals
 are seated from their orthographic context when the stem is rendered.
 """
 
+import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 
 from . import bn
-from .codes import HAMZA, InflectionalCode
-from .errors import ArityMismatch, UnknownClass
+from .codes import HAMZA, InflectionalCode, parse_root_code
+from .errors import ArityMismatch, MalformedCode, UnknownClass
 
 PARADIGM_IDS = ("triptote", "diptote", "ap-final", "defective-iy", "invariable-aY")
 
@@ -28,22 +29,11 @@ class InflectionClass:
     bp_template: str
     sg_paradigm: str
     bp_paradigm: str
-
-    @cached_property
-    def radical_slots(self) -> tuple[dict[int, int], int]:
-        """Where ``render_bp_stem`` writes each plural radical, radical ->
-        stem index (the first when a radical recurs), and the length of the
-        stem it writes before a madda contraction."""
-        slots: dict[int, int] = {}
-        at = i = 0
-        while i < len(self.bp_template):
-            if self.bp_template[i].isdigit():
-                slots.setdefault(int(self.bp_template[i]), at)
-            elif self.bp_template[i] == "=":
-                i += 1          # =k writes a gemination mark
-            at += 1
-            i += 1
-        return slots, at
+    steps: tuple                # ("radical", k) | ("geminate", k) | ("lit", text)
+    arity: int                  # radicals of the plural surface root
+    #: Radical -> the stem index ``render_bp_stem`` writes it at (``=k`` writes
+    #: a gemination mark), and the stem's length before a madda contraction.
+    radical_slots: tuple[dict[int, int], int]
 
 
 class ClassRegistry:
@@ -84,6 +74,8 @@ def load_registry() -> ClassRegistry:
 
 
 def parse_registry(text: str) -> ClassRegistry:
+    """Read each row once: its template becomes steps, and a row whose steps
+    do not place each radical of its root code exactly once is refused."""
     rows: dict[str, InflectionClass] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -97,7 +89,26 @@ def parse_registry(text: str) -> ClassRegistry:
             raise ValueError(f"classes registry line {lineno}: unknown paradigm id")
         if key in rows:
             raise ValueError(f"classes registry line {lineno}: duplicate key {key}")
-        rows[key] = InflectionClass(key, template, sg_par, bp_par)
+        root_code = key.rsplit("-", 1)[-1]
+        try:    # one radical per root-code token but G, which geminates the last
+            arity = sum(token[0] != "gemfinal" for token in parse_root_code(root_code).tokens)
+        except MalformedCode as exc:
+            raise ValueError(f"classes registry line {lineno}: {exc}") from None
+        steps: list[tuple] = []
+        slots: dict[int, int] = {}
+        at = 0      # the stem index a step writes to
+        for gem, k, lit in re.findall(r"(=?)(\d)|([^\d=]+|=)", template):
+            if lit:
+                steps.append(("lit", lit))
+            elif gem:
+                steps.append(("geminate", int(k)))
+            else:
+                steps.append(("radical", int(k)))
+                slots[int(k)] = at
+            at += len(lit) or 1
+        if sorted(k for kind, k in steps if kind != "lit") != list(range(1, arity + 1)):
+            raise ValueError(f"classes registry line {lineno}: template {template} does not place each of the {arity} radicals of root code {root_code} once")
+        rows[key] = InflectionClass(key, template, sg_par, bp_par, tuple(steps), arity, (slots, at))
     return ClassRegistry(rows)
 
 
@@ -199,32 +210,17 @@ def seat_hamzas(chars: list[str]) -> str:
 
 def render_bp_stem(root, cls: InflectionClass) -> str:
     """Interdigitate the plural surface root with the class template."""
-    template = cls.bp_template
+    if len(root) != cls.arity:
+        raise ArityMismatch(f"template {cls.bp_template} places {cls.arity} radicals; root {root} has {len(root)}")
     out: list[str] = []
-    used: list[int] = []
-    i = 0
-    while i < len(template):
-        ch = template[i]
-        if ch.isdigit():
-            k = int(ch)
-            if k > len(root.radicals):
-                raise ArityMismatch(f"template {template} needs radical {k}; root {root} has {len(root)}")
-            out.append(root.radicals[k - 1])
-            used.append(k)
-            i += 1
-        elif ch == "=":
-            k = int(template[i + 1])
-            if k > len(root.radicals):
-                raise ArityMismatch(f"template {template} needs radical {k}; root {root} has {len(root)}")
-            prev = next(c for c in reversed(out) if c not in bn.DIACRITICS)
-            if root.radicals[k - 1] != prev:
-                raise ArityMismatch(f"template {template} geminates radical {k}, which differs from its neighbour")
-            out.append(bn.SHADDA)
-            used.append(k)
-            i += 2
+    for kind, value in cls.steps:
+        if kind == "lit":
+            out.extend(value)
+        elif kind == "radical":
+            out.append(root.radicals[value - 1])
         else:
-            out.append(ch)
-            i += 1
-    if sorted(used) != list(range(1, len(root.radicals) + 1)):
-        raise ArityMismatch(f"template {template} covers radicals {sorted(used)} for a {len(root)}-radical root")
+            prev = next((c for c in reversed(out) if c not in bn.DIACRITICS), None)
+            if root.radicals[value - 1] != prev:
+                raise ArityMismatch(f"template {cls.bp_template} geminates radical {value}, which differs from its neighbour")
+            out.append(bn.SHADDA)
     return seat_hamzas(out)

@@ -46,6 +46,14 @@ def _check_lexicon(path: str, registry):
     return lex, diagnostics
 
 
+def _registry():
+    try:
+        return load_registry()
+    except ValueError as exc:   # a refused row names its line
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _load_dictionary(args) -> FormDictionary:
     try:
         return FormDictionary.load(args.dict)
@@ -79,7 +87,7 @@ def _display(surface: str, arabic: bool) -> str:
 
 
 def cmd_compile(args) -> int:
-    registry = load_registry()
+    registry = _registry()
     lex, diagnostics = _check_lexicon(args.lexicon, registry)
     errors = [d for d in diagnostics if d.severity == "error"]
     started = time.perf_counter()
@@ -111,7 +119,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    registry = load_registry()
+    registry = _registry()
     lex, diagnostics = parse_lexicon(args.entry)
     if not diagnostics and len(lex.entries) != 1:   # a comment, or several lines
         diagnostics.append(Diagnostic(1, 1, "E_FORMAT", "expected one 'lemma,$code' entry"))
@@ -155,7 +163,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    lex, diagnostics = _check_lexicon(args.lexicon, load_registry())
+    lex, diagnostics = _check_lexicon(args.lexicon, _registry())
     for d in diagnostics:
         print(str(d))
     errors = [d for d in diagnostics if d.severity == "error"]

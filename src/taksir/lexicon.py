@@ -182,17 +182,9 @@ def validate_entry(entry: LexicalEntry, registry: ClassRegistry) -> list[Diagnos
                 diags.append(Diagnostic(0, pos, "W_LONGROOT", f"long vowel {radical!r} encoded as radical {k}; prefer a vv pattern code", severity="warning"))
 
     try:
-        cls = registry.resolve(code)
+        registry.resolve(code)
     except TaksirError as exc:
         diags.append(Diagnostic(0, 1, "UnknownClass", str(exc)))
-        return diags
-
-    # The plural root has one radical per root-code token but G, which
-    # geminates the last one.
-    arity = sum(token[0] != "gemfinal" for token in code.root_code.tokens)
-    template_slots = {int(c) for c in cls.bp_template if c.isdigit()}
-    if template_slots and max(template_slots) != arity:
-        diags.append(Diagnostic(0, 1, "E_ARITY", f"root code {code.root_code} yields {arity} radicals; template {cls.bp_template} expects {max(template_slots)}"))
     return diags
 
 

@@ -94,6 +94,8 @@ def _fits(tag: str, standalone: bool, prep: bool, det: bool, pro: bool) -> bool:
 
 #: Distinct (token, mode) pairs whose lattice each dictionary remembers.
 MEMO_SIZE = 1024
+#: Characters of left context, of the match and of right context in a concordance line.
+WIDTH = 28
 
 
 def segment(token: str, dictionary: FormDictionary, mode: str = "strict",
@@ -207,7 +209,7 @@ def matches_mask(features: FeatureBundle, mask: dict) -> bool:
 
 
 def concordance(tokens: list[str], dictionary: FormDictionary, mask: str,
-                mode: str = "strict", width: int = 28) -> list[str]:
+                mode: str = "strict") -> list[str]:
     """Fixed-width left-context / match / right-context lines for every token
     with a reading matching the mask."""
     wanted = parse_mask(mask)
@@ -218,5 +220,5 @@ def concordance(tokens: list[str], dictionary: FormDictionary, mask: str,
             continue
         left = " ".join(tokens[max(0, i - 4): i])
         right = " ".join(tokens[i + 1: i + 5])
-        lines.append(f"{left[-width:]:>{width}}  {token:<{width}}  {right[:width]:<{width}}".rstrip())
+        lines.append(f"{left[-WIDTH:]:>{WIDTH}}  {token:<{WIDTH}}  {right[:WIDTH]:<{WIDTH}}".rstrip())
     return lines

@@ -2,9 +2,14 @@ import itertools
 
 import pytest
 
-from taksir.classes import render_bp_stem, resolve_hamza, substitute_madda
+from taksir.classes import parse_registry, render_bp_stem, resolve_hamza, substitute_madda
 from taksir.codes import HAMZA, SurfaceRoot, apply_root_code, extract_root, parse_code
 from taksir.errors import ArityMismatch, UnknownClass
+from taksir.formdict import compile_lexicon
+from taksir.lexicon import parse_lexicon
+
+#: A quadrilateral plural whose fourth radical geminates the third.
+GEMINATE_ROW = "N300-FvEvL-FaEaaLiB-1223\t1a2aAo3=4\ttriptote\ttriptote\n"
 
 
 def bp_stem(registry, lemma, code_text):
@@ -37,6 +42,29 @@ class TestResolve:
         assert quadrilateral == {"FaEaaLiB", "FaEaaLiBap", "FaEaaLiiB"}
 
 
+class TestParseRegistry:
+    @pytest.mark.parametrize("root_code, template", [
+        ("123G", "1u2uwo3o4"),      # G geminates radical 3: three radicals, four placed
+        ("12h2", "1u2uwo3"),
+        ("123", "1u2u2o3"),         # radical 2 placed twice
+        ("1223", "1a2aAo3=3"),      # =k places radical k
+    ], ids=["123G", "12h2", "twice", "geminate-twice"])
+    def test_root_code_arity_against_template(self, root_code, template):
+        text = f"# header\nN300-FvEvL-FuEuL-{root_code}\t{template}\ttriptote\ttriptote\n"
+        with pytest.raises(ValueError, match=f"^classes registry line 2: template {template} .* root code {root_code} "):
+            parse_registry(text)
+
+    def test_geminate_places_its_radical(self):
+        (cls,) = parse_registry(GEMINATE_ROW)
+        assert cls.arity == 4
+        assert cls.steps == (("radical", 1), ("lit", "a"), ("radical", 2), ("lit", "aAo"), ("radical", 3), ("geminate", 4))
+        assert cls.radical_slots == ({1: 0, 2: 2, 3: 6}, 8)
+
+    def test_malformed_root_code_refused(self):
+        with pytest.raises(ValueError, match="^classes registry line 1: bad character 'x'"):
+            parse_registry("N300-FvEvL-FuEuL-12x\t1u2u3\ttriptote\ttriptote\n")
+
+
 class TestRender:
     def test_simple_interdigitation(self, registry):
         assert bp_stem(registry, "Euqodap", "$N3ap-f-FvEvL-FuEaL-123") == "Euqad"
@@ -60,6 +88,21 @@ class TestRender:
         cls = registry.resolve(parse_code("$N3ap-f-FvEvL-FuEaL-123"))
         with pytest.raises(ArityMismatch):
             render_bp_stem(SurfaceRoot(("E", "q", "d", "d")), cls)
+
+    def test_geminate_must_repeat_its_neighbour(self):
+        registry = parse_registry(GEMINATE_ROW)
+        message = "template 1a2aAo3=4 geminates radical 4, which differs from its neighbour"
+        with pytest.raises(ArityMismatch, match=message):
+            bp_stem(registry, "kitaAob", "$N300-m-FvEvL-FaEaaLiB-1223")
+        assert bp_stem(registry, "madad", "$N300-m-FvEvL-FaEaaLiB-1223") == "madaAodG"
+        lex, _ = parse_lexicon("kitaAob,$N300-m-FvEvL-FaEaaLiB-1223\nmadad,$N300-m-FvEvL-FaEaaLiB-1223\n")
+        dictionary, failures = compile_lexicon(lex, registry)
+        assert failures == [f"kitaAob,N300-m-FvEvL-FaEaaLiB-1223: {message}"]
+        assert {a.lemma for a in dictionary.lookup("madaAodGu")} == {"madad"}
+        # a geminate with no letter before it has no neighbour to repeat
+        leading = parse_registry("N300-FvEvL-FuEuL-123\t=1u2u3\ttriptote\ttriptote\n")
+        with pytest.raises(ArityMismatch, match="geminates radical 1"):
+            bp_stem(leading, "kitaAob", "$N300-m-FvEvL-FuEuL-123")
 
 
 class TestHamza:

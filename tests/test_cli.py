@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from taksir import cli
+from taksir.classes import parse_registry
 from taksir.cli import main
 from taksir.codes import extract_root
 from taksir.formdict import FormDictionary
@@ -114,6 +115,22 @@ def test_non_utf8_input_exits_2(argv, dict_path, tmp_path, capsys):
     assert err.value.code == 2
     printed = capsys.readouterr().err
     assert printed.startswith(f"error: {bad} is not UTF-8 text: ") and "Traceback" not in printed
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "{lex}", "--out", "{out}"],
+    ["gen", "kitaAob,$N300-m-FvEvL-FuEuL-123"],
+    ["validate", "{lex}"],
+], ids=["compile", "gen", "validate"])
+def test_refused_registry_exits_2(argv, tmp_path, capsys, monkeypatch):
+    text = "N300-FvEvL-FuEuL-123\t1u2u3\ttriptote\ttriptote\nN300-FvEvL-FuEuuL-123\t1u2uwo3o4\ttriptote\ttriptote\n"
+    monkeypatch.setattr(cli, "load_registry", lambda: parse_registry(text))
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(lex=SEED_PATH, out=tmp_path / "x.primdict") for arg in argv])
+    assert err.value.code == 2
+    printed = capsys.readouterr().err
+    assert printed.startswith("error: classes registry line 2: template 1u2uwo3o4 ") and "Traceback" not in printed
+    assert not (tmp_path / "x.primdict").exists()
 
 
 def write_text(tmp_path, content, name="text.txt"):

@@ -1,7 +1,6 @@
 import pytest
 
 from taksir import lexicon
-from taksir.classes import parse_registry
 from taksir.codes import parse_code
 from taksir.lexicon import lexicon_stats, parse_lexicon, serialize, validate_entry
 
@@ -92,15 +91,6 @@ class TestValidate:
         lex, _ = parse_lexicon("Euqodap,$N300-f-FvEvL-FuEaL-123 / mistagged")
         diags = validate_entry(lex.entries[0], registry)
         assert any(d.severity == "error" for d in diags)
-
-    @pytest.mark.parametrize("root_code, template, message", [
-        ("123G", "1u2uwo3o4", "root code 123G yields 3 radicals; template 1u2uwo3o4 expects 4"),
-        ("12h2", "1u2uwo3", "root code 12h2 yields 4 radicals; template 1u2uwo3 expects 3"),
-    ], ids=["123G", "12h2"])
-    def test_root_code_arity_against_template(self, root_code, template, message):
-        registry = parse_registry(f"N300-FvEvL-FuEuL-{root_code}\t{template}\ttriptote\ttriptote\n")
-        lex, _ = parse_lexicon(f"kitaAob,$N300-m-FvEvL-FuEuL-{root_code}")
-        assert [(d.code, d.message) for d in validate_entry(lex.entries[0], registry)] == [("E_ARITY", message)]
 
     def test_seed_validates_clean(self, seed, registry):
         for entry in seed:
