@@ -31,9 +31,9 @@ class InflectionClass:
     bp_paradigm: str
     steps: tuple                # ("radical", k) | ("geminate", k) | ("lit", text)
     arity: int                  # radicals of the plural surface root
-    #: Radical -> the stem index ``render_bp_stem`` writes it at (``=k`` writes
-    #: a gemination mark), and the stem's length before a madda contraction.
-    radical_slots: tuple[dict[int, int], int]
+    #: ``(k, at)`` per radical copied from singular radical k and written at
+    #: stem index ``at``, and the stem's length before a madda contraction.
+    radical_copies: tuple[tuple[tuple[int, int], ...], int]
 
 
 class ClassRegistry:
@@ -91,9 +91,10 @@ def parse_registry(text: str) -> ClassRegistry:
             raise ValueError(f"classes registry line {lineno}: duplicate key {key}")
         root_code = key.rsplit("-", 1)[-1]
         try:    # one radical per root-code token but G, which geminates the last
-            arity = sum(token[0] != "gemfinal" for token in parse_root_code(root_code).tokens)
+            radicals = [token for token in parse_root_code(root_code).tokens if token[0] != "gemfinal"]
         except MalformedCode as exc:
             raise ValueError(f"classes registry line {lineno}: {exc}") from None
+        arity = len(radicals)
         steps: list[tuple] = []
         slots: dict[int, int] = {}
         at = 0      # the stem index a step writes to
@@ -108,7 +109,9 @@ def parse_registry(text: str) -> ClassRegistry:
             at += len(lit) or 1
         if sorted(k for kind, k in steps if kind != "lit") != list(range(1, arity + 1)):
             raise ValueError(f"classes registry line {lineno}: template {template} does not place each of the {arity} radicals of root code {root_code} once")
-        rows[key] = InflectionClass(key, template, sg_par, bp_par, tuple(steps), arity, (slots, at))
+        copies = tuple((token[1], slots[k]) for k, token in enumerate(radicals, start=1)
+                       if token[0] == "copy" and k in slots)
+        rows[key] = InflectionClass(key, template, sg_par, bp_par, tuple(steps), arity, (copies, at))
     return ClassRegistry(rows)
 
 

@@ -37,12 +37,10 @@ def _read(path: str) -> str:
 
 
 def _check_lexicon(path: str, registry):
-    """The lexicon and its parse diagnostics, then each entry's, at the entry's line."""
+    """The lexicon and its parse diagnostics, then each entry's."""
     lex, diagnostics = parse_lexicon(_read(path))
     for entry in lex.entries:
-        for d in validate_entry(entry, registry):
-            d.line = d.line or entry.line
-            diagnostics.append(d)
+        diagnostics += validate_entry(entry, registry)
     return lex, diagnostics
 
 

@@ -10,11 +10,12 @@ makes the serialized artifact small.  It is built in one pass over the
 sorted forms (Daciuk, Mihov, Watson & Watson 2000), so construction never
 holds more than the minimal automaton plus one word's path.
 
-Most forms come in units: the rows of one shared row table filled from a
-stem, all starting with one base.  Where no other form starts with a
-unit's base, the states below the base depend only on the unit's suffixes,
-so the pass registers that sub-automaton once per distinct suffix tuple and
-takes the base as one item whose last arc leads into it.
+Every compiled form comes in a unit: the rows of an entry's singular row
+tables, or of its plural's, each filled from its stem, all starting with
+one base.  Where no other form starts with a unit's base, the states below
+the base depend only on the unit's suffixes, so the pass registers that
+sub-automaton once per distinct suffix tuple and takes the base as one
+item whose last arc leads into it.
 
 Payloads do not name entries directly: they hold the feature tag, the
 inflectional code and a positional rewrite that rebuilds the lemma from the
@@ -84,12 +85,12 @@ class Analysis:
 
 
 class Unit:
-    """The forms of one or more shared row tables, each filled from a stem,
-    after the stems' common prefix up to the tables' largest cuts:
-    ``head``, their common prefix, then one of ``tails``, sorted and
-    distinct, each carrying ``lists[i]``.  ``parts`` are ``(end, table,
-    payloads)``, ``end`` the stem past that prefix.  Every entry whose stems
-    have the same tables, ends and payloads shares the unit."""
+    """The forms of one or more row tables, each filled from a stem, after
+    the stems' common prefix up to the tables' largest cuts: ``head``,
+    their common prefix, then one of ``tails``, sorted and distinct, each
+    carrying ``lists[i]``.  ``parts`` are ``(end, table, payloads)``,
+    ``end`` the stem past that prefix.  Every entry whose stems have the
+    same tables, ends and payloads shares the unit."""
 
     __slots__ = ("head", "tails", "lists")
 
@@ -609,36 +610,37 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
     """Generate every entry's paradigm and build the automaton.  Entries
     whose generation fails are reported, not fatal; the dictionary is built
     from the rest."""
-    words, units, failures = fill_lexicon(lex, registry)
-    return FormDictionary.build(words, units), failures
+    units, failures = fill_lexicon(lex, registry)
+    return FormDictionary.build({}, units), failures
 
 
-def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[dict, list[tuple[str, Unit]], list[str]]:
-    """The loose words and ``(base, Unit)`` pairs of every entry's paradigm
-    for ``FormDictionary.build``, and a message per entry that failed.
+def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[list[tuple[str, Unit]], list[str]]:
+    """The ``(base, Unit)`` pairs of every entry's paradigm for
+    ``FormDictionary.build``, and a message per entry that failed.
 
     Each stem of an entry is filled into its row table: a form's key is
     the stem with the row's cut and tail.  A singular stem (the lemma, or
     the feminine in -ap) extends its lemma, so every key of its table keeps
     the lemma up to the row's cut, and a row's one-piece rewrite depends
     only on the code, the row and what follows that prefix in the stem and
-    in the lemma.  The payloads of a shared table filled from such a stem are
+    in the lemma.  The payloads of a table filled from such a stem are
     therefore made once per (code, table, stem end, lemma end).
 
     The broken-plural stem gets a positional stem-to-lemma rewrite from
     where its class template put each radical (``radical_rewrite``); the
     entries of a class that spell their pattern letters alike get the same
     one, whatever their radicals.  A row keeps that rewrite, except that
-    letters its cut removes are spelled out, so the payloads of a shared
-    table are made once per (code, table, rewrite, stem length, stem end).
+    letters its cut removes are spelled out, so the payloads of a table
+    are made once per (code, table, rewrite, stem length, stem end).
 
-    The payloads of an unshared table are its own, and its forms are loose
-    words.  The shared tables of the singular stems make one ``Unit``, and
-    the plural's another, one per tuple of payload keys: the stems up to
-    the tables' largest cut are the unit's base (the masculine stem, which
-    the feminine extends, leads), and the keys fix every letter after it.
+    The tables of the singular stems make one ``Unit``, and the plural's
+    another, one per tuple of payload keys: the stems up to the tables'
+    largest cut are the unit's base (the masculine stem, which the feminine
+    extends, leads), and the keys fix every letter after it.  A unit with
+    an empty base, as most stems with rows of their own (``paradigm._table``)
+    give, is not kept for reuse: its keys hold whole stems and lemmas, so
+    it cannot repeat.
     """
-    words: dict[str, list[Payload]] = {}
     units: list[tuple[str, Unit]] = []
     records: dict[tuple, Payload] = {}     # one Payload per distinct record
     rewrites = RewritePool()
@@ -673,26 +675,24 @@ def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[dict, list[
             failures.append(f"{entry.lemma},{entry.code}: {exc}")
             continue
         lemma, code = entry.lemma, entry.code.text
-        groups: tuple[list, list] = ([], [])     # (stem, table, key, rewrite) of the shared singular and plural tables
+        groups: tuple[list, list] = ([], [])     # (stem, table, key, rewrite) of the singular and plural tables
         for n, (stem, table) in enumerate(tables):
             keep, rewrite = len(stem), None
             if n < len(tables) - 1:     # stem_tables puts the broken plural last
                 prefix = min(len(lemma), keep - table.cut)
                 key = (code, table, stem[prefix:], lemma[prefix:])
             else:
-                rewrite = rewrites[radical_rewrite(entry, stem, *registry.resolve(entry.code).radical_slots)]
+                rewrite = rewrites[radical_rewrite(entry, stem, *registry.resolve(entry.code).radical_copies)]
                 key = (code, table, rewrite, keep, stem[keep - table.cut:])
-            if table.shared:
-                groups[rewrite is not None].append((stem, table, key, rewrite))
-                continue
-            for row, payload in zip(table.rows, fill(stem, table, lemma, code, rewrite)):
-                words.setdefault(stem[: keep - row[0]] + row[1], []).append(payload)
-        for group in filter(None, groups):
+            groups[rewrite is not None].append((stem, table, key, rewrite))
+        for group in groups:
             base = min(len(stem) - table.cut for stem, table, _, _ in group)
             key = tuple(part[2] for part in group)
             unit = filled.get(key)
             if unit is None:
-                unit = filled[key] = Unit([(stem[base:], table, fill(stem, table, lemma, code, rewrite))
-                                           for stem, table, _, rewrite in group])
+                unit = Unit([(stem[base:], table, fill(stem, table, lemma, code, rewrite))
+                             for stem, table, _, rewrite in group])
+                if base:
+                    filled[key] = unit
             units.append((group[0][0][:base] + unit.head, unit))
-    return words, units, failures
+    return units, failures

@@ -150,17 +150,17 @@ def _long_realisations(entry: LexicalEntry, root) -> list[bool]:
 
 
 def validate_entry(entry: LexicalEntry, registry: ClassRegistry) -> list[Diagnostic]:
-    """Per-entry checks; diagnostics are the result, nothing raises."""
+    """Per-entry checks, at the entry's line; nothing raises."""
     diags: list[Diagnostic] = []
     code = entry.code
     suffix = CLASS_TAG_SUFFIXES[code.class_tag]
     if not suffix and entry.lemma.endswith("ap"):
-        diags.append(Diagnostic(0, 1, "E_SUFFIX", f"lemma ends in -ap but tag {code.class_tag} strips nothing"))
+        diags.append(Diagnostic(entry.line, 1, "E_SUFFIX", f"lemma ends in -ap but tag {code.class_tag} strips nothing"))
 
     try:
         root = entry.sg_root
     except TaksirError as exc:
-        diags.append(Diagnostic(0, 1, type(exc).__name__, str(exc)))
+        diags.append(Diagnostic(entry.line, 1, type(exc).__name__, str(exc)))
         return diags
 
     # Positional convention: radicals sit at odd indices, except right after a
@@ -168,7 +168,7 @@ def validate_entry(entry: LexicalEntry, registry: ClassRegistry) -> list[Diagnos
     prev_gem = False
     for radical, pos, gem in zip(root.radicals, root.positions, root.geminate_flags):
         if pos % 2 == 0 and not prev_gem:
-            diags.append(Diagnostic(0, pos, "E_POSITION", f"radical {radical!r} at even position {pos}"))
+            diags.append(Diagnostic(entry.line, pos, "E_POSITION", f"radical {radical!r} at even position {pos}"))
         prev_gem = gem
 
     # Encoding rule: with three or more phonetic consonants in the stem, a
@@ -179,12 +179,12 @@ def validate_entry(entry: LexicalEntry, registry: ClassRegistry) -> list[Diagnos
             if k == len(root):
                 break  # a final long radical is not *between* consonants
             if is_long:
-                diags.append(Diagnostic(0, pos, "W_LONGROOT", f"long vowel {radical!r} encoded as radical {k}; prefer a vv pattern code", severity="warning"))
+                diags.append(Diagnostic(entry.line, pos, "W_LONGROOT", f"long vowel {radical!r} encoded as radical {k}; prefer a vv pattern code", severity="warning"))
 
     try:
         registry.resolve(code)
     except TaksirError as exc:
-        diags.append(Diagnostic(0, 1, "UnknownClass", str(exc)))
+        diags.append(Diagnostic(entry.line, 1, "UnknownClass", str(exc)))
     return diags
 
 

@@ -128,11 +128,10 @@ class RowTable:
     is most stems with an O too, share one table per distinct list of rows
     (see ``_table``), so tables compare and hash by identity."""
 
-    __slots__ = ("rows", "shared", "cut")
+    __slots__ = ("rows", "cut")
 
-    def __init__(self, rows: tuple, shared: bool):
+    def __init__(self, rows: tuple):
         self.rows = rows
-        self.shared = shared            # False for the table of one glottal-stop stem
         self.cut = max(row[0] for row in rows)  # the largest cut of any row
 
 
@@ -191,7 +190,7 @@ def _rows(stem: str, paradigm: str, gender: str, number: str) -> tuple:
 
 
 #: The one shared table of each distinct list of rows.
-_shared_table = functools.lru_cache(maxsize=None)(functools.partial(RowTable, shared=True))
+_shared_table = functools.lru_cache(maxsize=None)(RowTable)
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,7 +211,7 @@ def _table(stem: str, paradigm: str, gender: str, number: str) -> RowTable:
     pronoun variant, the one row compared with another, cuts at most one),
     so it shares the table of that letter."""
     if "O" in stem[-5:] or stem.endswith(_FINAL_HAMZA) or substitute_madda(stem) != stem:
-        return RowTable(_rows(stem, paradigm, gender, number), shared=False)
+        return RowTable(_rows(stem, paradigm, gender, number))
     return _ending_table(stem[-1:], paradigm, gender, number)
 
 

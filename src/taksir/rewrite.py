@@ -118,28 +118,24 @@ def cut_pieces(rewrite: Rewrite, stem: str, lemma: str, kept: int, tail: str) ->
     return _pieces(lemma, source)
 
 
-def radical_rewrite(entry, stem: str, slots: dict[int, int], length: int) -> tuple:
+def radical_rewrite(entry, stem: str, copies: tuple, length: int) -> tuple:
     """The pieces of the entry's own stem-to-lemma rewrite: each radical of
     the lemma that the plural keeps is copied from where the template put
-    it, every other letter of the lemma is a literal.  A radical is copied
-    only where the stem spells it as the lemma does, so the pieces always
-    give back the lemma.  A madda contraction shortens the stem and moves
-    the radicals after it back, so each is looked for there too."""
+    it (``copies`` and ``length``, the class's ``radical_copies``), every
+    other letter of the lemma is a literal.  A radical is copied only where
+    the stem spells it as the lemma does, so the pieces always give back
+    the lemma.  A madda contraction shortens the stem and moves the
+    radicals after it back, so each is looked for there too."""
     lemma, positions = entry.lemma, entry.sg_root.positions
     if "C" in lemma:    # radical positions count each madda C as four letters
         index = [i for i, c in enumerate(lemma) for _ in range(4 if c == "C" else 1)]
         positions = [index[p - 1] + 1 for p in positions]
     source: dict[int, int] = {}     # lemma index -> stem index
-    radical = 0
-    for token in entry.code.root_code.tokens:
-        if token[0] == "gemfinal":
-            continue
-        radical += 1
-        if token[0] == "copy" and radical in slots:
-            i = positions[token[1] - 1] - 1
-            for at in (slots[radical], slots[radical] + len(stem) - length):
-                if 0 <= at < len(stem) and stem[at] == lemma[i]:
-                    source.setdefault(i, at)
+    for k, slot in copies:
+        i = positions[k - 1] - 1
+        for at in (slot, slot + len(stem) - length):
+            if 0 <= at < len(stem) and stem[at] == lemma[i]:
+                source.setdefault(i, at)
     return _pieces(lemma, source)
 
 

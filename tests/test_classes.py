@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from taksir.classes import parse_registry, render_bp_stem, resolve_hamza, substitute_madda
-from taksir.codes import HAMZA, SurfaceRoot, apply_root_code, extract_root, parse_code
+from taksir.codes import CLASS_TAG_SUFFIXES, HAMZA, KNOWN_BP_LABELS, SurfaceRoot, apply_root_code, extract_root, parse_code
 from taksir.errors import ArityMismatch, UnknownClass
 from taksir.formdict import compile_lexicon
 from taksir.lexicon import parse_lexicon
@@ -58,11 +58,28 @@ class TestParseRegistry:
         (cls,) = parse_registry(GEMINATE_ROW)
         assert cls.arity == 4
         assert cls.steps == (("radical", 1), ("lit", "a"), ("radical", 2), ("lit", "aAo"), ("radical", 3), ("geminate", 4))
-        assert cls.radical_slots == ({1: 0, 2: 2, 3: 6}, 8)
+        assert cls.radical_copies == (((1, 0), (2, 2), (2, 6)), 8)
 
     def test_malformed_root_code_refused(self):
         with pytest.raises(ValueError, match="^classes registry line 1: bad character 'x'"):
             parse_registry("N300-FvEvL-FuEuL-12x\t1u2u3\ttriptote\ttriptote\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("N300-FvEvL-FuEuL-123\t1u2u3\ttriptote\n", "line 1: expected 4 tab-separated fields"),
+        ("N300-FvEvL-FuEuL-123\t1u2u3\ttriptote\tpentaptote\n", "line 1: unknown paradigm id"),
+        ("N300-FvEvL-FuEuL-123\t1u2u3\ttriptote\ttriptote\n" * 2, "line 2: duplicate key N300-FvEvL-FuEuL-123"),
+    ], ids=["fields", "paradigm", "duplicate"])
+    def test_malformed_row_refused(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_registry(text)
+        assert str(err.value) == f"classes registry {message}"
+
+    def test_code_tables_match_the_registry(self, registry):
+        # parse_code checks labels and tags against these tables, before the
+        # registry is read: a registry row with a label or tag they lack
+        # would refuse every entry of its class.
+        assert KNOWN_BP_LABELS == registry.bp_labels()
+        assert set(CLASS_TAG_SUFFIXES) == {cls.key.split("-")[0] for cls in registry}
 
 
 class TestRender:

@@ -38,6 +38,13 @@ class TestCompile:
             main(["compile", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "x")])
         assert err.value.code == 2
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["compile", str(SEED_PATH), "--out", str(tmp_path / "missing" / "x.primdict")])
+        assert err.value.code == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith("error: ") and "x.primdict" in printed.err
+
     def test_partial_lexicon_still_compiles(self, tmp_path, capsys):
         lex = tmp_path / "bad.txt"
         lex.write_text(
@@ -171,6 +178,18 @@ class TestGen:
         assert out == ""
         assert err.startswith("invalid: ") and "not a transliteration character" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, err", [
+        ("SaAoruwox,$N400-m-FvEvLvvB-FaEaaLiiB-1w34",
+         "warning: 1:3 W_LONGROOT long vowel 'A' encoded as radical 2; prefer a vv pattern code\n"
+         "invalid: 1:1 UnknownClass no inflection class registered for N400-FvEvLvvB-FaEaaLiiB-1w34; "
+         "nearest known: N400-FvEvLvvB-FaEaaLiiB-1234, N400-FvEvLvvB-FaEaaLiiB-h234\n"),
+        ("Euqodap,$N300-f-FvEvL-FuEaL-123", "invalid: 1:1 E_SUFFIX lemma ends in -ap but tag N300 strips nothing\n"),
+    ], ids=["warning", "error"])
+    def test_entry_diagnostics_at_line_1(self, spec, err, capsys):
+        # The entry is line 1, as its parse diagnostics say.
+        assert main(["gen", spec]) == 1
+        assert capsys.readouterr() == ("", err)
+
     def test_arabic_display(self, capsys):
         assert main(["gen", "Euqodap,$N3ap-f-FvEvL-FuEaL-123", "--arabic"]) == 0
         out = capsys.readouterr().out
@@ -200,6 +219,14 @@ class TestAnalyze:
         text = write_text(tmp_path, "qwerty\n")
         main(["analyze", str(text), "--dict", str(dict_path)])
         assert "qwerty\tUNK" in capsys.readouterr().out
+
+    def test_optional_is_short_for_diacritic_optional(self, dict_path, tmp_path, capsys):
+        text = write_text(tmp_path, "kutub AlkutubK liEuquwdK Eqd qwerty\n")
+        outs = []
+        for mode in ("optional", "diacritic-optional"):
+            assert main(["analyze", str(text), "--dict", str(dict_path), "--mode", mode]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "\tkitaAob," in outs[0]
 
     def test_strict_mode_misses_bare_skeleton(self, dict_path, tmp_path, capsys):
         text = write_text(tmp_path, "Eqd\n")

@@ -80,6 +80,20 @@ class TestParseCode:
         with pytest.raises(MalformedCode):
             parse_root_code("12G3")
 
+    @pytest.mark.parametrize("text, message", [
+        ("$N300-m-FvXvL-FuEuL-123", "bad character 'X' in singular-pattern code 'FvXvL'"),
+        ("$N300-m-FvLvE-FuEuL-123", "slot letters out of order in 'FvLvE'"),
+        ("$N300-m-FvvvEvL-FuEuL-123", "more than two vowel marks in a row in 'FvvvEvL'"),
+        ("$N300-m-F-FuEuL-123", "'F' has 1 slots; expected 2-6"),
+        ("$N300-m-FvEvL-FuEuL-", "empty root code"),
+        ("$N900-m-FvEvL-FuEuL-123", "unknown class tag 'N900'"),
+        ("$N300-x-FvEvL-FuEuL-123", "gender flag must be m, f or g, not 'x'"),
+    ])
+    def test_malformed_code_message(self, text, message):
+        with pytest.raises(MalformedCode) as err:
+            parse_code(text)
+        assert str(err.value) == message
+
 
 class TestExtractRoot:
     def test_plain_trilateral(self):

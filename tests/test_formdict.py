@@ -193,9 +193,9 @@ class TestCompileOracle:
 
 
 def unit(rows, payloads, end=""):
-    """The Unit of a shared table of (cut, tail) rows, filled from a stem
-    that ends in ``end``."""
-    return Unit([(end, RowTable(tuple((cut, tail, None, True, False) for cut, tail in rows), True), payloads)])
+    """The Unit of a table of (cut, tail) rows, filled from a stem that
+    ends in ``end``."""
+    return Unit([(end, RowTable(tuple((cut, tail, None, True, False) for cut, tail in rows)), payloads)])
 
 
 def build_both_ways(words, units):
@@ -218,8 +218,8 @@ class TestUnitBuild:
     by word gives, whether each unit is isolated or not."""
 
     def test_seed(self, compiled, seed, registry):
-        words, units, _ = fill_lexicon(seed, registry)
-        assert build_both_ways(words, units).to_bytes() == compiled.to_bytes()
+        units, _ = fill_lexicon(seed, registry)
+        assert build_both_ways({}, units).to_bytes() == compiled.to_bytes()
 
     @pytest.mark.parametrize("text", [
         # The masculine stem is a prefix of the feminine one, and its
@@ -232,14 +232,16 @@ class TestUnitBuild:
         "kitaAob,$N300-m-FvEvL-FuEuL-123\nkutaAob,$N300-m-FvEvL-FuEuL-123",
         # Stems that differ where a row cuts.
         "raAoEiy,$N300-m-FvvEvL-FuEoLaan-12y+Hum\nraAoEib,$N300-m-FvvEvL-FuEoLaan-12y+Hum",
-        # The masculine stem ends in a glottal stop, so its forms are loose
-        # words, and qaAorica, qaAoricaAni, ... start with the feminine base.
+        # The masculine stem ends in a glottal stop, so its table is its
+        # own and cuts the whole stem: the singular unit's base is the
+        # common prefix of all its forms.
         "qaAoric,$N300-g-FvvEvL-FuEEaL-123",
         # Hamza-final and O stems beside the stems of shared tables.
         "juzoc,$N300-m-FvEvL-OaFoEaaL-123\nbadoc,$N300-m-FvEvL-OaFoEaaL-123\nSaAoHib,$N300-g-FvEvL-OaFoEaaL-123+Hum",
         # Singular stems whose last O is 0 (mabodaO), 2 (tawoOam, raOos), 4
         # (maOozaq, raOosap) and 6 (maOozaqap) letters from the end: only
-        # the last shares a table, so its entry's unit holds that table alone.
+        # the last shares a table, and its entry's unit holds it beside the
+        # masculine stem's own table.
         "mabodaO,$N400-m-FvEvLvB-FaEaaLiB-123h\ntawoOam,$N400-m-FvEvLvB-FaEaaLiB-12h4+Hum\n"
         "maOozaq,$N400-g-FvEvLvB-FaEaaLiB-1h34\nraOos,$N300-g-FvEvL-FuEuuL-123",
         # 5 and 6 letters from the end: shared tables, beside O plurals.
@@ -254,30 +256,31 @@ class TestUnitBuild:
     def test_hand_made_lexicons(self, registry, text):
         lex, diagnostics = parse_lexicon(text)
         assert not diagnostics
-        words, units, failures = fill_lexicon(lex, registry)
+        units, failures = fill_lexicon(lex, registry)
         assert units and not failures
-        d = build_both_ways(words, units)
+        d = build_both_ways({}, units)
         assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
 
     @pytest.mark.parametrize("text, bases", [
         ("kaAotib,$N300-g-FvvEvL-FuEEaL-123+Hum", ["kaAotib", "kutGaAob"]),
         ("Euqodap,$N3ap-g-FvEvL-FuEaL-123", ["Euqad", "Euqoda"]),
-        # Hamza-final: the masculine forms are loose words, the feminine a unit.
-        ("qaAoric,$N300-g-FvvEvL-FuEEaL-123", ["qaAorica"]),
+        # Hamza-final: the masculine table is its own, so the unit's base is
+        # the common prefix of all its forms.
+        ("qaAoric,$N300-g-FvvEvL-FuEEaL-123", ["qaAori", "qurGaAo"]),
     ])
     def test_gender_inflecting_entry_is_one_unit(self, registry, text, bases):
         # The feminine stem extends the masculine one, so both tables fill
         # one unit under the masculine base, which no other base starts.
         lex, _ = parse_lexicon(text)
-        words, units, _ = fill_lexicon(lex, registry)
+        units, _ = fill_lexicon(lex, registry)
         assert sorted(base for base, _ in units) == bases
-        build_both_ways(words, units)
+        build_both_ways({}, units)
 
     def test_seed_variants_at_scale(self, registry):
         rng = random.Random(3)
         lex = LexiconFile([seed_variant(rng.choice) for _ in range(400)])
-        words, units, _ = fill_lexicon(lex, registry)
-        build_both_ways(words, units)
+        units, _ = fill_lexicon(lex, registry)
+        build_both_ways({}, units)
 
     def test_bases_of_one_letter_and_none(self):
         payloads = [PAYLOAD._replace(tag=tag) for tag in ("N:q:i:N", "N:q:i:A", "N:q:i:G", "N:q:a:N")]

@@ -87,6 +87,14 @@ class TestValidate:
         diags = validate_entry(lex.entries[0], registry)
         assert any(d.code == "W_LONGROOT" and d.severity == "warning" for d in diags)
 
+    @pytest.mark.parametrize("text, diagnostic", [
+        ("kGatab,$N300-m-FvEvL-FuEuL-123", "1:6 E_POSITION radical 'b' at even position 6"),
+        ("a,$N300-m-FvEvL-FuEuL-123", "1:1 NotFullyDiacritized lemma 'a' is not fully diacritized (position 0)"),
+    ], ids=["E_POSITION", "NotFullyDiacritized"])
+    def test_diagnostic_at_the_entry_line(self, registry, text, diagnostic):
+        lex, _ = parse_lexicon(text)
+        assert [str(d) for d in validate_entry(lex.entries[0], registry)] == [diagnostic]
+
     def test_ap_lemma_with_bare_tag_rejected(self, registry):
         lex, _ = parse_lexicon("Euqodap,$N300-f-FvEvL-FuEaL-123 / mistagged")
         diags = validate_entry(lex.entries[0], registry)
