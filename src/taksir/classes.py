@@ -59,12 +59,6 @@ class ClassRegistry:
             raise UnknownClass(key, nearest)
         return row
 
-    def bp_labels(self) -> set[str]:
-        return {k.split("-")[2] for k in self._rows}
-
-    def pattern_pairs(self) -> set[tuple[str, str]]:
-        return {(k.split("-")[1], k.split("-")[2]) for k in self._rows}
-
 
 @lru_cache(maxsize=1)
 def load_registry() -> ClassRegistry:

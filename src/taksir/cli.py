@@ -97,8 +97,8 @@ def cmd_compile(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     print(f"wrote {args.out}")
-    for key in ("forms", "analyses", "states", "transitions", "serialized_bytes", "listing_bytes"):
-        print(f"{key}\t{stats[key]}")
+    for key, value in stats.items():
+        print(f"{key}\t{value}")
     # wall time on stderr: stdout stays byte-identical across runs
     print(f"compile_seconds\t{elapsed:.3f}", file=sys.stderr)
     for d in errors:
@@ -182,8 +182,8 @@ def cmd_stats(args) -> int:
     if args.dict:
         dictionary = _load_dictionary(args)
         stats = dictionary.stats(os.path.getsize(args.dict))
-        for key in ("forms", "analyses", "states", "transitions", "serialized_bytes", "listing_bytes"):
-            print(f"{key}\t{stats[key]}")
+        for key, value in stats.items():
+            print(f"{key}\t{value}")
         if args.text:
             tokens = tokenize(_read(args.text))
             covered_tokens = 0

@@ -15,7 +15,8 @@ tables, or of its plural's, each filled from its stem, all starting with
 one base.  Where no other form starts with a unit's base, the states below
 the base depend only on the unit's suffixes, so the pass registers that
 sub-automaton once per distinct suffix tuple and takes the base as one
-item whose last arc leads into it.
+item whose last arc leads into it; any other unit is expanded into its
+forms.
 
 Payloads do not name entries directly: they hold the feature tag, the
 inflectional code and a positional rewrite that rebuilds the lemma from the
@@ -38,7 +39,6 @@ the segmenter walks a token once per noun start.
 import struct
 import sys
 from array import array
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -109,18 +109,17 @@ class Unit:
 class FormDictionary:
     """Minimal acyclic automaton plus rank-indexed analysis payloads."""
 
-    def __init__(self, arcs, finals, payloads_by_rank, listing_bytes=None):
+    def __init__(self, arcs, finals, payloads_by_rank):
         self.arcs = arcs                      # per state: {label: (target, rank offset)}, label-sorted
         self.finals = finals                  # per state: 1 where a word ends, else 0
         self.payloads_by_rank = payloads_by_rank
-        self.listing_bytes = listing_bytes    # UTF-8 size of dump_text(): summed by build, else by stats()
         self.root = len(arcs) - 1             # states come in postorder: every target before its source
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, words: dict[str, list["Payload"]], units=()) -> "FormDictionary":
-        """One pass over the sorted words (Daciuk, Mihov, Watson & Watson 2000).
+    def build(cls, units) -> "FormDictionary":
+        """One pass over the sorted forms (Daciuk, Mihov, Watson & Watson 2000).
 
         Only the previous word's path is unregistered.  Where the next word
         leaves it, the states below the divergence are frozen, deepest first:
@@ -129,47 +128,44 @@ class FormDictionary:
 
         ``units`` are ``(base, Unit)`` pairs, a unit holding the forms of
         one or more row tables (an entry's masculine and feminine singular
-        make one).  A non-empty base that starts no other form (no loose
-        word, no other base, equal ones included, and no form of a unit
-        whose base is a proper prefix of it) is one item whose last arc
-        leads into the sub-automaton of the unit's tails, registered once
-        per distinct tuple of tails.  Other units are expanded into words,
-        as is one that needs sizes per form: a tied set, a non-ASCII form or
-        a rewrite that reaches past a form.
+        make one).  A non-empty base that starts no other form (no other
+        base, equal ones included, and no form of a unit whose base is a
+        proper prefix of it) is one item whose last arc leads into the
+        sub-automaton of the unit's tails, registered once per distinct
+        tuple of tails.  Other units are expanded into words, as is one
+        with a tied set or a rewrite that reaches past a form; an expanded
+        form shorter than its set's reach is refused.
 
         Forms with equal payload sets share one payload tuple."""
-        shared: dict[frozenset, tuple] = {}     # per distinct set: the tuple and its _set_sizes
+        shared: dict[frozenset, tuple] = {}     # per distinct set: the tuple, its reach and whether it is tied
 
         def payload_set(members) -> tuple:
             members = frozenset(members)
             known = shared.get(members)
             if known is None:
                 payloads = tuple(sorted(members, key=Payload.sort_key))
-                known = shared[members] = (payloads, *_set_sizes(payloads))
+                known = shared[members] = (payloads, *_reach_and_tie(payloads))
             return known
 
-        def unit_sizes(unit: Unit):
-            """The unit's payload sets, listing slope and constant past the
-            base, and the base length its rewrites need; None where its forms
-            need sizes of their own."""
+        def unit_sets(unit: Unit):
+            """The unit's payload sets and the base length its rewrites
+            need; None where a set is tied."""
             known = [payload_set(payloads) for payloads in unit.lists]
-            if any(k[4] for k in known) or not all(t.isascii() for t in unit.tails):
+            if any(tied for _, _, tied in known):
                 return None
-            return (tuple(k[0] for k in known), sum(k[2] for k in known),
-                    sum(k[1] + k[2] * len(t) for k, t in zip(known, unit.tails)),
-                    max(k[3] - len(t) for k, t in zip(known, unit.tails)))
+            return (tuple(payloads for payloads, _, _ in known),
+                    max(reach - len(t) for (_, reach, _), t in zip(known, unit.tails)))
 
-        ordered, pairs = sorted(words), sorted(units, key=itemgetter(0))
-        sizes = {unit: unit_sizes(unit) for unit in dict.fromkeys(unit for _, unit in pairs)}
-        entries: dict[str, list | Unit] = dict(words)   # loose words and isolated bases
+        pairs = sorted(units, key=itemgetter(0))
+        sets = {unit: unit_sets(unit) for unit in dict.fromkeys(unit for _, unit in pairs)}
+        entries: dict[str, list | Unit] = {}            # expanded words and isolated bases
         ancestors: list[tuple[str, Unit]] = []          # the earlier bases that are prefixes of this one
         for i, (base, unit) in enumerate(pairs):
             while ancestors and not base.startswith(ancestors[-1][0]):
                 ancestors.pop()
-            at, known = bisect_left(ordered, base), sizes[unit]
-            if (base and known and base.isascii() and len(base) >= known[3]
+            known = sets[unit]
+            if (base and known and len(base) >= known[1]
                     and not (i + 1 < len(pairs) and pairs[i + 1][0].startswith(base))
-                    and not (at < len(ordered) and ordered[at].startswith(base))
                     and not any(t.startswith(base[len(b):]) for b, u in ancestors for t in u.tails)):
                 entries[base] = unit
             else:
@@ -223,25 +219,21 @@ class FormDictionary:
         payloads_by_rank: list[tuple] = []
         orders: dict[tuple, tuple] = {}
         subs: dict[tuple, int] = {}     # per distinct tuple of tails: its sub-automaton
-        listing = 0
 
         def ranked():
-            """The items in rank order, ranking payload sets and counting
-            dump_text() bytes on the way."""
-            nonlocal listing
+            """The items in rank order, ranking payload sets on the way."""
             for key in sorted(entries):
                 value = entries[key]
                 if type(value) is Unit:
-                    sets, slope, constant, _ = sizes[value]
-                    payloads_by_rank.extend(sets)
-                    listing += slope * len(key) + constant
+                    payloads_by_rank.extend(sets[value][0])
                     sub = subs.get(value.tails)
                     if sub is None:
                         sub = subs[value.tails] = minimal((tail, None) for tail in value.tails)
                     yield key, sub
                     continue
-                payloads, constant, slope, reach, tied = payload_set(value)
-                listing += _listing_bytes(key, payloads, constant, slope, reach)
+                payloads, reach, tied = payload_set(value)
+                if reach > len(key):
+                    raise past_the_form(next(p.rewrite for p in payloads if p.rewrite.reach > len(key)), key)
                 if tied:
                     payloads = _form_order(key, payloads)
                     payloads = orders.setdefault(payloads, payloads)
@@ -249,7 +241,7 @@ class FormDictionary:
                 yield key, None
 
         root = minimal(ranked())
-        del registry, shared, entries, sizes     # freed before the automaton is renumbered
+        del registry, shared, entries, sets     # freed before the automaton is renumbered
 
         # Renumber in the postorder of a depth-first walk from the root,
         # children in label order: every target then comes before its
@@ -269,7 +261,7 @@ class FormDictionary:
         finals = [int(min_final[old]) for old in order]
         arcs, _ = _arc_tables(finals, map(len, edges), [ch for e in edges for ch, _ in e],
                               [number[t] for e in edges for _, t in e])
-        return cls(arcs, finals, payloads_by_rank, listing)
+        return cls(arcs, finals, payloads_by_rank)
 
     # -- lookup ------------------------------------------------------------
 
@@ -345,26 +337,15 @@ class FormDictionary:
     # -- stats -------------------------------------------------------------
 
     def stats(self, serialized_bytes: int | None = None) -> dict:
-        """Sizes of the dictionary.  ``listing_bytes`` is the UTF-8 size of
-        ``dump_text()``, counted without building it (``build`` sums it; a
-        loaded dictionary walks its forms once); ``serialized_bytes`` is
-        the caller's when known (``save`` returns it), else measured."""
-        if self.listing_bytes is None:
-            sizes: dict[int, tuple[int, int, int]] = {}     # by id: ranks share set tuples, which stay alive
-            listing = 0
-            for surface, payloads in self.forms():
-                known = sizes.get(id(payloads))
-                if known is None:
-                    known = sizes[id(payloads)] = _set_sizes(payloads)[:3]
-                listing += _listing_bytes(surface, payloads, *known)
-            self.listing_bytes = listing
+        """Sizes of the dictionary, in the order the CLI prints them.
+        ``serialized_bytes`` is the caller's when known (``save`` returns
+        it), else measured."""
         return {
             "forms": len(self.payloads_by_rank),
             "analyses": sum(len(p) for p in self.payloads_by_rank),
             "states": len(self.arcs),
             "transitions": sum(len(t) for t in self.arcs),
             "serialized_bytes": len(self.to_bytes()) if serialized_bytes is None else serialized_bytes,
-            "listing_bytes": self.listing_bytes,
         }
 
     # -- serialization -----------------------------------------------------
@@ -537,33 +518,15 @@ def _form_order(form: str, payloads: tuple) -> tuple:
     return tuple(sorted(payloads, key=key))
 
 
-def _set_sizes(payloads) -> tuple[int, int, int, bool]:
-    """The listing constant and slope of a sorted payload set, the reach of
-    its rewrites, and whether two of its payloads share a code and tag.  A
-    payload's ``dump_text()`` line is surface TAB lemma TAB code TAB tag
-    NEWLINE, so on an ASCII surface of n letters the set's lines take
-    ``slope * n + constant`` bytes."""
-    constant = slope = reach = 0
-    tied, code, tag = False, None, None
+def _reach_and_tie(payloads) -> tuple[int, bool]:
+    """The reach of a sorted payload set's rewrites, and whether two of its
+    payloads share a code and tag."""
+    reach, tied, code, tag = 0, False, None, None
     for rewrite, next_code, next_tag, _ in payloads:
-        constant += rewrite.fixed + len(next_code.encode("utf-8")) + len(next_tag.encode("utf-8")) + 4
-        slope += 1 + rewrite.ends
-        if rewrite.reach > reach:
-            reach = rewrite.reach
-        if next_code == code and next_tag == tag:
-            tied = True
+        reach = max(reach, rewrite.reach)
+        tied = tied or (next_code == code and next_tag == tag)
         code, tag = next_code, next_tag
-    return constant, slope, reach, tied
-
-
-def _listing_bytes(surface: str, payloads, constant: int, slope: int, reach: int) -> int:
-    """UTF-8 size of the ``dump_text()`` lines of one form, given its
-    payload set's ``_set_sizes``."""
-    if reach > len(surface):
-        raise past_the_form(next(p.rewrite for p in payloads if p.rewrite.reach > len(surface)), surface)
-    if surface.isascii():   # one byte per letter
-        return slope * len(surface) + constant
-    return sum(len(f"{surface}\t{p.rewrite.apply(surface)}\t{p.code}\t{p.tag}\n".encode("utf-8")) for p in payloads)
+    return reach, tied
 
 
 @contextmanager
@@ -611,7 +574,7 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
     whose generation fails are reported, not fatal; the dictionary is built
     from the rest."""
     units, failures = fill_lexicon(lex, registry)
-    return FormDictionary.build({}, units), failures
+    return FormDictionary.build(units), failures
 
 
 def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[list[tuple[str, Unit]], list[str]]:

@@ -117,18 +117,6 @@ def parse_lexicon(text: str) -> tuple[LexiconFile, list[Diagnostic]]:
     return lex, diagnostics
 
 
-def serialize(lex: LexiconFile) -> str:
-    lines = list(lex.header)
-    for e in lex.entries:
-        line = f"{e.lemma},${e.code}"
-        if e.gloss or e.source_ref:
-            line += f" / {e.gloss}"
-        if e.source_ref:
-            line += f" / {e.source_ref}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
 def _long_realisations(entry: LexicalEntry, root) -> list[bool]:
     """Per radical: True when the lemma realises it as a long vowel."""
     chars = expand_madda(entry.lemma)

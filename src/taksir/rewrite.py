@@ -22,27 +22,15 @@ class Rewrite(tuple):
     the form's start; a stop of ``~k`` (negative) counts k letters back from
     its end, any other from its start.  Rewrites compare and hash as their
     pieces.  ``apply`` gives the lemma of a form of at least ``reach``
-    letters and raises ``CorruptDictionary`` for a shorter one; an ASCII
-    form of n letters gives a lemma of ``ends * n + fixed`` UTF-8 bytes."""
+    letters and raises ``CorruptDictionary`` for a shorter one."""
 
     def __getattr__(self, name):
         # Only a missing attribute gets here: each is worked out on first
         # use, so loading measures and compiles no rewrite.
         if name == "apply":
             self.apply = _applier(self)
-        elif name in ("reach", "ends", "fixed"):
-            reach = ends = fixed = 0
-            for start, stop, literal in self:
-                if stop < 0:        # copies n - end letters of a form of n
-                    end = start + ~stop
-                    ends += 1
-                    fixed -= end
-                else:
-                    end = max(start, stop)
-                    fixed += end - start
-                reach = max(reach, end)
-                fixed += len(literal.encode("utf-8"))
-            self.reach, self.ends, self.fixed = reach, ends, fixed
+        elif name == "reach":   # a piece stopping ~k needs start + k letters
+            self.reach = max((start + ~stop if stop < 0 else max(start, stop) for start, stop, _ in self), default=0)
         else:
             raise AttributeError(name)
         return self.__dict__[name]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from taksir import compile_lexicon, load_registry, load_seed
 from taksir.codes import HAMZA
-from taksir.formdict import FormDictionary, Payload
+from taksir.formdict import FormDictionary, Payload, Unit
 from taksir.lexicon import LexicalEntry
 from taksir.rewrite import Rewrite
 
@@ -17,6 +17,18 @@ def tail(drop: int, append: str) -> Rewrite:
 
 
 PAYLOAD = Payload(tail(0, ""), "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)
+
+
+def word_units(words: dict[str, list[Payload]]) -> list[tuple[str, Unit]]:
+    """The units of a dictionary built word by word: one per word, under an
+    empty base, with head "" and the word as its one tail.  ``build``
+    expands every unit with an empty base, so each form is ranked alone."""
+    units = []
+    for word, payloads in words.items():
+        unit = Unit.__new__(Unit)
+        unit.head, unit.tails, unit.lists = "", (word,), [list(payloads)]
+        units.append(("", unit))
+    return units
 
 
 @pytest.fixture(scope="session")
@@ -175,7 +187,7 @@ def cyclic_artifact() -> bytes:
     """The artifact of the one word "aub" with its last arc, b -> state 0
     (states come in postorder, the root last), rewritten to u -> state 2.
     States 1 and 2 then form a cycle of non-final one-arc states."""
-    artifact = Artifact.decode(FormDictionary.build({"aub": [PAYLOAD]}).to_bytes())
+    artifact = Artifact.decode(FormDictionary.build(word_units({"aub": [PAYLOAD]})).to_bytes())
     assert artifact.columns["trans.label"] == [ord("b"), ord("u"), ord("a")]
     artifact.columns["trans.label"][0] = ord("u")
     artifact.columns["trans.target"][0] = 2
@@ -185,7 +197,7 @@ def cyclic_artifact() -> bytes:
 def retagged_artifact(tag: str) -> bytes:
     """The artifact of the one word "ab" with its one tag rewritten.  Tags
     are interned first, so the tag is string 0."""
-    artifact = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD]}).to_bytes())
+    artifact = Artifact.decode(FormDictionary.build(word_units({"ab": [PAYLOAD]})).to_bytes())
     old = len(PAYLOAD.tag.encode("utf-8"))
     artifact.columns["string.length"][0] = len(tag.encode("utf-8"))
     artifact.strings = tag.encode("utf-8") + artifact.strings[old:]
@@ -197,7 +209,7 @@ def overreaching_artifact(stop: int) -> bytes:
     gets ``stop`` as its stored stop (2s for s from the start, 2k + 1 for
     k back from the end)."""
     words = {"ab": [PAYLOAD._replace(rewrite=tail(2, "x"))]}
-    artifact = Artifact.decode(FormDictionary.build(words).to_bytes())
+    artifact = Artifact.decode(FormDictionary.build(word_units(words)).to_bytes())
     artifact.columns["piece.stop"][0] = stop
     return artifact.encode()
 
@@ -206,7 +218,7 @@ def repeated_label_artifact() -> bytes:
     """The artifact of {"ab", "ac"} with the label c rewritten to b: the
     state after "a" then holds two arcs labelled b."""
     words = {"ab": [PAYLOAD], "ac": [PAYLOAD._replace(tag="N:q:i:A")]}
-    artifact = Artifact.decode(FormDictionary.build(words).to_bytes())
+    artifact = Artifact.decode(FormDictionary.build(word_units(words)).to_bytes())
     labels = artifact.columns["trans.label"]
     labels[labels.index(ord("c"))] = ord("b")
     return artifact.encode()
@@ -224,4 +236,4 @@ def beyond_v1():
             words[word] = [PAYLOAD._replace(rewrite=tail(0, f"{i}.{j}")) for j in range(300)]
         else:
             words[word] = [PAYLOAD]
-    return FormDictionary.build(words)
+    return FormDictionary.build(word_units(words))

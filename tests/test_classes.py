@@ -12,6 +12,14 @@ from taksir.lexicon import parse_lexicon
 GEMINATE_ROW = "N300-FvEvL-FaEaaLiB-1223\t1a2aAo3=4\ttriptote\ttriptote\n"
 
 
+def bp_labels(registry) -> set[str]:
+    return {cls.key.split("-")[2] for cls in registry}
+
+
+def pattern_pairs(registry) -> set[tuple[str, str]]:
+    return {(cls.key.split("-")[1], cls.key.split("-")[2]) for cls in registry}
+
+
 def bp_stem(registry, lemma, code_text):
     code = parse_code(code_text)
     root = extract_root(lemma, code.sg_code, code.class_tag)
@@ -33,8 +41,8 @@ class TestResolve:
         assert err.value.nearest
 
     def test_registry_size_bounds(self, registry):
-        labels = registry.bp_labels()
-        pairs = registry.pattern_pairs()
+        labels = bp_labels(registry)
+        pairs = pattern_pairs(registry)
         print(f"registry: {len(registry)} classes, {len(labels)} plural labels, {len(pairs)} pattern pairs")
         assert len(labels) <= 25
         assert len(pairs) <= 75
@@ -78,7 +86,7 @@ class TestParseRegistry:
         # parse_code checks labels and tags against these tables, before the
         # registry is read: a registry row with a label or tag they lack
         # would refuse every entry of its class.
-        assert KNOWN_BP_LABELS == registry.bp_labels()
+        assert KNOWN_BP_LABELS == bp_labels(registry)
         assert set(CLASS_TAG_SUFFIXES) == {cls.key.split("-")[0] for cls in registry}
 
 

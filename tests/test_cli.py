@@ -268,7 +268,8 @@ class TestAnalyze:
         assert err.value.code == 2
         assert capsys.readouterr().err == "error: unsupported dictionary version 3\n"
 
-    @pytest.mark.parametrize("argv", [["analyze", "{text}", "--dict", "{dict}"], ["stats", "--dict", "{dict}"],
+    @pytest.mark.parametrize("argv", [["analyze", "{text}", "--dict", "{dict}"],
+                                      ["stats", "--dict", "{dict}", "--text", "{text}"],
                                       ["analyze", "{text}", "--dict", "{dict}", "--mode", "strict"]])
     def test_rewrite_past_its_form_exits_2(self, tmp_path, capsys, argv):
         # Loaded, a drop of 9 from the form "ab" printed the tail alone as its lemma.

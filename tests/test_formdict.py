@@ -16,14 +16,14 @@ from lookup_reference import linear_scan, sample_queries
 from taksir import bn
 from taksir.classes import parse_registry
 from taksir.codes import HAMZA, parse_code
-from taksir.formdict import FormDictionary, Payload, Unit, compile_lexicon, fill_lexicon
+from taksir.formdict import FormDictionary, Unit, compile_lexicon, fill_lexicon
 from taksir.paradigm import RowTable
 from taksir.rewrite import Rewrite
 from taksir.lexicon import LexicalEntry, LexiconFile, load_seed, parse_lexicon
 
 from conftest import (HEADER, ID_FIELDS, PAYLOAD, SEED_SLOTS, STRONG, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT, Artifact,
                       corrupt_id, cyclic_artifact, narrowest, overreaching_artifact, repeated_label_artifact,
-                      retagged_artifact, seed_variant, seed_variants, tail)
+                      retagged_artifact, seed_variant, seed_variants, tail, word_units)
 
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
@@ -39,7 +39,7 @@ def form_list(compiled):
 
 class TestBuild:
     def test_empty_lexicon(self):
-        d = FormDictionary.build({})
+        d = FormDictionary.build([])
         assert d.arcs == [{}]
         assert not d.finals[0]
         assert list(d.forms()) == []
@@ -88,7 +88,7 @@ class TestBuild:
     @settings(max_examples=300, deadline=None)
     @given(st.sets(st.text(alphabet="abc", max_size=8), max_size=40))
     def test_random_word_sets(self, words):
-        d = FormDictionary.build({w: [PAYLOAD] for w in words})
+        d = FormDictionary.build(word_units({w: [PAYLOAD] for w in words}))
         assert [s for s, _ in d.forms()] == sorted(words)
         assert_minimal(d)
         data = d.to_bytes()
@@ -97,7 +97,7 @@ class TestBuild:
     def test_very_long_word(self):
         word = "kataAbN" * 3000
         assert len(word) > 20_000
-        d = FormDictionary.build({word: [PAYLOAD], word[:-1]: [PAYLOAD]})
+        d = FormDictionary.build(word_units({word: [PAYLOAD], word[:-1]: [PAYLOAD]}))
         clone = FormDictionary.from_bytes(d.to_bytes())
         assert clone.to_bytes() == d.to_bytes()
         assert [a.surface for a in clone.lookup(word, "strict")] == [word]
@@ -109,7 +109,7 @@ class TestBuild:
 
     def test_drop_longer_than_its_form_rejected(self):
         with pytest.raises(ValueError, match=r"the lemma rewrite \[0:-9\]\+'x' reaches past the form 'ab'"):
-            FormDictionary.build({"ab": [Payload(tail(9, "x"), "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)]})
+            FormDictionary.build(word_units({"ab": [PAYLOAD._replace(rewrite=tail(9, "x"))]}))
 
 
 def reference_listing(lex, registry) -> list[str]:
@@ -198,14 +198,14 @@ def unit(rows, payloads, end=""):
     return Unit([(end, RowTable(tuple((cut, tail, None, True, False) for cut, tail in rows)), payloads)])
 
 
-def build_both_ways(words, units):
+def build_both_ways(units):
     """The dictionary built from units, checked against the one built word
     by word from every unit expanded."""
-    expanded = {w: list(payloads) for w, payloads in words.items()}
+    expanded = {}
     for base, u in units:
         for tail, payloads in zip(u.tails, u.lists):
             expanded.setdefault(base + tail, []).extend(payloads)
-    by_units, by_words = FormDictionary.build(words, units), FormDictionary.build(expanded)
+    by_units, by_words = FormDictionary.build(units), FormDictionary.build(word_units(expanded))
     assert by_units.to_bytes() == by_words.to_bytes()
     assert by_units.stats() == by_words.stats()
     assert by_units.payloads_by_rank == by_words.payloads_by_rank
@@ -219,7 +219,7 @@ class TestUnitBuild:
 
     def test_seed(self, compiled, seed, registry):
         units, _ = fill_lexicon(seed, registry)
-        assert build_both_ways({}, units).to_bytes() == compiled.to_bytes()
+        assert build_both_ways(units).to_bytes() == compiled.to_bytes()
 
     @pytest.mark.parametrize("text", [
         # The masculine stem is a prefix of the feminine one, and its
@@ -258,7 +258,7 @@ class TestUnitBuild:
         assert not diagnostics
         units, failures = fill_lexicon(lex, registry)
         assert units and not failures
-        d = build_both_ways({}, units)
+        d = build_both_ways(units)
         assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
 
     @pytest.mark.parametrize("text, bases", [
@@ -274,13 +274,13 @@ class TestUnitBuild:
         lex, _ = parse_lexicon(text)
         units, _ = fill_lexicon(lex, registry)
         assert sorted(base for base, _ in units) == bases
-        build_both_ways({}, units)
+        build_both_ways(units)
 
     def test_seed_variants_at_scale(self, registry):
         rng = random.Random(3)
         lex = LexiconFile([seed_variant(rng.choice) for _ in range(400)])
         units, _ = fill_lexicon(lex, registry)
-        build_both_ways({}, units)
+        build_both_ways(units)
 
     def test_bases_of_one_letter_and_none(self):
         payloads = [PAYLOAD._replace(tag=tag) for tag in ("N:q:i:N", "N:q:i:A", "N:q:i:G", "N:q:a:N")]
@@ -289,21 +289,22 @@ class TestUnitBuild:
         dual = unit([(0, "aAni"), (0, "ayo")], payloads[2:])
         assert (dual.head, dual.tails) == ("a", ("Ani", "yo"))
         for units in ([("k", k)], [("", k)], [("k", k), ("ka", dual)], [("a", dual), ("b", k)]):
-            build_both_ways({"ab": [PAYLOAD], "b": [PAYLOAD]}, units)
-            build_both_ways({}, units)
+            build_both_ways(word_units({"ab": [PAYLOAD], "b": [PAYLOAD]}) + units)
+            build_both_ways(units)
 
     def test_units_whose_forms_need_their_own_sizes(self):
         drop = PAYLOAD._replace(rewrite=tail(1, "x"))
         tied = unit([(0, "u"), (0, "a")], [PAYLOAD, drop])
         tied.lists[0].append(PAYLOAD)              # two payloads of one code and tag
         wide = unit([(0, "\u00fc"), (0, "a")], [PAYLOAD, drop])
+        # The tied unit is expanded; the non-ASCII ones are isolated.
         for base, u in [("kutub", tied), ("kutub", wide), ("k\u00fctub", unit([(0, "u")], [drop]))]:
-            build_both_ways({"b": [PAYLOAD]}, [(base, u)])
+            build_both_ways(word_units({"b": [PAYLOAD]}) + [(base, u)])
 
     def test_rewrite_past_a_unit_form_rejected(self):
         u = unit([(0, "u"), (0, "")], [PAYLOAD, PAYLOAD._replace(rewrite=tail(9, "x"))])
         with pytest.raises(ValueError, match=r"the lemma rewrite \[0:-9\]\+'x' reaches past the form 'ab'"):
-            FormDictionary.build({}, [("ab", u)])
+            FormDictionary.build([("ab", u)])
 
 
 class TestLookup:
@@ -411,7 +412,7 @@ class TestSerialization:
         assert widths == {"B", "H", "I"}
 
     def test_unknown_width_code_rejected(self):
-        data = bytearray(FormDictionary.build({"ab": [PAYLOAD]}).to_bytes())
+        data = bytearray(FormDictionary.build(word_units({"ab": [PAYLOAD]})).to_bytes())
         data[HEADER.size] = ord("X")
         with pytest.raises(ValueError, match="corrupt dictionary: unknown column width code 'X'"):
             FormDictionary.from_bytes(bytes(data))
@@ -437,7 +438,7 @@ class TestSerialization:
 
     def test_compression_bound(self, compiled):
         stats = compiled.stats()
-        assert stats["serialized_bytes"] < 0.30 * stats["listing_bytes"], stats
+        assert stats["serialized_bytes"] < 0.30 * len(compiled.dump_text().encode("utf-8")), stats
 
     def test_stats_shape(self, compiled):
         stats = compiled.stats()
@@ -445,28 +446,18 @@ class TestSerialization:
         assert stats["analyses"] >= stats["forms"]
         assert stats["states"] < stats["transitions"] * 2
 
-    def test_stats_listing_bytes_counts_dump_text(self, compiled):
-        assert compiled.stats()["listing_bytes"] == len(compiled.dump_text().encode("utf-8"))
-        assert FormDictionary.build({}).stats()["listing_bytes"] == 0
-        wide = FormDictionary.build({"\u00e9b\u00e9": [PAYLOAD._replace(rewrite=tail(2, "\u00fc"))],
-                                     "b": [PAYLOAD], "k\u00fctubN": [PAYLOAD._replace(rewrite=PIECES)]})
-        for d in (wide, FormDictionary.from_bytes(wide.to_bytes())):
-            assert d.stats()["listing_bytes"] == len(d.dump_text().encode("utf-8"))
-        # ASCII forms take the lemma's length from the rewrite alone.
-        ascii_only = FormDictionary.build({"kutubN": [PAYLOAD._replace(rewrite=PIECES)], "b": [PAYLOAD]})
-        assert ascii_only.stats()["listing_bytes"] == len(ascii_only.dump_text().encode("utf-8"))
-
     @pytest.mark.parametrize("stop, shown", [(2 * 9 + 1, "[0:-9]"), (2 * 5, "[0:5]"), (2 * 3, "[0:3]")])
     def test_rewrite_past_its_form_gives_no_lemma(self, stop, shown):
         # Loaded, a drop longer than its form gave the tail alone as the lemma.
         d = FormDictionary.from_bytes(overreaching_artifact(stop))
         message = re.escape(f"the lemma rewrite {shown}+'x' reaches past the form 'ab' that carries it")
-        for use in (lambda: d.lookup("ab"), d.dump_text, d.stats, lambda: d.lookup("ab", "diacritic-optional")):
+        for use in (lambda: d.lookup("ab"), d.dump_text, lambda: d.lookup("ab", "diacritic-optional")):
             with pytest.raises(ValueError, match=message):
                 use()
 
     def test_piece_that_stops_before_it_starts_rejected_at_load(self):
-        artifact = Artifact.decode(FormDictionary.build({"kutubN": [PAYLOAD._replace(rewrite=PIECES)]}).to_bytes())
+        d = FormDictionary.build(word_units({"kutubN": [PAYLOAD._replace(rewrite=PIECES)]}))
+        artifact = Artifact.decode(d.to_bytes())
         artifact.columns["piece.start"][1] = 4      # the piece [2:3]
         with pytest.raises(ValueError, match="corrupt dictionary: a rewrite piece stops before it starts"):
             FormDictionary.from_bytes(artifact.encode())
@@ -515,7 +506,7 @@ class TestSerialization:
         pytest.param("rewrite.length", 0, "rewrite lengths", id="rewrite-0-rewrite lengths"),
     ])
     def test_inconsistent_counts_rejected(self, column, index, message):
-        artifact = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD], "b": [PAYLOAD]}).to_bytes())
+        artifact = Artifact.decode(FormDictionary.build(word_units({"ab": [PAYLOAD], "b": [PAYLOAD]})).to_bytes())
         artifact.columns[column][index] += 1
         with pytest.raises(ValueError, match=message):
             FormDictionary.from_bytes(artifact.encode())
@@ -528,7 +519,7 @@ class TestSerialization:
                      "trans.labels do not strictly increase", id="swapped labels"),
     ])
     def test_misordered_transitions_rejected(self, edit, message):
-        artifact = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD], "b": [PAYLOAD]}).to_bytes())
+        artifact = Artifact.decode(FormDictionary.build(word_units({"ab": [PAYLOAD], "b": [PAYLOAD]})).to_bytes())
         assert (artifact.columns["trans.label"], artifact.columns["trans.target"]) == ([98, 97, 98], [0, 1, 0])
         for column, values in edit.items():
             for index, value in values.items():
@@ -538,7 +529,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("label", [0xD800, 0x110000])
     def test_label_outside_unicode_rejected(self, label):
-        artifact = Artifact.decode(FormDictionary.build({"ab": [PAYLOAD]}).to_bytes())
+        artifact = Artifact.decode(FormDictionary.build(word_units({"ab": [PAYLOAD]})).to_bytes())
         artifact.columns["trans.label"][0] = label
         with pytest.raises(ValueError, match="a trans.label is not a character"):
             FormDictionary.from_bytes(artifact.encode())
@@ -549,7 +540,7 @@ class TestSerialization:
             FormDictionary.from_bytes(cyclic_artifact())
 
     def test_malformed_tag_rejected_at_load(self):
-        data = FormDictionary.build({"a": [PAYLOAD._replace(tag="junk")]}).to_bytes()
+        data = FormDictionary.build(word_units({"a": [PAYLOAD._replace(tag="junk")]})).to_bytes()
         with pytest.raises(ValueError, match="malformed feature tag 'junk'"):
             FormDictionary.from_bytes(data)
 
@@ -609,8 +600,9 @@ class TestLoaderFuzz:
     measured and searched."""
 
     def test_mutated_artifacts_raise_value_error_or_load(self, compiled):
-        small = FormDictionary.build({"ab": [PAYLOAD, PAYLOAD._replace(rewrite=Rewrite(((0, 1, "i"), (1, 2, ""))))],
-                                      "b": [PAYLOAD, PAYLOAD._replace(rewrite=tail(1, ""), tag="N:q:i:A")]})
+        small = FormDictionary.build(word_units({
+            "ab": [PAYLOAD, PAYLOAD._replace(rewrite=Rewrite(((0, 1, "i"), (1, 2, ""))))],
+            "b": [PAYLOAD, PAYLOAD._replace(rewrite=tail(1, ""), tag="N:q:i:A")]}))
         artifacts = [small.to_bytes(), compiled.to_bytes()]
 
         @settings(max_examples=400, deadline=None)
@@ -659,7 +651,7 @@ class TestPinnedOutputs:
         assert self.digest(clone.dump_text().encode("utf-8")) == self.LISTING
 
     STATS = {"forms": 2593, "analyses": 5049, "states": 1000, "transitions": 1405,
-             "serialized_bytes": 44672, "listing_bytes": 299472}
+             "serialized_bytes": 44672}
 
     def test_stats(self, compiled):
         assert compiled.stats() == self.STATS
@@ -712,7 +704,7 @@ class TestPluralSharing:
 class TestSharing:
     def test_equal_payload_sets_share_one_tuple(self):
         other = PAYLOAD._replace(tag="N:q:i:A")
-        d = FormDictionary.build({"a": [PAYLOAD, other], "b": [other, PAYLOAD, other], "c": [other]})
+        d = FormDictionary.build(word_units({"a": [PAYLOAD, other], "b": [other, PAYLOAD, other], "c": [other]}))
         a, b, c = d.payloads_by_rank
         assert a == (other, PAYLOAD) and a is b and c == (other,)   # tag A sorts before G
 

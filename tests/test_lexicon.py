@@ -2,7 +2,20 @@ import pytest
 
 from taksir import lexicon
 from taksir.codes import parse_code
-from taksir.lexicon import lexicon_stats, parse_lexicon, serialize, validate_entry
+from taksir.lexicon import LexiconFile, lexicon_stats, parse_lexicon, validate_entry
+
+
+def serialize(lex: LexiconFile) -> str:
+    """The lexicon as text that ``parse_lexicon`` reads back."""
+    lines = list(lex.header)
+    for e in lex.entries:
+        line = f"{e.lemma},${e.code}"
+        if e.gloss or e.source_ref:
+            line += f" / {e.gloss}"
+        if e.source_ref:
+            line += f" / {e.source_ref}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 class TestParse:

@@ -21,7 +21,7 @@ from taksir.segment import (
     segment,
 )
 
-from conftest import seed_variant, tail
+from conftest import seed_variant, tail, word_units
 
 MODES = ("strict", "diacritic-optional")
 
@@ -144,7 +144,7 @@ def small():
                         not tag.endswith("+pro"))
                 for i, tag in enumerate(SMALL_TAGS)]
     words = ["k", "a", "b", "h", "u", "y", "ka", "bi", "hu", "ya", "Al", "wa", "kab", "kub", "kb", "kabu", "kaAhu"]
-    return FormDictionary.build({w: payloads(w) for w in words})
+    return FormDictionary.build(word_units({w: payloads(w) for w in words}))
 
 
 class TestOracleAtScale:
