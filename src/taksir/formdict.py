@@ -41,7 +41,8 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from collections import Counter
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -52,9 +53,9 @@ from .paradigm import FeatureBundle, stem_tables
 from .rewrite import Rewrite, RewritePool, common_prefix_length, cut_pieces, past_the_form, radical_rewrite
 
 MAGIC = b"TKDC"
-VERSION = 4
+VERSION = 5
 
-_HEADER = struct.Struct("<4sH9Q")    # see the byte layout below
+_HEADER = struct.Struct("<4sH12Q")    # see the byte layout below
 
 #: Struct codes of the column widths, narrowest first.
 _WIDTHS = "BHIQ"
@@ -336,24 +337,23 @@ class FormDictionary:
 
     # -- stats -------------------------------------------------------------
 
-    def stats(self, serialized_bytes: int | None = None) -> dict:
-        """Sizes of the dictionary, in the order the CLI prints them.
-        ``serialized_bytes`` is the caller's when known (``save`` returns
-        it), else measured."""
+    def stats(self, serialized_bytes: int) -> dict:
+        """Sizes of the dictionary, in the order the CLI prints them, with
+        the artifact's size as the caller knows it (``save`` returns it)."""
         return {
             "forms": len(self.payloads_by_rank),
             "analyses": sum(len(p) for p in self.payloads_by_rank),
             "states": len(self.arcs),
             "transitions": sum(len(t) for t in self.arcs),
-            "serialized_bytes": len(self.to_bytes()) if serialized_bytes is None else serialized_bytes,
+            "serialized_bytes": serialized_bytes,
         }
 
     # -- serialization -----------------------------------------------------
     #
     # Little-endian byte layout, in order:
-    #   header:  magic "TKDC", u16 version, u64 states, u64 transitions,
-    #            u64 forms, u64 payload sets, u64 set refs, u64 payloads,
-    #            u64 rewrites, u64 rewrite pieces, u64 strings
+    #   header:  magic "TKDC", u16 version, then a u64 count each of states,
+    #            transitions, forms, tokens, tuples, tuple refs, payload
+    #            sets, set refs, payloads, rewrites, rewrite pieces, strings
     #   columns: one per integer field below, each a struct code (B, H, I
     #            or Q) and then one value per record at that width, the
     #            narrowest that holds the column's largest value:
@@ -361,7 +361,9 @@ class FormDictionary:
     #                                               before its source, the
     #                                               root last)
     #     trans:   label (code point), target      (per state, label-sorted)
-    #     form:    set_id                          (rank order)
+    #     token:   tuple_id                        (rank order, see _tokens)
+    #     tuple:   length                          (ids in first-use order)
+    #     tupleref: set_id                         (concatenated tuples)
     #     set:     length                          (ids in first-use order)
     #     setref:  payload_id                      (concatenated set contents)
     #     payload: tag_id, code_id (string ids), rewrite_id, standalone
@@ -378,16 +380,20 @@ class FormDictionary:
     # count, its own word plus its targets', from its targets' counts.
 
     def to_bytes(self) -> bytes:
-        arcs, sets, payload_ids, rewrites, strings = self.arcs, {}, {}, {}, {}
-        # One column at a time, each listed and encoded before the next;
-        # set, payload, rewrite and string ids are assigned in first-use order.
+        arcs, sets, tuples, payload_ids, rewrites, strings = self.arcs, {}, {}, {}, {}, {}
+        # One column at a time, each listed and encoded before the next; set,
+        # tuple, payload, rewrite and string ids are assigned in first-use order.
         out = bytearray(_HEADER.size)     # the header is packed in last
         out += _column(self.finals)
         out += _column(len(t) for t in arcs)
         out += _column(ord(ch) for t in arcs for ch in t)
         out += _column(target for t in arcs for target, _ in t.values())
-        out += _column(sets.setdefault(payloads, len(sets)) for payloads in self.payloads_by_rank)
-        out += _column(len(s) for s in sets)
+        set_ids = [sets.setdefault(payloads, len(sets)) for payloads in self.payloads_by_rank]
+        tokens = [tuples.setdefault(t, len(tuples)) for t in _tokens(arcs, self.finals, set_ids)]
+        out += _column(tokens)
+        out += _column(map(len, tuples))
+        out += _column(set_id for t in tuples for set_id in t)
+        out += _column(map(len, sets))
         out += _column(payload_ids.setdefault(p, len(payload_ids)) for payloads in sets for p in payloads)
         # Tags and codes are few: interned first, they keep narrow ids.
         out += _column(strings.setdefault(p.tag, len(strings)) for p in payload_ids)
@@ -400,9 +406,9 @@ class FormDictionary:
         out += _column(strings.setdefault(literal, len(strings)) for r in rewrites for _, _, literal in r)
         out += _column(len(s.encode("utf-8")) for s in strings)
         out += "".join(strings).encode("utf-8")
-        _HEADER.pack_into(out, 0, MAGIC, VERSION, len(arcs), sum(map(len, arcs)), len(self.payloads_by_rank),
-                          len(sets), sum(map(len, sets)), len(payload_ids), len(rewrites), sum(map(len, rewrites)),
-                          len(strings))
+        _HEADER.pack_into(out, 0, MAGIC, VERSION, len(arcs), sum(map(len, arcs)), len(set_ids), len(tokens),
+                          len(tuples), sum(map(len, tuples)), len(sets), sum(map(len, sets)), len(payload_ids),
+                          len(rewrites), sum(map(len, rewrites)), len(strings))
         return bytes(out)
 
     @classmethod
@@ -433,11 +439,10 @@ class FormDictionary:
             raise ValueError("not a compiled dictionary (bad magic bytes)")
         if version != VERSION:
             raise ValueError(f"unsupported dictionary version {version}")
-        n_states, n_trans, n_forms, n_sets, n_refs, n_payloads, n_rewrites, n_pieces, n_strings = \
-            struct.unpack("<9Q", take(72))
-        finals, fanouts = column(n_states), column(n_states)
-        labels, targets = column(n_trans), column(n_trans)
-        form_sets, set_lens, refs = column(n_forms), column(n_sets), column(n_refs)
+        (n_states, n_trans, n_forms, n_tokens, n_tuples, n_tuple_refs, n_sets, n_refs, n_payloads, n_rewrites,
+         n_pieces, n_strings) = struct.unpack("<12Q", take(_HEADER.size - 6))
+        finals, fanouts, labels, targets, token_ids, tuple_lens, tuple_refs, set_lens, refs = map(
+            column, (n_states, n_states, n_trans, n_trans, n_tokens, n_tuples, n_tuple_refs, n_sets, n_refs))
         tags, codes, rewrite_ids, standalones = (column(n_payloads) for _ in range(4))
         rewrite_lens = column(n_rewrites)
         starts, stops, literals = (column(n_pieces) for _ in range(3))
@@ -459,8 +464,11 @@ class FormDictionary:
             raise ValueError(f"corrupt dictionary: the root does not count the {n_forms} forms")
 
         string = string_table.__getitem__
-        if sum(rewrite_lens) != n_pieces:
-            raise ValueError(f"corrupt dictionary: rewrite lengths do not sum to the {n_pieces} rewrite pieces")
+        for name, lengths, n, parts in (("rewrite", rewrite_lens, n_pieces, "rewrite pieces"),
+                                        ("set", set_lens, n_refs, "set refs"),
+                                        ("tuple", tuple_lens, n_tuple_refs, "tuple refs")):
+            if sum(lengths) != n:
+                raise ValueError(f"corrupt dictionary: {name} lengths do not sum to the {n} {parts}")
         stops = [stop >> 1 if stop & 1 == 0 else ~(stop >> 1) for stop in stops]
         if any(0 <= stop < start for start, stop in zip(starts, stops)):
             raise ValueError("corrupt dictionary: a rewrite piece stops before it starts")
@@ -474,14 +482,17 @@ class FormDictionary:
                                                    map(bool, standalones))))
         for tag in set(tags):       # ids checked above
             FeatureBundle.from_tag(string(tag))  # a malformed tag raises ValueError here, not at lookup
-        if sum(set_lens) != n_refs:
-            raise ValueError(f"corrupt dictionary: set lengths do not sum to the {n_refs} set refs")
         with _ids_below(n_payloads, "setref.payload_id", "payloads"):
             members = map(payloads.__getitem__, refs)
             set_contents = [tuple(islice(members, n)) for n in set_lens]
-        with _ids_below(n_sets, "form.set_id", "payload sets"):
-            payloads_by_rank = [set_contents[sid] for sid in form_sets]
-        return cls(arcs, finals, payloads_by_rank)
+        with _ids_below(n_sets, "tupleref.set_id", "payload sets"):
+            members = map(set_contents.__getitem__, tuple_refs)
+            tuple_contents = [tuple(islice(members, n)) for n in tuple_lens]
+        with _ids_below(n_tuples, "token.tuple_id", "tuples"):
+            token_tuples = list(map(tuple_contents.__getitem__, token_ids))
+        if sum(map(len, token_tuples)) != n_forms:
+            raise ValueError(f"corrupt dictionary: the tokens' tuples do not hold the {n_forms} forms")
+        return cls(arcs, finals, list(chain.from_iterable(token_tuples)))
 
     def save(self, path) -> int:
         """Write the artifact; returns its size in bytes."""
@@ -505,6 +516,25 @@ def _column(values) -> bytes:
     if sys.byteorder == "big":
         column.byteswap()
     return code.encode() + column.tobytes()
+
+
+def _tokens(arcs, finals, set_ids):
+    """The ranks' set ids cut into tokens by a walk from the root in rank
+    order: a state that two arcs enter (never the root) and that counts two
+    or more words is one token of all its words, not descended into; any
+    other final state is a token of its own word."""
+    indegree = Counter(target for table in arcs for target, _ in table.values())
+    stack = [(len(arcs) - 1, 0, len(set_ids))]
+    while stack:
+        state, rank, count = stack.pop()
+        if count >= 2 and indegree[state] >= 2:
+            yield tuple(set_ids[rank:rank + count])
+            continue
+        if finals[state]:
+            yield (set_ids[rank],)
+        for target, offset in reversed(arcs[state].values()):
+            stack.append((target, rank + offset, count - offset))
+            count = offset      # the previous arc's target counts up to this one's offset
 
 
 def _form_order(form: str, payloads: tuple) -> tuple:

@@ -1,4 +1,5 @@
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -95,27 +96,29 @@ def load_golden():
     return rows
 
 
-#: The columns of a format v4 artifact in file order, each with the index of
+#: The columns of a format v5 artifact in file order, each with the index of
 #: the header count that gives its length (states, transitions, forms,
-#: payload sets, set refs, payloads, rewrites, rewrite pieces, strings).
+#: tokens, tuples, tuple refs, payload sets, set refs, payloads, rewrites,
+#: rewrite pieces, strings).  The forms count has no column of its own.
 COLUMNS = (
     ("state.final", 0), ("state.fanout", 0), ("trans.label", 1), ("trans.target", 1),
-    ("form.set_id", 2), ("set.length", 3), ("setref.payload_id", 4),
-    ("payload.tag_id", 5), ("payload.code_id", 5), ("payload.rewrite_id", 5), ("payload.standalone", 5),
-    ("rewrite.length", 6), ("piece.start", 7), ("piece.stop", 7), ("piece.literal_id", 7), ("string.length", 8),
+    ("token.tuple_id", 3), ("tuple.length", 4), ("tupleref.set_id", 5), ("set.length", 6), ("setref.payload_id", 7),
+    ("payload.tag_id", 8), ("payload.code_id", 8), ("payload.rewrite_id", 8), ("payload.standalone", 8),
+    ("rewrite.length", 9), ("piece.start", 10), ("piece.stop", 10), ("piece.literal_id", 10), ("string.length", 11),
 )
 
 #: Id field -> (its column, the index of the header count it must stay below).
 ID_FIELDS = {
     "trans.target": ("trans.target", 0),
-    "form.set_id": ("form.set_id", 3),
-    "setref.payload_id": ("setref.payload_id", 5),
-    "payload string id": ("payload.code_id", 8),
-    "payload.rewrite_id": ("payload.rewrite_id", 6),
-    "piece.literal_id": ("piece.literal_id", 8),
+    "token.tuple_id": ("token.tuple_id", 4),
+    "tupleref.set_id": ("tupleref.set_id", 6),
+    "setref.payload_id": ("setref.payload_id", 8),
+    "payload string id": ("payload.code_id", 11),
+    "payload.rewrite_id": ("payload.rewrite_id", 9),
+    "piece.literal_id": ("piece.literal_id", 11),
 }
 
-HEADER = struct.Struct("<4sH9Q")
+HEADER = struct.Struct("<4sH12Q")
 
 #: A format v1 artifact: the word "ab" with one payload.
 V1_ARTIFACT = bytes.fromhex(
@@ -137,6 +140,13 @@ V3_ARTIFACT = bytes.fromhex(
     "0042014202420717004e3a713a693a47244e3330302d6d2d467645764c2d467545754c2d313233"
 )
 
+#: A format v4 artifact: the word "ab" with one payload.
+V4_ARTIFACT = bytes.fromhex(
+    "544b444304000300000000000000020000000000000001000000000000000100000000000000010000000000000001000000000000000100"
+    "00000000000001000000000000000300000000000000420100004200010142626142000142004201420042004201420042014201420042"
+    "014202420717004e3a713a693a47244e3330302d6d2d467645764c2d467545754c2d313233"
+)
+
 
 def narrowest(values) -> str:
     """The struct code of the narrowest column width that holds ``values``."""
@@ -145,10 +155,10 @@ def narrowest(values) -> str:
 
 @dataclass
 class Artifact:
-    """A format v4 artifact decoded field by field with ``struct``, apart
+    """A format v5 artifact decoded field by field with ``struct``, apart
     from the loader, so that tests can edit it and encode it again."""
 
-    counts: list[int]                   # the nine header counts
+    counts: list[int]                   # the twelve header counts
     columns: dict[str, list[int]]
     widths: dict[str, str]              # column -> struct code, as stored
     strings: bytes
@@ -156,7 +166,7 @@ class Artifact:
     @classmethod
     def decode(cls, data: bytes) -> "Artifact":
         magic, version, *counts = HEADER.unpack_from(data)
-        assert (magic, version) == (b"TKDC", 4)
+        assert (magic, version) == (b"TKDC", 5)
         columns, widths, off = {}, {}, HEADER.size
         for name, count in COLUMNS:
             code, n = chr(data[off]), counts[count]
@@ -167,12 +177,48 @@ class Artifact:
 
     def encode(self) -> bytes:
         """The artifact, each column at its narrowest width."""
-        out = HEADER.pack(b"TKDC", 4, *self.counts)
+        out = HEADER.pack(b"TKDC", 5, *self.counts)
         for name, _ in COLUMNS:
             values = self.columns[name]
             code = narrowest(values)
             out += code.encode() + struct.pack(f"<{len(values)}{code}", *values)
         return out + self.strings
+
+    def split(self, values: str, lengths: str) -> list[tuple[int, ...]]:
+        """The ``values`` column cut into records of the ``lengths`` column's lengths."""
+        items = iter(self.columns[values])
+        return [tuple(next(items) for _ in range(n)) for n in self.columns[lengths]]
+
+    def token_rule(self, set_ids: list[int]) -> list[tuple[int, ...]]:
+        """The tokens of the format's rule over the decoded automaton, given
+        the set id of each rank.  The walk goes from the root in rank order,
+        children in label order.  A state other than the root that two or
+        more transitions enter and that counts two or more words gives the
+        set ids of all its words as one token, and the walk does not descend;
+        any other final state gives its own word's."""
+        finals, targets = self.columns["state.final"], self.columns["trans.target"]
+        children, at = [], 0
+        for fanout in self.columns["state.fanout"]:
+            children.append(targets[at:at + fanout])
+            at += fanout
+        words = []
+        for state, final in enumerate(finals):      # postorder: targets first
+            words.append(final + sum(words[target] for target in children[state]))
+        entered, root, tokens = Counter(targets), len(finals) - 1, []
+
+        def walk(state, rank):
+            if state != root and entered[state] >= 2 and words[state] >= 2:
+                tokens.append(tuple(set_ids[rank:rank + words[state]]))
+                return rank + words[state]
+            if finals[state]:
+                tokens.append((set_ids[rank],))
+                rank += 1
+            for target in children[state]:
+                rank = walk(target, rank)
+            return rank
+
+        assert walk(root, 0) == len(set_ids)
+        return tokens
 
 
 def corrupt_id(data: bytes, field: str) -> bytes:

@@ -154,7 +154,7 @@ def test_06_dictionary_round_trip(compiled, seed, registry):
 
 
 def test_07_compression(compiled):
-    stats = compiled.stats()
+    stats = compiled.stats(len(compiled.to_bytes()))
     listing = len(compiled.dump_text().encode("utf-8"))
     ratio = stats["serialized_bytes"] / listing
     assert ratio < 0.30, stats

@@ -10,7 +10,7 @@ from taksir.codes import extract_root
 from taksir.formdict import FormDictionary
 from taksir.lexicon import load_seed
 
-from conftest import (ID_FIELDS, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT, corrupt_id, cyclic_artifact,
+from conftest import (ID_FIELDS, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT, V4_ARTIFACT, corrupt_id, cyclic_artifact,
                       overreaching_artifact, repeated_label_artifact, retagged_artifact)
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
@@ -267,6 +267,14 @@ class TestAnalyze:
             main(["analyze", str(write_text(tmp_path, "ab\n")), "--dict", str(old)])
         assert err.value.code == 2
         assert capsys.readouterr().err == "error: unsupported dictionary version 3\n"
+
+    def test_v4_artifact_exits_2(self, tmp_path, capsys):
+        old = tmp_path / "v4.primdict"
+        old.write_bytes(V4_ARTIFACT)
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(write_text(tmp_path, "ab\n")), "--dict", str(old)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "error: unsupported dictionary version 4\n"
 
     @pytest.mark.parametrize("argv", [["analyze", "{text}", "--dict", "{dict}"],
                                       ["stats", "--dict", "{dict}", "--text", "{text}"],

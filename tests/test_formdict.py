@@ -21,9 +21,9 @@ from taksir.paradigm import RowTable
 from taksir.rewrite import Rewrite
 from taksir.lexicon import LexicalEntry, LexiconFile, load_seed, parse_lexicon
 
-from conftest import (HEADER, ID_FIELDS, PAYLOAD, SEED_SLOTS, STRONG, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT, Artifact,
-                      corrupt_id, cyclic_artifact, narrowest, overreaching_artifact, repeated_label_artifact,
-                      retagged_artifact, seed_variant, seed_variants, tail, word_units)
+from conftest import (HEADER, ID_FIELDS, PAYLOAD, SEED_SLOTS, STRONG, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT,
+                      V4_ARTIFACT, Artifact, corrupt_id, cyclic_artifact, narrowest, overreaching_artifact,
+                      repeated_label_artifact, retagged_artifact, seed_variant, seed_variants, tail, word_units)
 
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
@@ -207,7 +207,7 @@ def build_both_ways(units):
             expanded.setdefault(base + tail, []).extend(payloads)
     by_units, by_words = FormDictionary.build(units), FormDictionary.build(word_units(expanded))
     assert by_units.to_bytes() == by_words.to_bytes()
-    assert by_units.stats() == by_words.stats()
+    assert by_units.stats(len(by_units.to_bytes())) == by_words.stats(len(by_words.to_bytes()))
     assert by_units.payloads_by_rank == by_words.payloads_by_rank
     assert_minimal(by_units)
     return by_units
@@ -393,7 +393,7 @@ class TestSerialization:
         artifact = Artifact.decode(data)
         columns = artifact.columns
         assert max(columns["piece.stop"]) == 2 * 300 + 1 and max(columns["set.length"]) == 300     # drop 300
-        assert artifact.counts[5] > 65535 and artifact.counts[8] > 65535     # payloads, strings
+        assert artifact.counts[8] > 65535 and artifact.counts[11] > 65535     # payloads, strings
         root_labels = columns["trans.label"][-columns["state.fanout"][-1]:]     # the root is the last state
         assert sum(label > 0xFF for label in root_labels) == 300
         clone = FormDictionary.from_bytes(data)
@@ -432,16 +432,21 @@ class TestSerialization:
             with pytest.raises(ValueError, match="unsupported dictionary version 3"):
                 FormDictionary.from_bytes(V3_ARTIFACT[:cut])
 
+    def test_v4_artifact_names_its_version(self):
+        for cut in range(6, len(V4_ARTIFACT) + 1):
+            with pytest.raises(ValueError, match="unsupported dictionary version 4"):
+                FormDictionary.from_bytes(V4_ARTIFACT[:cut])
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             FormDictionary.from_bytes(b"NOPE" + b"\x00" * 40)
 
     def test_compression_bound(self, compiled):
-        stats = compiled.stats()
+        stats = compiled.stats(len(compiled.to_bytes()))
         assert stats["serialized_bytes"] < 0.30 * len(compiled.dump_text().encode("utf-8")), stats
 
     def test_stats_shape(self, compiled):
-        stats = compiled.stats()
+        stats = compiled.stats(len(compiled.to_bytes()))
         assert stats["forms"] > 0
         assert stats["analyses"] >= stats["forms"]
         assert stats["states"] < stats["transitions"] * 2
@@ -480,7 +485,7 @@ class TestSerialization:
     def test_stats_takes_known_serialized_size(self, compiled, tmp_path):
         size = compiled.save(tmp_path / "seed.primdict")
         assert size == (tmp_path / "seed.primdict").stat().st_size
-        assert compiled.stats(size) == compiled.stats()
+        assert compiled.stats(size)["serialized_bytes"] == len(compiled.to_bytes())
 
     def test_truncated_artifact_rejected(self, compiled):
         data = compiled.to_bytes()
@@ -503,12 +508,24 @@ class TestSerialization:
         pytest.param("state.final", 0, "neither 0 nor 1", id="state-final-neither 0 nor 1"),
         pytest.param("state.fanout", 0, "fanouts", id="state-5-fanouts"),
         pytest.param("set.length", 0, "set lengths", id="set-0-set lengths"),
+        pytest.param("tuple.length", 0, "tuple lengths", id="tuple-0-tuple lengths"),
         pytest.param("rewrite.length", 0, "rewrite lengths", id="rewrite-0-rewrite lengths"),
     ])
     def test_inconsistent_counts_rejected(self, column, index, message):
         artifact = Artifact.decode(FormDictionary.build(word_units({"ab": [PAYLOAD], "b": [PAYLOAD]})).to_bytes())
         artifact.columns[column][index] += 1
         with pytest.raises(ValueError, match=message):
+            FormDictionary.from_bytes(artifact.encode())
+
+    def test_tokens_that_miss_the_forms_rejected(self):
+        # Two one-id tokens of one tuple; the tuple made two ids long holds
+        # four forms, not the header's two.
+        artifact = Artifact.decode(FormDictionary.build(word_units({"ab": [PAYLOAD], "b": [PAYLOAD]})).to_bytes())
+        assert (artifact.columns["token.tuple_id"], artifact.columns["tupleref.set_id"]) == ([0, 0], [0])
+        artifact.columns["tuple.length"][0] += 1
+        artifact.columns["tupleref.set_id"].append(0)
+        artifact.counts[5] += 1
+        with pytest.raises(ValueError, match="corrupt dictionary: the tokens' tuples do not hold the 2 forms"):
             FormDictionary.from_bytes(artifact.encode())
 
     @pytest.mark.parametrize("edit, message", [
@@ -568,6 +585,54 @@ class TestSerialization:
         assert features.startswith("N:")
 
 
+def one_to_one(pairs) -> bool:
+    """Whether the pairs map their first items one-to-one onto their second."""
+    forward, backward = {}, {}
+    return all(forward.setdefault(x, y) == y and backward.setdefault(y, x) == x for x, y in pairs)
+
+
+class TestTokens:
+    """The ranks' set ids are stored once per shared sub-automaton: the
+    token and tuple columns follow the format's rule, recomputed in test
+    code from the decoded automaton, and expand to the ranks' sets."""
+
+    @pytest.fixture(scope="class", params=["seed", "400 seed variants"])
+    def dictionary(self, request, compiled, registry):
+        if request.param == "seed":
+            return compiled
+        rng = random.Random(3)
+        d, _ = compile_lexicon(LexiconFile([seed_variant(rng.choice) for _ in range(400)]), registry)
+        return d
+
+    def test_columns_follow_the_rule(self, dictionary):
+        artifact = Artifact.decode(dictionary.to_bytes())
+        ids = {}
+        set_ids = [ids.setdefault(payloads, len(ids)) for payloads in dictionary.payloads_by_rank]
+        tokens = artifact.token_rule(set_ids)
+        assert any(len(token) > 1 for token in tokens)
+        tuple_ids = {}
+        assert artifact.columns["token.tuple_id"] == [tuple_ids.setdefault(t, len(tuple_ids)) for t in tokens]
+        assert artifact.split("tupleref.set_id", "tuple.length") == list(tuple_ids)
+        assert len(tuple_ids) < len(tokens) < len(set_ids)
+
+    def test_tokens_expand_to_the_ranks_sets(self, dictionary):
+        artifact = Artifact.decode(dictionary.to_bytes())
+        tuples = artifact.split("tupleref.set_id", "tuple.length")
+        sets = artifact.split("setref.payload_id", "set.length")
+        expanded = [sets[s] for t in artifact.columns["token.tuple_id"] for s in tuples[t]]
+        assert [len(s) for s in expanded] == [len(s) for s in dictionary.payloads_by_rank]
+        assert one_to_one(zip(expanded, dictionary.payloads_by_rank))
+        assert one_to_one((i, p) for s, payloads in zip(expanded, dictionary.payloads_by_rank)
+                          for i, p in zip(s, payloads))
+
+    def test_shared_unit_stores_its_tuple_once(self):
+        payloads = [PAYLOAD._replace(tag=tag) for tag in ("N:q:i:N", "N:q:i:A", "N:q:i:G")]
+        u = unit([(0, "u"), (0, "a"), (0, "i")], payloads)
+        artifact = Artifact.decode(build_both_ways([("kutub", u), ("rusul", u)]).to_bytes())
+        assert artifact.columns["token.tuple_id"] == [0, 0]
+        assert artifact.split("tupleref.set_id", "tuple.length") == [(0, 1, 2)]
+
+
 class TestFailurePath:
     def test_generation_failures_reported_not_fatal(self, registry):
         # Second entry parses but has no registered class; the build must
@@ -621,7 +686,8 @@ class TestLoaderFuzz:
             except ValueError:
                 return
             # A rewrite that reaches past a form carrying it shows only when used.
-            for use in (d.dump_text, d.stats, lambda: d.lookup(query, "diacritic-optional")):
+            for use in (d.dump_text, lambda: d.stats(len(d.to_bytes())),
+                        lambda: d.lookup(query, "diacritic-optional")):
                 try:
                     use()
                 except ValueError as exc:
@@ -634,7 +700,7 @@ class TestPinnedOutputs:
     """The seed lexicon's artifact and listing, pinned: a change to either
     is a change of format or of behaviour, not a refactoring."""
 
-    ARTIFACT = (44672, "912745c4630d5bc1706df521daf1ff13fcd7fe4e867a5d267dde242d497a2a23")
+    ARTIFACT = (44805, "b76f973412332c96cfde374fd973b2806eeee8afaa042d43cbe087d24e78d6e6")
     LISTING = (299472, "821e1c7dff0f57a97405955b3e813495b812a9fe31bb5c1dda384fbb69459571")
 
     @staticmethod
@@ -651,11 +717,12 @@ class TestPinnedOutputs:
         assert self.digest(clone.dump_text().encode("utf-8")) == self.LISTING
 
     STATS = {"forms": 2593, "analyses": 5049, "states": 1000, "transitions": 1405,
-             "serialized_bytes": 44672}
+             "serialized_bytes": 44805}
 
     def test_stats(self, compiled):
-        assert compiled.stats() == self.STATS
-        assert FormDictionary.from_bytes(compiled.to_bytes()).stats() == self.STATS
+        assert compiled.stats(len(compiled.to_bytes())) == self.STATS
+        clone = FormDictionary.from_bytes(compiled.to_bytes())
+        assert clone.stats(len(clone.to_bytes())) == self.STATS
 
 
 def _keeps_its_strong_radicals(e) -> bool:
