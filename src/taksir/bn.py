@@ -10,7 +10,7 @@ which keeps the codec bijective.
 
 from importlib import resources
 
-from .errors import InvalidBnChar, UnmappedCodepoint
+from .errors import InvalidBnChar, UnmappedCodepoint, data_rows
 
 #: The silent diacritic (sukun): rules out a non-scripted short vowel.
 SILENT = "o"
@@ -33,11 +33,7 @@ def _load_table() -> tuple[dict[str, str], dict[str, str]]:
     ar2bn: dict[str, str] = {}
     bn2ar: dict[str, str] = {}
     text = resources.files(__package__).joinpath("data/bn_table.txt").read_text("utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        hexpoint, latin = line.split()
+    for _, (hexpoint, latin) in data_rows(text, "codec table", 2):
         arabic = chr(int(hexpoint, 16))
         ar2bn[arabic] = latin
         bn2ar[latin] = arabic

@@ -3,7 +3,8 @@
 One registry row per class.  The row key is the inflectional code minus the
 gender flag (tag-singular-plural-root), mirroring how each class gets its own
 generation recipe; the row stores the concrete surface template for the
-plural stem plus the suffix paradigms of the singular and the plural.
+plural stem plus the suffix paradigms of the singular and the plural, whose
+cells are read from ``data/paradigms.tsv``.
 
 Template strings are written over the plural surface root: a digit emits
 radical k, ``=k`` asserts radical k repeats the previous one and emits the
@@ -17,10 +18,41 @@ from functools import lru_cache
 from importlib import resources
 
 from . import bn
-from .codes import HAMZA, InflectionalCode, parse_root_code
-from .errors import ArityMismatch, MalformedCode, UnknownClass
+from .codes import HAMZA, InflectionalCode, code_tables, parse_root_code
+from .errors import ArityMismatch, DataError, MalformedCode, UnknownClass, data_rows
 
-PARADIGM_IDS = ("triptote", "diptote", "ap-final", "defective-iy", "invariable-aY")
+DEFINITENESS = ("D", "i", "a")
+CASES = ("N", "A", "G")
+
+
+@dataclass(frozen=True)
+class Cell:
+    suffix: str
+    transform: str = "none"     # none | drop-iy
+
+
+@lru_cache(maxsize=1)
+def load_paradigms() -> tuple[dict[str, dict[tuple[str, str], Cell]], dict[tuple[str, str], str]]:
+    """The cells of each suffix paradigm, and the dual suffixes, each keyed
+    by (definiteness, case); definite surfaces are prefixed with Al- on top
+    of these suffixes."""
+    # Safe to cache: nothing changes the tables after load.
+    text = resources.files(__package__).joinpath("data/paradigms.tsv").read_text("utf-8")
+    paradigms: dict = {}
+    for lineno, (kind, *cells) in data_rows(text, "paradigm table", {"case": 11, "dual": 10}):
+        name = cells.pop(0) if kind == "case" else None     # the dual row is paradigm None
+        if name in paradigms:
+            raise DataError("paradigm table", lineno, f"a second row for {name or 'the dual'}")
+        paradigms[name] = {}
+        for key, cell in zip([(d, c) for d in DEFINITENESS for c in CASES], cells):
+            suffix, _, transform = cell.partition("/")
+            if not bn.ALPHABET.issuperset(suffix.strip("-")) or transform not in ("", "drop-iy") or (transform and not name):
+                raise DataError("paradigm table", lineno, f"malformed cell {cell!r}")
+            paradigms[name][key] = Cell(suffix.strip("-"), transform or "none")
+    dual = paradigms.pop(None, None)
+    if dual is None:
+        raise DataError("paradigm table", len(text.splitlines()), "the table has no dual row")
+    return paradigms, {key: cell.suffix for key, cell in dual.items()}
 
 
 @dataclass(frozen=True)
@@ -68,26 +100,31 @@ def load_registry() -> ClassRegistry:
 
 
 def parse_registry(text: str) -> ClassRegistry:
-    """Read each row once: its template becomes steps, and a row whose steps
-    do not place each radical of its root code exactly once is refused."""
+    """Read each row once: its template becomes steps, and a row whose key
+    names a tag, label or paradigm that is not declared, or whose steps do
+    not place each radical of its root code exactly once, is refused."""
     rows: dict[str, InflectionClass] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    tables, (paradigms, _) = code_tables(), load_paradigms()
+    for lineno, (key, template, sg_par, bp_par) in data_rows(text, "classes registry", 4):
+        parts = key.split("-")
         if len(parts) != 4:
-            raise ValueError(f"classes registry line {lineno}: expected 4 tab-separated fields")
-        key, template, sg_par, bp_par = parts
-        if sg_par not in PARADIGM_IDS or bp_par not in PARADIGM_IDS:
-            raise ValueError(f"classes registry line {lineno}: unknown paradigm id")
-        if key in rows:
-            raise ValueError(f"classes registry line {lineno}: duplicate key {key}")
-        root_code = key.rsplit("-", 1)[-1]
-        try:    # one radical per root-code token but G, which geminates the last
-            radicals = [token for token in parse_root_code(root_code).tokens if token[0] != "gemfinal"]
-        except MalformedCode as exc:
-            raise ValueError(f"classes registry line {lineno}: {exc}") from None
+            reason = f"key {key} is not tag-singular-label-root"
+        elif parts[0] not in tables.endings:
+            reason = f"class tag {parts[0]} is not declared in codes.tsv"
+        elif parts[2] not in tables.labels:
+            reason = f"plural label {parts[2]} is not declared in codes.tsv"
+        elif sg_par not in paradigms or bp_par not in paradigms:
+            reason = "unknown paradigm id"
+        elif key in rows:
+            reason = f"duplicate key {key}"
+        else:
+            try:    # one radical per root-code token but G, which geminates the last
+                radicals = [token for token in parse_root_code(parts[3]).tokens if token[0] != "gemfinal"]
+                reason = None
+            except MalformedCode as exc:
+                reason = str(exc)
+        if reason:
+            raise DataError("classes registry", lineno, reason)
         arity = len(radicals)
         steps: list[tuple] = []
         slots: dict[int, int] = {}
@@ -102,7 +139,7 @@ def parse_registry(text: str) -> ClassRegistry:
                 slots[int(k)] = at
             at += len(lit) or 1
         if sorted(k for kind, k in steps if kind != "lit") != list(range(1, arity + 1)):
-            raise ValueError(f"classes registry line {lineno}: template {template} does not place each of the {arity} radicals of root code {root_code} once")
+            raise DataError("classes registry", lineno, f"template {template} does not place each of the {arity} radicals of root code {parts[3]} once")
         copies = tuple((token[1], slots[k]) for k, token in enumerate(radicals, start=1)
                        if token[0] == "copy" and k in slots)
         rows[key] = InflectionClass(key, template, sg_par, bp_par, tuple(steps), arity, (copies, at))

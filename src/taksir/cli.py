@@ -12,7 +12,7 @@ import time
 
 from . import bn
 from .classes import load_registry
-from .errors import InvalidBnChar, TaksirError, UnmappedCodepoint
+from .errors import DataError, InvalidBnChar, TaksirError, UnmappedCodepoint
 from .formdict import FormDictionary, compile_lexicon
 from .lexicon import Diagnostic, lexicon_stats, parse_lexicon, validate_entry
 from .paradigm import form_count, inflect
@@ -42,14 +42,6 @@ def _check_lexicon(path: str, registry):
     for entry in lex.entries:
         diagnostics += validate_entry(entry, registry)
     return lex, diagnostics
-
-
-def _registry():
-    try:
-        return load_registry()
-    except ValueError as exc:   # a refused row names its line
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
 
 
 def _load_dictionary(args) -> FormDictionary:
@@ -85,7 +77,7 @@ def _display(surface: str, arabic: bool) -> str:
 
 
 def cmd_compile(args) -> int:
-    registry = _registry()
+    registry = load_registry()
     lex, diagnostics = _check_lexicon(args.lexicon, registry)
     errors = [d for d in diagnostics if d.severity == "error"]
     started = time.perf_counter()
@@ -117,7 +109,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    registry = _registry()
+    registry = load_registry()
     lex, diagnostics = parse_lexicon(args.entry)
     if not diagnostics and len(lex.entries) != 1:   # a comment, or several lines
         diagnostics.append(Diagnostic(1, 1, "E_FORMAT", "expected one 'lemma,$code' entry"))
@@ -161,7 +153,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    lex, diagnostics = _check_lexicon(args.lexicon, _registry())
+    lex, diagnostics = _check_lexicon(args.lexicon, load_registry())
     for d in diagnostics:
         print(str(d))
     errors = [d for d in diagnostics if d.severity == "error"]
@@ -280,7 +272,7 @@ def main(argv=None) -> int:
     except TaksirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CorruptDictionary as exc:    # found where the loaded dictionary is used
+    except (CorruptDictionary, DataError) as exc:   # a dictionary fault found where it is used, or a refused data row
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,19 +6,25 @@ form ``$TAG-GENDER-SGCODE-BPLABEL-ROOTCODE[+Hum]``.  The singular-pattern code
 and pattern-owned geminations; matching it against the lemma yields the
 singular surface root.  The root code (e.g. ``12y``) then maps that root onto
 the plural surface root: digits copy singular radicals, letters insert
-literals, a final ``G`` geminates the last radical.
+literals, a final ``G`` geminates the last radical.  The class tags, plural
+labels and code respellings that codes are checked against live in
+``data/codes.tsv``.
 """
 
 import functools
+import re
 from dataclasses import dataclass
+from importlib import resources
 
 from . import bn
 from .errors import (
     AmbiguousPatternMatch,
     ArityMismatch,
+    DataError,
     MalformedCode,
     NotFullyDiacritized,
     UnknownBpLabel,
+    data_rows,
 )
 
 #: Abstract glottal-stop radical.  Lemma letters c, C, O, W, I, e all map to
@@ -32,35 +38,35 @@ SLOT_LETTERS = "FELBDJ"
 #: Long-vowel letter expected after each short vowel in a ``vv`` position.
 LONG_OF = {"a": "A", "i": "y", "u": "w"}
 
-#: Plural pattern labels accepted in codes.  Labels are the familiar deep
-#: names; the concrete stem shapes live in the class registry.
-KNOWN_BP_LABELS = frozenset({
-    "FuEaL", "FiEaL", "FuEuL", "FuEuuL", "FuEuuLap", "FiEaaL",
-    "FiEoLap", "FuEoLap", "FaEoLap", "FaEaLap", "FuEoLaan", "FuEEaL",
-    "OaFoEaaL", "OaFoEiLap", "FuEaLaaB",
-    "FaEaaLiB", "FaEaaLiBap", "FaEaaLiiB",
-})
 
-#: Fixes for inconsistent code spellings found in source material.
-CODE_RESPELLINGS = {
-    "FaEaLiB": "FaEaaLiB",
-    "FvEvLvBvvdvvd": "FvEvLvBvvDvvJ",
-}
+@dataclass(frozen=True)
+class CodeTables:
+    """The inventories of ``data/codes.tsv`` that codes are checked against."""
 
-#: Class tag -> singular suffix stripped before pattern matching.  The digit
-#: in the tag is the slot count of the singular-pattern code; the tail names
-#: the lemma ending.  Extensible: new tags are added here.
-CLASS_TAG_SUFFIXES = {
-    "N200": "", "N300": "", "N3ow": "", "N400": "", "N500": "", "N600": "",
-    "N3ap": "ap", "N4ap": "ap", "N5ap": "ap",
-    "N3Ap": "p", "N4Ap": "p",          # taa marbuta directly after long alif
-    "N3iy": "iyG", "N4iy": "iyG",
-    "N4iyap": "iyGap",
-    "N3aY": "aY",
-    "N3an": "aAon",
-    "N3aniy": "aAoniyG",
-    "N3ac": "aAoc",
-}
+    endings: dict           # class tag -> the lemma ending it strips
+    labels: frozenset       # plural pattern labels
+    respellings: dict       # a code spelling found in source material -> its fix
+
+
+@functools.lru_cache(maxsize=1)
+def code_tables() -> CodeTables:
+    """Read and check each row once, on first use."""
+    # Safe to cache: nothing changes the tables after load.
+    text = resources.files(__package__).joinpath("data/codes.tsv").read_text("utf-8")
+    endings, labels, respellings = {}, {}, {}
+    for lineno, (kind, name, *value) in data_rows(text, "code table", {"tag": 3, "label": 2, "respell": 3}):
+        table = {"tag": endings, "label": labels, "respell": respellings}[kind]
+        if name in table:
+            reason = f"duplicate {kind} {name}"
+        elif kind == "tag" and not re.fullmatch(r"N[2-6][0-9A-Za-z]*", name):
+            reason = f"tag {name!r} is not N, a slot count of 2 to 6, then letters or digits"
+        elif not re.fullmatch("[0-9A-Za-z]+", name) or not re.fullmatch("-|[A-Za-z]+", value[0] if value else "-"):
+            reason = f"{kind} {name!r} is not written in letters"
+        else:
+            table[name] = value[0].strip("-") if value else None
+            continue
+        raise DataError("code table", lineno, reason)
+    return CodeTables(endings, frozenset(labels), respellings)
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ def parse_sg_code(text: str) -> SingularPatternCode:
     Slot letters are position-determined (F,E,L,B,D,J in rank order), so a
     case-insensitive structural parse recovers the canonical spelling.
     """
-    raw = CODE_RESPELLINGS.get(text, text)
+    raw = code_tables().respellings.get(text, text)
     tokens: list = []
     next_rank = 1
     for ch in raw:
@@ -168,7 +174,6 @@ def parse_sg_code(text: str) -> SingularPatternCode:
     if not 2 <= arity <= 6:
         raise MalformedCode(f"{text!r} has {arity} slots; expected 2-6")
     canon = []
-    i = 0
     for tok in merged:
         if tok[0] == "slot":
             canon.append(SLOT_LETTERS[tok[1] - 1])
@@ -197,6 +202,8 @@ def parse_root_code(text: str, max_index: int | None = None) -> RootCode:
         elif ch == "G":
             if i != len(text) - 1:
                 raise MalformedCode(f"G must be last in root code {text!r}")
+            if not tokens:
+                raise MalformedCode(f"G in root code {text!r} has no radical before it to geminate")
             tokens.append(("gemfinal",))
         elif ch in ROOT_LITERALS:
             tokens.append(("lit", HAMZA if ch == "h" else ch))
@@ -220,16 +227,17 @@ def parse_code(text: str) -> InflectionalCode:
     if len(parts) != 5:
         raise MalformedCode(f"code {text!r} has {len(parts)} components; expected tag-gender-singular-plural-root")
     tag, gender, sg_text, bp_label, root_text = parts
-    if tag not in CLASS_TAG_SUFFIXES:
+    tables = code_tables()
+    if tag not in tables.endings:
         raise MalformedCode(f"unknown class tag {tag!r}")
     if gender not in ("m", "f", "g"):
         raise MalformedCode(f"gender flag must be m, f or g, not {gender!r}")
     sg_code = parse_sg_code(sg_text)
     if int(tag[1]) != sg_code.arity:
         raise ArityMismatch(f"tag {tag} expects {tag[1]} slots but {sg_code} has {sg_code.arity}")
-    bp_label = CODE_RESPELLINGS.get(bp_label, bp_label)
-    if bp_label not in KNOWN_BP_LABELS:
-        raise UnknownBpLabel(bp_label, sorted(KNOWN_BP_LABELS))
+    bp_label = tables.respellings.get(bp_label, bp_label)
+    if bp_label not in tables.labels:
+        raise UnknownBpLabel(bp_label, sorted(tables.labels))
     root_code = parse_root_code(root_text, max_index=sg_code.arity)
     return InflectionalCode(tag, gender, sg_code, bp_label, root_code, human)
 
@@ -306,7 +314,7 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
     radicals, and so uniqueness, are read off the lemma itself.
     """
     check_diacritization(lemma)
-    suffix = CLASS_TAG_SUFFIXES.get(class_tag)
+    suffix = code_tables().endings.get(class_tag)
     if suffix is None:
         raise MalformedCode(f"unknown class tag {class_tag!r}")
     if suffix:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bundled data tables' reader."""
 
 
 class TaksirError(Exception):
@@ -54,3 +54,26 @@ class UnknownClass(TaksirError):
         super().__init__(f"no inflection class registered for {key}{hint}")
         self.key = key
         self.nearest = nearest
+
+
+class DataError(ValueError):
+    """A row of a bundled data file that is refused, named by file and line."""
+
+    def __init__(self, source: str, line: int, reason: str):
+        super().__init__(f"{source} line {line}: {reason}")
+
+
+def data_rows(text: str, source: str, widths: int | dict[str, int]):
+    """``(line number, fields)`` of each row of a tab-separated table; blank
+    lines and ``#`` comments are skipped.  ``widths`` is the field count of
+    every row, or per kind, the first field, that of each row of that kind."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.strip().split("\t")
+        if fields[0][:1] in ("", "#"):     # a blank line or a comment
+            continue
+        width = widths if isinstance(widths, int) else widths.get(fields[0])
+        if width is None:
+            raise DataError(source, lineno, f"unknown kind {fields[0]!r}; expected one of {', '.join(widths)}")
+        if len(fields) != width:
+            raise DataError(source, lineno, f"expected {width} tab-separated fields")
+        yield lineno, fields

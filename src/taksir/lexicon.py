@@ -16,14 +16,7 @@ from importlib import resources
 
 from . import bn
 from .classes import ClassRegistry
-from .codes import (
-    CLASS_TAG_SUFFIXES,
-    InflectionalCode,
-    SurfaceRoot,
-    expand_madda,
-    extract_root,
-    parse_code,
-)
+from .codes import InflectionalCode, SurfaceRoot, code_tables, expand_madda, extract_root, parse_code
 from .errors import TaksirError
 
 
@@ -141,7 +134,7 @@ def validate_entry(entry: LexicalEntry, registry: ClassRegistry) -> list[Diagnos
     """Per-entry checks, at the entry's line; nothing raises."""
     diags: list[Diagnostic] = []
     code = entry.code
-    suffix = CLASS_TAG_SUFFIXES[code.class_tag]
+    suffix = code_tables().endings[code.class_tag]
     if not suffix and entry.lemma.endswith("ap"):
         diags.append(Diagnostic(entry.line, 1, "E_SUFFIX", f"lemma ends in -ap but tag {code.class_tag} strips nothing"))
 

@@ -16,12 +16,10 @@ is one concatenation per form.
 import functools
 from dataclasses import dataclass
 
-from .classes import ClassRegistry, render_bp_stem, seat_hamzas, substitute_madda
+from .classes import CASES, DEFINITENESS, ClassRegistry, load_paradigms, render_bp_stem, seat_hamzas, substitute_madda
 from .codes import HAMZA, apply_root_code
 
 NUMBERS = ("s", "d", "p", "q")
-DEFINITENESS = ("D", "i", "a")
-CASES = ("N", "A", "G")
 
 #: Glottal-stop spellings that can close a stem.
 _FINAL_HAMZA = ("c", "O", "W", "e")
@@ -73,53 +71,6 @@ class InflectedForm:
     standalone: bool = True     # False for bound pro-variants (-at-, re-seated hamza)
 
 
-@dataclass(frozen=True)
-class Cell:
-    suffix: str
-    transform: str = "none"     # none | drop-iy
-
-
-#: (definiteness, case) -> Cell, per suffix paradigm.  Definite surfaces are
-#: prefixed with Al- on top of these suffixes.
-SUFFIX_PARADIGMS: dict[str, dict[tuple[str, str], Cell]] = {
-    "triptote": {
-        ("D", "N"): Cell("u"), ("D", "A"): Cell("a"), ("D", "G"): Cell("i"),
-        ("i", "N"): Cell("N"), ("i", "A"): Cell("FA"), ("i", "G"): Cell("K"),
-        ("a", "N"): Cell("u"), ("a", "A"): Cell("a"), ("a", "G"): Cell("i"),
-    },
-    # No nunation; indefinite genitive folds into the accusative -a.
-    "diptote": {
-        ("D", "N"): Cell("u"), ("D", "A"): Cell("a"), ("D", "G"): Cell("i"),
-        ("i", "N"): Cell("u"), ("i", "A"): Cell("a"), ("i", "G"): Cell("a"),
-        ("a", "N"): Cell("u"), ("a", "A"): Cell("a"), ("a", "G"): Cell("i"),
-    },
-    # Nunated like a triptote but the accusative tanwin takes no alif seat.
-    "ap-final": {
-        ("D", "N"): Cell("u"), ("D", "A"): Cell("a"), ("D", "G"): Cell("i"),
-        ("i", "N"): Cell("N"), ("i", "A"): Cell("F"), ("i", "G"): Cell("K"),
-        ("a", "N"): Cell("u"), ("a", "A"): Cell("a"), ("a", "G"): Cell("i"),
-    },
-    # The -iy tail is part of the stem; it detaches in the nunated N/G cells.
-    # The indefinite accusative (tail kept, tanwin on the final y) is the one
-    # cell without an attested exemplar; treat it as low-confidence.
-    "defective-iy": {
-        ("D", "N"): Cell(""), ("D", "A"): Cell("a"), ("D", "G"): Cell(""),
-        ("i", "N"): Cell("K", "drop-iy"), ("i", "A"): Cell("FA"), ("i", "G"): Cell("K", "drop-iy"),
-        ("a", "N"): Cell(""), ("a", "A"): Cell("a"), ("a", "G"): Cell(""),
-    },
-    # Bare stem in all nine cells: no case vowel ever lands on -aY or -aA.
-    "invariable-aY": {
-        (d, c): Cell("") for d in DEFINITENESS for c in CASES
-    },
-}
-
-DUAL_SUFFIXES = {
-    ("D", "N"): "aAni", ("D", "A"): "ayoni", ("D", "G"): "ayoni",
-    ("i", "N"): "aAni", ("i", "A"): "ayoni", ("i", "G"): "ayoni",
-    ("a", "N"): "aA", ("a", "A"): "ayo", ("a", "G"): "ayo",
-}
-
-
 class RowTable:
     """The forms of one stem in one paradigm, gender and number, as rows
     ``(cut, tail, features, standalone, definite)``: a row spells
@@ -160,7 +111,8 @@ def _rows(stem: str, paradigm: str, gender: str, number: str) -> tuple:
     pronoun variant when that is spelled differently, then for a singular
     stem its nine dual cells."""
     rows = []
-    cells = SUFFIX_PARADIGMS[paradigm]
+    paradigms, dual = load_paradigms()
+    cells = paradigms[paradigm]
     for d in DEFINITENESS:
         for c in CASES:
             cell = cells[(d, c)]
@@ -185,7 +137,7 @@ def _rows(stem: str, paradigm: str, gender: str, number: str) -> tuple:
             cut, head = 1, "y"
         # Construct duals lose their -ni, so each one takes a pronoun as it stands.
         rows += [(*_join(stem, cut, head + suffix), _bundle(gender, "d", d, c, d == "a"), True, d == "D")
-                 for (d, c), suffix in DUAL_SUFFIXES.items()]
+                 for (d, c), suffix in dual.items()]
     return tuple(rows)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
+from .errors import data_rows
 from .formdict import Analysis, FormDictionary
 from .paradigm import FeatureBundle
 
@@ -45,14 +46,11 @@ class CliticInventory:
 @lru_cache(maxsize=1)
 def load_clitics() -> CliticInventory:
     # Safe to cache: an inventory is immutable.
-    conj, prep, det, pro = [], [], [], []
+    kinds: dict[str, list] = {"conj": [], "prep": [], "det": [], "pro": []}
     text = resources.files(__package__).joinpath("data/clitics.tsv").read_text("utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, surface = line.split("\t")
-        {"conj": conj, "prep": prep, "det": det, "pro": pro}[kind].append(surface)
+    for _, (kind, surface) in data_rows(text, "clitic table", dict.fromkeys(kinds, 2)):
+        kinds[kind].append(surface)
+    conj, prep, det, pro = kinds.values()
     return CliticInventory(tuple(conj), tuple(prep), det[-1], tuple(pro))
 
 

@@ -5,8 +5,8 @@ walks the real lemma and dedupes its matches by radicals as it goes."""
 from dataclasses import dataclass, field
 
 from taksir import bn
-from taksir.codes import (CLASS_TAG_SUFFIXES, LONG_OF, SingularPatternCode, SurfaceRoot, _as_radical, _discardable,
-                          check_diacritization, expand_madda)
+from taksir.codes import (LONG_OF, SingularPatternCode, SurfaceRoot, _as_radical, _discardable,
+                          check_diacritization, code_tables, expand_madda)
 from taksir.errors import AmbiguousPatternMatch, ArityMismatch, MalformedCode
 
 
@@ -28,7 +28,7 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
     distinct radical sequences, the entry needs an explicit-vv code.
     """
     check_diacritization(lemma)
-    suffix = CLASS_TAG_SUFFIXES.get(class_tag)
+    suffix = code_tables().endings.get(class_tag)
     if suffix is None:
         raise MalformedCode(f"unknown class tag {class_tag!r}")
     if suffix:

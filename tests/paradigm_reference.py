@@ -6,9 +6,11 @@ appended, madda contraction runs over the whole string, and a pronoun
 variant is spelled and compared with its base cell.
 """
 
-from taksir.classes import render_bp_stem, seat_hamzas, substitute_madda
+from taksir.classes import CASES, DEFINITENESS, load_paradigms, render_bp_stem, seat_hamzas, substitute_madda
 from taksir.codes import HAMZA, apply_root_code
-from taksir.paradigm import _FINAL_HAMZA, CASES, DEFINITENESS, DUAL_SUFFIXES, SUFFIX_PARADIGMS, FeatureBundle
+from taksir.paradigm import _FINAL_HAMZA, FeatureBundle
+
+SUFFIX_PARADIGMS, DUAL_SUFFIXES = load_paradigms()
 
 
 def _apply_cell(stem, cell):

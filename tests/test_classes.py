@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from taksir.classes import parse_registry, render_bp_stem, resolve_hamza, substitute_madda
-from taksir.codes import CLASS_TAG_SUFFIXES, HAMZA, KNOWN_BP_LABELS, SurfaceRoot, apply_root_code, extract_root, parse_code
+from taksir.codes import HAMZA, SurfaceRoot, apply_root_code, code_tables, extract_root, parse_code
 from taksir.errors import ArityMismatch, UnknownClass
 from taksir.formdict import compile_lexicon
 from taksir.lexicon import parse_lexicon
@@ -76,18 +76,25 @@ class TestParseRegistry:
         ("N300-FvEvL-FuEuL-123\t1u2u3\ttriptote\n", "line 1: expected 4 tab-separated fields"),
         ("N300-FvEvL-FuEuL-123\t1u2u3\ttriptote\tpentaptote\n", "line 1: unknown paradigm id"),
         ("N300-FvEvL-FuEuL-123\t1u2u3\ttriptote\ttriptote\n" * 2, "line 2: duplicate key N300-FvEvL-FuEuL-123"),
-    ], ids=["fields", "paradigm", "duplicate"])
+        ("N300-FvEvL-FuEuL\t1u2u\ttriptote\ttriptote\n", "line 1: key N300-FvEvL-FuEuL is not tag-singular-label-root"),
+        ("N3xx-FvEvL-FuEuL-123\t1u2u3\ttriptote\ttriptote\n", "line 1: class tag N3xx is not declared in codes.tsv"),
+        ("N300-FvEvL-FuEuLaa-123\t1u2u3aA\ttriptote\ttriptote\n", "line 1: plural label FuEuLaa is not declared in codes.tsv"),
+        ("N300-FvEvL-FuEuL-123\t1u2u3\tpentaptote\ttriptote\n", "line 1: unknown paradigm id"),
+        # Loaded, this row made every entry of its class die with an
+        # IndexError in apply_root_code: G had no radical to geminate.
+        ("N300-FvEvL-FuEuL-G\tabc\ttriptote\ttriptote\n", "line 1: G in root code 'G' has no radical before it to geminate"),
+    ], ids=["fields", "paradigm", "duplicate", "key", "tag", "label", "singular paradigm", "lone G"])
     def test_malformed_row_refused(self, text, message):
         with pytest.raises(ValueError) as err:
             parse_registry(text)
         assert str(err.value) == f"classes registry {message}"
 
     def test_code_tables_match_the_registry(self, registry):
-        # parse_code checks labels and tags against these tables, before the
-        # registry is read: a registry row with a label or tag they lack
-        # would refuse every entry of its class.
-        assert KNOWN_BP_LABELS == bp_labels(registry)
-        assert set(CLASS_TAG_SUFFIXES) == {cls.key.split("-")[0] for cls in registry}
+        # The registry refuses a row whose tag or label codes.tsv does not
+        # declare; conversely, every declared tag and label has a class.
+        tables = code_tables()
+        assert tables.labels <= bp_labels(registry)
+        assert set(tables.endings) <= {cls.key.split("-")[0] for cls in registry}
 
 
 class TestRender:

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -132,12 +135,55 @@ def test_non_utf8_input_exits_2(argv, dict_path, tmp_path, capsys):
 def test_refused_registry_exits_2(argv, tmp_path, capsys, monkeypatch):
     text = "N300-FvEvL-FuEuL-123\t1u2u3\ttriptote\ttriptote\nN300-FvEvL-FuEuuL-123\t1u2uwo3o4\ttriptote\ttriptote\n"
     monkeypatch.setattr(cli, "load_registry", lambda: parse_registry(text))
-    with pytest.raises(SystemExit) as err:
-        main([arg.format(lex=SEED_PATH, out=tmp_path / "x.primdict") for arg in argv])
-    assert err.value.code == 2
+    assert main([arg.format(lex=SEED_PATH, out=tmp_path / "x.primdict") for arg in argv]) == 2
     printed = capsys.readouterr().err
     assert printed.startswith("error: classes registry line 2: template 1u2uwo3o4 ") and "Traceback" not in printed
     assert not (tmp_path / "x.primdict").exists()
+
+
+def package_with_rows(tmp_path, rows: dict[str, str]) -> pathlib.Path:
+    """The directory of a copy of the package with each row appended to its
+    data file."""
+    copy = tmp_path / "taksir"
+    shutil.copytree(pathlib.Path(cli.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    for name, row in rows.items():
+        with open(copy / "data" / name, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+    return tmp_path
+
+
+def run_package(path, argv):
+    env = {**os.environ, "PYTHONPATH": str(path)}
+    return subprocess.run([sys.executable, "-m", "taksir", *argv], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("name, row, argv, message", [
+    ("classes.tsv", "N300-FvEvL-FuEuL-G\tabc\ttriptote\ttriptote", ["validate", "{seed}"],
+     "classes registry line {line}: G in root code 'G' has no radical before it to geminate"),
+    ("codes.tsv", "tag\tM300\t-", ["validate", "{seed}"],
+     "code table line {line}: tag 'M300' is not N, a slot count of 2 to 6, then letters or digits"),
+    ("paradigms.tsv", "case\tpentaptote\tu\ta\ti", ["gen", "kitaAob,$N300-m-FvEvL-FuEuL-123"],
+     "paradigm table line {line}: expected 11 tab-separated fields"),
+    ("clitics.tsv", "suffix\tna", ["analyze", "{text}", "--dict", "{dict}"],
+     "clitic table line {line}: unknown kind 'suffix'; expected one of conj, prep, det, pro"),
+], ids=["classes", "codes", "paradigms", "clitics"])
+def test_refused_data_row_exits_2(name, row, argv, message, dict_path, tmp_path):
+    # An unknown clitic kind crashed analyze with a KeyError.
+    text = write_text(tmp_path, "kutubu")
+    line = len((SEED_PATH.parent / name).read_text("utf-8").splitlines()) + 1
+    done = run_package(package_with_rows(tmp_path, {name: row}),
+                       [arg.format(seed=SEED_PATH, text=text, dict=dict_path) for arg in argv])
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message.format(line=line)}\n")
+
+
+def test_class_added_through_data_only(tmp_path):
+    # A new tag, a new label and a class of both: three rows, no code.
+    path = package_with_rows(tmp_path, {"codes.tsv": "tag\tN3xx\t-\nlabel\tFuEuLaA",
+                                        "classes.tsv": "N3xx-FvEvL-FuEuLaA-123\t1u2u3aA\ttriptote\tinvariable-aY"})
+    done = run_package(path, ["gen", "kitaAob,$N3xx-m-FvEvL-FuEuLaA-123"])
+    assert done.returncode == 0, done.stderr
+    assert "kutubaA\tN:q:i:N" in done.stdout.splitlines()
+    assert done.stderr == "# base forms: 27 (expected 27); with pro variants: 27\n"
 
 
 def write_text(tmp_path, content, name="text.txt"):
@@ -170,6 +216,13 @@ class TestGen:
         assert main(["gen", spec]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "invalid: 1:1 E_FORMAT expected one 'lemma,$code' entry\n"
+
+    def test_lone_geminate_root_code(self, capsys):
+        # G with no radical before it died with an IndexError in apply_root_code.
+        assert main(["gen", "jabal,$N300-m-FvEvL-FuEuL-G"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "invalid: 1:7 E_CODE G in root code 'G' has no radical before it to geminate\n"
 
     def test_lemma_outside_the_alphabet(self, capsys):
         # The apostrophe used to pass and gave forms such as Alba'osu.

@@ -86,6 +86,7 @@ class TestParseCode:
         ("$N300-m-FvvvEvL-FuEuL-123", "more than two vowel marks in a row in 'FvvvEvL'"),
         ("$N300-m-F-FuEuL-123", "'F' has 1 slots; expected 2-6"),
         ("$N300-m-FvEvL-FuEuL-", "empty root code"),
+        ("$N300-m-FvEvL-FuEuL-G", "G in root code 'G' has no radical before it to geminate"),
         ("$N900-m-FvEvL-FuEuL-123", "unknown class tag 'N900'"),
         ("$N300-x-FvEvL-FuEuL-123", "gender flag must be m, f or g, not 'x'"),
     ])

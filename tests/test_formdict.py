@@ -528,6 +528,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="corrupt dictionary: the tokens' tuples do not hold the 2 forms"):
             FormDictionary.from_bytes(artifact.encode())
 
+    def test_tokens_cut_otherwise_load_the_same(self):
+        # The loader does not check the token rule: two one-id tokens of one
+        # tuple recut as one token of a two-id tuple load to the same
+        # dictionary, and to_bytes writes the canonical cut again.
+        data = FormDictionary.build(word_units({"ab": [PAYLOAD], "b": [PAYLOAD]})).to_bytes()
+        artifact = Artifact.decode(data)
+        assert (artifact.columns["token.tuple_id"], artifact.split("tupleref.set_id", "tuple.length")) == ([0, 0], [(0,)])
+        artifact.columns.update({"token.tuple_id": [0], "tuple.length": [2], "tupleref.set_id": [0, 0]})
+        artifact.counts[3], artifact.counts[5] = 1, 2
+        recut = artifact.encode()
+        assert recut != data
+        canonical, loaded = FormDictionary.from_bytes(data), FormDictionary.from_bytes(recut)
+        assert loaded.payloads_by_rank == canonical.payloads_by_rank
+        assert loaded.dump_text() == canonical.dump_text()
+        assert loaded.to_bytes() == data
+
     @pytest.mark.parametrize("edit, message", [
         # The root's arc a -> 1 made to lead to the root itself.
         pytest.param({"trans.target": {1: 2}}, "a trans.target is not below the state it leaves", id="backward target"),

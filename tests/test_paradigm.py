@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import paradigm_reference as reference
 from conftest import seed_variants
-from taksir.classes import PARADIGM_IDS
+from taksir.classes import load_paradigms
 from taksir.codes import parse_code
 from taksir.errors import TaksirError
 from taksir.lexicon import LexicalEntry
@@ -19,6 +19,9 @@ from taksir.paradigm import (
     form_count,
     inflect,
 )
+
+#: The suffix paradigms of data/paradigms.tsv, in file order.
+PARADIGM_IDS = tuple(load_paradigms()[0])
 
 
 def entry(lemma, code_text):
