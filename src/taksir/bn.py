@@ -8,7 +8,9 @@ Whitespace and ASCII punctuation pass through both ways; anything else
 which keeps the codec bijective.
 """
 
+import functools
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import InvalidBnChar, UnmappedCodepoint, data_rows
 
@@ -29,7 +31,19 @@ HAMZA_LETTERS = frozenset("cCOWIe")
 _PASSTHROUGH = frozenset(" \t\n.,;:!?()[]\"'-_/0123456789")
 
 
-def _load_table() -> tuple[dict[str, str], dict[str, str]]:
+class _Codec(NamedTuple):
+    ar2bn: dict[str, str]
+    bn2ar: dict[str, str]
+    translation: dict[int, str]     # ar2bn as a str.translate table
+    known: frozenset[str]           # what to_bn takes: the table's Arabic and the passthrough
+    basic_letters: frozenset[str]
+    alphabet: frozenset[str]
+
+
+@functools.lru_cache(maxsize=1)
+def _codec() -> _Codec:
+    """The codec table, read on first use: a refused row raises where the
+    CLI reports it, not at import."""
     ar2bn: dict[str, str] = {}
     bn2ar: dict[str, str] = {}
     text = resources.files(__package__).joinpath("data/bn_table.txt").read_text("utf-8")
@@ -37,17 +51,15 @@ def _load_table() -> tuple[dict[str, str], dict[str, str]]:
         arabic = chr(int(hexpoint, 16))
         ar2bn[arabic] = latin
         bn2ar[latin] = arabic
-    return ar2bn, bn2ar
+    basic = frozenset(c for c in bn2ar if c not in DIACRITICS)
+    return _Codec(ar2bn, bn2ar, str.maketrans(ar2bn), frozenset(ar2bn) | _PASSTHROUGH, basic, basic | DIACRITICS)
 
 
-_AR2BN, _BN2AR = _load_table()
-
-BASIC_LETTERS = frozenset(c for c in _BN2AR if c not in DIACRITICS)
-
-ALPHABET = BASIC_LETTERS | DIACRITICS
-
-_TO_BN = str.maketrans(_AR2BN)
-_TO_BN_KNOWN = frozenset(_AR2BN) | _PASSTHROUGH
+def __getattr__(name: str):
+    # BASIC_LETTERS, ALPHABET and _AR2BN are fields of the codec, read on first use.
+    if name in ("BASIC_LETTERS", "ALPHABET", "_AR2BN"):
+        return getattr(_codec(), name.strip("_").lower())
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def classify(c: str) -> str:
@@ -58,7 +70,7 @@ def classify(c: str) -> str:
     """
     if c in DIACRITICS:
         return "diacritic"
-    if c in BASIC_LETTERS:
+    if c in _codec().basic_letters:
         return "basic"
     raise InvalidBnChar(c, 0)
 
@@ -69,18 +81,19 @@ def is_diacritic(c: str) -> bool:
 
 def to_bn(text: str) -> str:
     """Transliterate Arabic script, character by character."""
-    if _TO_BN_KNOWN.issuperset(text):
-        return text.translate(_TO_BN)
-    i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in _TO_BN_KNOWN)
+    codec = _codec()
+    if codec.known.issuperset(text):
+        return text.translate(codec.translation)
+    i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in codec.known)
     raise UnmappedCodepoint(ch, i)
 
 
 def to_arabic(text: str) -> str:
     """Inverse transliteration; ``to_bn(to_arabic(s)) == s`` for valid input."""
-    out = []
+    out, bn2ar = [], _codec().bn2ar
     for i, ch in enumerate(text):
-        if ch in _BN2AR:
-            out.append(_BN2AR[ch])
+        if ch in bn2ar:
+            out.append(bn2ar[ch])
         elif ch in _PASSTHROUGH:
             out.append(ch)
         else:
@@ -90,14 +103,15 @@ def to_arabic(text: str) -> str:
 
 def looks_arabic(text: str) -> bool:
     """True if the string contains any codepoint from the Arabic table."""
-    return not _AR2BN.keys().isdisjoint(text)
+    return not _codec().ar2bn.keys().isdisjoint(text)
 
 
 def validate_bn(text: str) -> None:
     """Raise InvalidBnChar unless every character is in the alphabet
     (spaces, digits and punctuation are not)."""
+    alphabet = _codec().alphabet
     for i, ch in enumerate(text):
-        if ch not in ALPHABET:
+        if ch not in alphabet:
             raise InvalidBnChar(ch, i)
 
 

@@ -95,16 +95,11 @@ def cmd_compile(args) -> int:
     print(f"compile_seconds\t{elapsed:.3f}", file=sys.stderr)
     for d in errors:
         print(f"invalid: {d}", file=sys.stderr)
-    # Failures come one per failing entry, in entry order, each led by its
-    # entry; an entry already reported invalid is not reported again.
+    # An entry already reported invalid is not reported again.
     invalid = {d.line for d in errors}
-    pending = iter(failures)
-    failure = next(pending, None)
-    for entry in lex.entries:
-        if failure is not None and failure.startswith(f"{entry.lemma},{entry.code}: "):
-            if entry.line not in invalid:
-                print(f"failed: {failure}", file=sys.stderr)
-            failure = next(pending, None)
+    for entry, error in failures:
+        if entry.line not in invalid:
+            print(f"failed: {entry.lemma},{entry.code}: {error}", file=sys.stderr)
     return 1 if errors or failures else 0
 
 

@@ -173,17 +173,9 @@ def parse_sg_code(text: str) -> SingularPatternCode:
     arity = sum(1 for t in merged if t[0] in ("slot", "gem_slot"))
     if not 2 <= arity <= 6:
         raise MalformedCode(f"{text!r} has {arity} slots; expected 2-6")
-    canon = []
-    for tok in merged:
-        if tok[0] == "slot":
-            canon.append(SLOT_LETTERS[tok[1] - 1])
-        elif tok[0] == "gem_slot":
-            canon.append(SLOT_LETTERS[tok[1] - 1] * 2)
-        elif tok == ("v",):
-            canon.append("v")
-        else:
-            canon.append("vv")
-    return SingularPatternCode("".join(canon), tuple(merged))
+    # Every letter parsed, so the canonical spelling is the input with each
+    # vowel mark lower-case and each slot letter upper-case.
+    return SingularPatternCode(raw.upper().replace("V", "v"), tuple(merged))
 
 
 ROOT_LITERALS = "wyAYhm"
@@ -277,10 +269,12 @@ def check_diacritization(lemma: str) -> None:
         i = j
 
 
-#: The pattern parse reads which letters are diacritics, madda or long-vowel
-#: letters and nothing else of a letter; every other basic letter is one
-#: placeholder.
-_SHAPE = str.maketrans(dict.fromkeys(bn.BASIC_LETTERS - set("ACwy"), "b"))
+@functools.lru_cache(maxsize=1)
+def _shape() -> dict[int, str]:
+    """The pattern parse reads which letters are diacritics, madda or
+    long-vowel letters and nothing else of a letter: this translation makes
+    every other basic letter one placeholder."""
+    return str.maketrans(dict.fromkeys(bn.BASIC_LETTERS - set("ACwy"), "b"))
 
 
 def expand_madda(stem: str) -> str:
@@ -325,7 +319,7 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
         stem = lemma
     chars = expand_madda(stem)
     chosen: dict[tuple, tuple] = {}     # radicals -> the first parse that reads them
-    for parses in _parses(expand_madda(stem.translate(_SHAPE)), sg_code.tokens):
+    for parses in _parses(expand_madda(stem.translate(_shape())), sg_code.tokens):
         for positions, gemflags in parses:
             chosen.setdefault(tuple(_as_radical(chars[p - 1]) for p in positions), (positions, gemflags))
         if chosen:

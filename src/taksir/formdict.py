@@ -48,7 +48,8 @@ from typing import NamedTuple
 
 from . import bn
 from .classes import ClassRegistry
-from .lexicon import LexiconFile
+from .errors import TaksirError
+from .lexicon import LexicalEntry, LexiconFile
 from .paradigm import FeatureBundle, stem_tables
 from .rewrite import Rewrite, RewritePool, common_prefix_length, cut_pieces, past_the_form, radical_rewrite
 
@@ -599,17 +600,20 @@ def dictionary_key(form) -> str:
     return form.surface
 
 
-def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDictionary, list[str]]:
+Failure = tuple[LexicalEntry, TaksirError]
+
+
+def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDictionary, list[Failure]]:
     """Generate every entry's paradigm and build the automaton.  Entries
-    whose generation fails are reported, not fatal; the dictionary is built
-    from the rest."""
+    whose generation fails are reported with their error, not fatal; the
+    dictionary is built from the rest."""
     units, failures = fill_lexicon(lex, registry)
     return FormDictionary.build(units), failures
 
 
-def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[list[tuple[str, Unit]], list[str]]:
+def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[list[tuple[str, Unit]], list[Failure]]:
     """The ``(base, Unit)`` pairs of every entry's paradigm for
-    ``FormDictionary.build``, and a message per entry that failed.
+    ``FormDictionary.build``, and ``(entry, error)`` per failed entry.
 
     Each stem of an entry is filled into its row table: a form's key is
     the stem with the row's cut and tail.  A singular stem (the lemma, or
@@ -630,15 +634,15 @@ def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[list[tuple[
     another, one per tuple of payload keys: the stems up to the tables'
     largest cut are the unit's base (the masculine stem, which the feminine
     extends, leads), and the keys fix every letter after it.  A unit with
-    an empty base, as most stems with rows of their own (``paradigm._table``)
-    give, is not kept for reuse: its keys hold whole stems and lemmas, so
+    an empty base, as every stem with rows of their own (``paradigm._table``)
+    gives, is not kept for reuse: its keys hold whole stems and lemmas, so
     it cannot repeat.
     """
     units: list[tuple[str, Unit]] = []
     records: dict[tuple, Payload] = {}     # one Payload per distinct record
     rewrites = RewritePool()
     filled: dict[tuple, Unit] = {}
-    failures: list[str] = []
+    failures: list[Failure] = []
 
     def fill(stem: str, table, lemma: str, code: str, rewrite) -> list[Payload]:
         """The payload of each row; ``rewrite`` is the plural's, None for a singular."""
@@ -663,22 +667,18 @@ def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[list[tuple[
 
     for entry in lex.entries:
         try:
-            tables = stem_tables(entry, registry)
-        except Exception as exc:  # noqa: BLE001 - reported per entry
-            failures.append(f"{entry.lemma},{entry.code}: {exc}")
+            singulars, (bp_stem, bp_table), cls = stem_tables(entry, registry)
+        except TaksirError as exc:
+            failures.append((entry, exc))
             continue
         lemma, code = entry.lemma, entry.code.text
-        groups: tuple[list, list] = ([], [])     # (stem, table, key, rewrite) of the singular and plural tables
-        for n, (stem, table) in enumerate(tables):
-            keep, rewrite = len(stem), None
-            if n < len(tables) - 1:     # stem_tables puts the broken plural last
-                prefix = min(len(lemma), keep - table.cut)
-                key = (code, table, stem[prefix:], lemma[prefix:])
-            else:
-                rewrite = rewrites[radical_rewrite(entry, stem, *registry.resolve(entry.code).radical_copies)]
-                key = (code, table, rewrite, keep, stem[keep - table.cut:])
-            groups[rewrite is not None].append((stem, table, key, rewrite))
-        for group in groups:
+        singular = []   # (stem, table, key, rewrite) of each table
+        for stem, table in singulars:
+            prefix = min(len(lemma), len(stem) - table.cut)
+            singular.append((stem, table, (code, table, stem[prefix:], lemma[prefix:]), None))
+        rewrite, keep = rewrites[radical_rewrite(entry, bp_stem, *cls.radical_copies)], len(bp_stem)
+        plural = [(bp_stem, bp_table, (code, bp_table, rewrite, keep, bp_stem[keep - bp_table.cut:]), rewrite)]
+        for group in (singular, plural):
             base = min(len(stem) - table.cut for stem, table, _, _ in group)
             key = tuple(part[2] for part in group)
             unit = filled.get(key)

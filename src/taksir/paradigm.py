@@ -75,9 +75,9 @@ class RowTable:
     """The forms of one stem in one paradigm, gender and number, as rows
     ``(cut, tail, features, standalone, definite)``: a row spells
     ``stem[:len(stem) - cut] + tail``, with the article Al- in front when
-    ``definite``.  Stems whose rows no glottal-stop spelling reaches, which
-    is most stems with an O too, share one table per distinct list of rows
-    (see ``_table``), so tables compare and hash by identity."""
+    ``definite``.  Most stems share one table per distinct list of rows;
+    each row of any other spells its whole word (see ``_table``).  Tables
+    compare and hash by identity."""
 
     __slots__ = ("rows", "cut")
 
@@ -86,24 +86,15 @@ class RowTable:
         self.cut = max(row[0] for row in rows)  # the largest cut of any row
 
 
-def _join(stem: str, cut: int, tail: str) -> tuple[int, str]:
-    """The row spelling ``stem[:len(stem) - cut] + tail``.  No suffix holds a
-    hamza-on-alif O, so only a stem with one can contract into madda; its
-    row spells the contracted whole."""
-    if "O" in stem:
-        return len(stem), substitute_madda(stem[: len(stem) - cut] + tail)
-    return cut, tail
-
-
 def _pro_variant(stem: str, suffix: str, paradigm: str) -> tuple[int, str]:
     """Construct-cell row used before an attached pronoun.  -ap is realised
     as -at-, and a stem-final glottal stop, word-medial once a pronoun
     attaches, is re-seated against the case vowel."""
     if paradigm == "ap-final":
-        return _join(stem, 1, "t" + suffix)
+        return 1, "t" + suffix
     if suffix and stem.endswith(_FINAL_HAMZA):
         return len(stem), seat_hamzas([*stem[:-1], HAMZA, suffix])
-    return _join(stem, 0, suffix)
+    return 0, suffix
 
 
 def _rows(stem: str, paradigm: str, gender: str, number: str) -> tuple:
@@ -120,13 +111,13 @@ def _rows(stem: str, paradigm: str, gender: str, number: str) -> tuple:
             suffix = cell.suffix
             if suffix == "FA" and stem[: len(stem) - cut].endswith(("Aoc", "O")):
                 suffix = "F"  # no alif seat after -aA' or hamza-on-alif
-            cut, tail = _join(stem, cut, suffix)
             if d != "a":
-                rows.append((cut, tail, _bundle(gender, number, d, c, False), True, d == "D"))
+                rows.append((cut, suffix, _bundle(gender, number, d, c, False), True, d == "D"))
                 continue
             pro_cut, pro_tail = _pro_variant(stem, cell.suffix, paradigm)
-            same = stem[: len(stem) - pro_cut] + pro_tail == stem[: len(stem) - cut] + tail
-            rows.append((cut, tail, _bundle(gender, number, d, c, same), True, False))
+            same = (substitute_madda(stem[: len(stem) - pro_cut] + pro_tail)
+                    == substitute_madda(stem[: len(stem) - cut] + suffix))
+            rows.append((cut, suffix, _bundle(gender, number, d, c, same), True, False))
             if not same:
                 rows.append((pro_cut, pro_tail, _bundle(gender, number, d, c, True), False, False))
     if number == "s":
@@ -136,7 +127,7 @@ def _rows(stem: str, paradigm: str, gender: str, number: str) -> tuple:
         elif paradigm == "invariable-aY" and stem.endswith("Y"):
             cut, head = 1, "y"
         # Construct duals lose their -ni, so each one takes a pronoun as it stands.
-        rows += [(*_join(stem, cut, head + suffix), _bundle(gender, "d", d, c, d == "a"), True, d == "D")
+        rows += [(cut, head + suffix, _bundle(gender, "d", d, c, d == "a"), True, d == "D")
                  for (d, c), suffix in dual.items()]
     return tuple(rows)
 
@@ -156,21 +147,23 @@ def _table(stem: str, paradigm: str, gender: str, number: str) -> RowTable:
     """The row table of a stem.  A stem that ends in a glottal stop re-seats
     it before a pronoun, one with a hamza-on-alif O in its last five letters
     may contract with a suffix into madda, and one that contracts by itself
-    does in every row: such a stem gets rows of its own.  A madda spans at
-    most four letters from its O, a row cuts at most two and no suffix holds
-    an O, so an O further back never meets a suffix.  The rows of any other
-    stem read only its last letter (drop-iy cuts two letters unread, and a
+    does in every row: such a stem gets rows of its own, each spelling its
+    whole word with the contraction applied.  A madda spans at most four
+    letters from its O, a row cuts at most two and no suffix holds an O, so
+    an O further back never meets a suffix.  The rows of any other stem
+    read only its last letter (drop-iy cuts two letters unread, and a
     pronoun variant, the one row compared with another, cuts at most one),
     so it shares the table of that letter."""
     if "O" in stem[-5:] or stem.endswith(_FINAL_HAMZA) or substitute_madda(stem) != stem:
-        return RowTable(_rows(stem, paradigm, gender, number))
+        return RowTable(tuple((len(stem), substitute_madda(stem[: len(stem) - cut] + tail), *rest)
+                              for cut, tail, *rest in _rows(stem, paradigm, gender, number)))
     return _ending_table(stem[-1:], paradigm, gender, number)
 
 
-def stem_tables(entry, registry: ClassRegistry) -> list[tuple[str, RowTable]]:
-    """Each stem of an entry with its row table: the singular, for a
-    gender-inflecting entry the feminine singular in -ap next, and last the
-    broken plural."""
+def stem_tables(entry, registry: ClassRegistry):
+    """``(singulars, (bp_stem, bp_table), cls)``: each singular stem (the
+    lemma, then for a gender-inflecting entry the feminine in -ap) with its
+    row table, the broken plural's and the entry's inflection class."""
     code = entry.code
     cls = registry.resolve(code)
     bp_stem = render_bp_stem(apply_root_code(entry.sg_root, code.root_code), cls)
@@ -181,12 +174,11 @@ def stem_tables(entry, registry: ClassRegistry) -> list[tuple[str, RowTable]]:
     else:
         gender_stems = [(code.gender_flag, lemma)]
 
-    tables = []
+    singulars = []
     for gender, stem in gender_stems:
         paradigm = "ap-final" if stem.endswith("ap") and not lemma.endswith("ap") else cls.sg_paradigm
-        tables.append((stem, _table(stem, paradigm, gender, "s")))
-    tables.append((bp_stem, _table(bp_stem, cls.bp_paradigm, "none", "q")))
-    return tables
+        singulars.append((stem, _table(stem, paradigm, gender, "s")))
+    return singulars, (bp_stem, _table(bp_stem, cls.bp_paradigm, "none", "q")), cls
 
 
 def _forms(stem: str, table: RowTable) -> list[InflectedForm]:
@@ -208,7 +200,8 @@ def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
     pronoun; everything else is a base form.  The base forms number 27 for a
     fixed-gender entry and 45 for a gender-inflecting one.
     """
-    return [form for stem, table in stem_tables(entry, registry) for form in _forms(stem, table)]
+    singulars, plural, _ = stem_tables(entry, registry)
+    return [form for stem, table in (*singulars, plural) for form in _forms(stem, table)]
 
 
 def form_count(entry) -> int:

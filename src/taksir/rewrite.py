@@ -13,6 +13,7 @@ spelled.  Infix lemma coding (Daciuk's ``fsa`` tools; Morfologik's
 root-and-pattern rewrite generalises it to this model.
 """
 
+from functools import cached_property
 from operator import itemgetter
 
 
@@ -24,16 +25,14 @@ class Rewrite(tuple):
     pieces.  ``apply`` gives the lemma of a form of at least ``reach``
     letters and raises ``CorruptDictionary`` for a shorter one."""
 
-    def __getattr__(self, name):
-        # Only a missing attribute gets here: each is worked out on first
-        # use, so loading measures and compiles no rewrite.
-        if name == "apply":
-            self.apply = _applier(self)
-        elif name == "reach":   # a piece stopping ~k needs start + k letters
-            self.reach = max((start + ~stop if stop < 0 else max(start, stop) for start, stop, _ in self), default=0)
-        else:
-            raise AttributeError(name)
-        return self.__dict__[name]
+    # Each is worked out on first use, so loading measures and compiles no rewrite.
+    @cached_property
+    def apply(self):
+        return _applier(self)
+
+    @cached_property
+    def reach(self) -> int:     # a piece stopping ~k needs start + k letters
+        return max((start + ~stop if stop < 0 else max(start, stop) for start, stop, _ in self), default=0)
 
     def __str__(self) -> str:
         return "+".join(f"[{start}:{stop if stop >= 0 else -~stop or ''}]" + (f"+{literal!r}" if literal else "")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .errors import data_rows
+from .errors import DataError, data_rows
 from .formdict import Analysis, FormDictionary
 from .paradigm import FeatureBundle
 
@@ -48,10 +48,14 @@ def load_clitics() -> CliticInventory:
     # Safe to cache: an inventory is immutable.
     kinds: dict[str, list] = {"conj": [], "prep": [], "det": [], "pro": []}
     text = resources.files(__package__).joinpath("data/clitics.tsv").read_text("utf-8")
-    for _, (kind, surface) in data_rows(text, "clitic table", dict.fromkeys(kinds, 2)):
+    for lineno, (kind, surface) in data_rows(text, "clitic table", dict.fromkeys(kinds, 2)):
+        if kind == "det" and kinds["det"]:
+            raise DataError("clitic table", lineno, "a second det row")
         kinds[kind].append(surface)
     conj, prep, det, pro = kinds.values()
-    return CliticInventory(tuple(conj), tuple(prep), det[-1], tuple(pro))
+    if not det:
+        raise DataError("clitic table", len(text.splitlines()), "the table has no det row")
+    return CliticInventory(tuple(conj), tuple(prep), det[0], tuple(pro))
 
 
 @dataclass(frozen=True, slots=True)

@@ -43,7 +43,8 @@ def main(argv: list[str]) -> int:
         lex, diagnostics = parse_lexicon(fh.read())
     built, failures = compile_lexicon(lex, load_registry())
     if diagnostics or failures:
-        print(f"the lexicon does not compile cleanly: {[*map(str, diagnostics), *failures][:3]}")
+        reasons = [*map(str, diagnostics), *(f"{e.lemma},{e.code}: {error}" for e, error in failures)]
+        print(f"the lexicon does not compile cleanly: {reasons[:3]}")
         return 1
     ok = True
 

@@ -166,7 +166,10 @@ def run_package(path, argv):
      "paradigm table line {line}: expected 11 tab-separated fields"),
     ("clitics.tsv", "suffix\tna", ["analyze", "{text}", "--dict", "{dict}"],
      "clitic table line {line}: unknown kind 'suffix'; expected one of conj, prep, det, pro"),
-], ids=["classes", "codes", "paradigms", "clitics"])
+    ("clitics.tsv", "det\tAlo", ["analyze", "{text}", "--dict", "{dict}"], "clitic table line {line}: a second det row"),
+    ("bn_table.txt", "0700", ["analyze", "{text}", "--dict", "{dict}"],
+     "codec table line {line}: expected 2 tab-separated fields"),
+], ids=["classes", "codes", "paradigms", "clitics", "clitics-det", "codec"])
 def test_refused_data_row_exits_2(name, row, argv, message, dict_path, tmp_path):
     # An unknown clitic kind crashed analyze with a KeyError.
     text = write_text(tmp_path, "kutubu")
@@ -174,6 +177,16 @@ def test_refused_data_row_exits_2(name, row, argv, message, dict_path, tmp_path)
     done = run_package(package_with_rows(tmp_path, {name: row}),
                        [arg.format(seed=SEED_PATH, text=text, dict=dict_path) for arg in argv])
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message.format(line=line)}\n")
+
+
+def test_clitic_table_without_det_row_exits_2(dict_path, tmp_path):
+    path = package_with_rows(tmp_path, {})
+    table = path / "taksir" / "data" / "clitics.tsv"
+    lines = [line for line in table.read_text("utf-8").splitlines() if not line.startswith("det\t")]
+    table.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    done = run_package(path, ["analyze", str(write_text(tmp_path, "kutubu")), "--dict", str(dict_path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: clitic table line {len(lines)}: the table has no det row\n")
 
 
 def test_class_added_through_data_only(tmp_path):

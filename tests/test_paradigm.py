@@ -1,11 +1,12 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paradigm_reference as reference
-from conftest import seed_variants
+from conftest import seed_variant, seed_variants
 from taksir.classes import load_paradigms
 from taksir.codes import parse_code
 from taksir.errors import TaksirError
@@ -18,6 +19,7 @@ from taksir.paradigm import (
     dual_forms,
     form_count,
     inflect,
+    stem_tables,
 )
 
 #: The suffix paradigms of data/paradigms.tsv, in file order.
@@ -268,3 +270,21 @@ class TestRowsMatchReference:
         number = "q" if gender == "none" else "s"
         table = _table(stem, paradigm, gender, number)
         assert triples(_forms(stem, table)) == reference.stem_cells(stem, paradigm, gender, number)
+
+
+class TestUnitCacheRule:
+    """formdict.fill_lexicon keeps a unit for reuse only when its base is
+    not empty, so a table of a stem's own must cut the whole stem."""
+
+    def test_every_table_is_shared_or_cuts_its_whole_stem(self, seed, registry):
+        rng = random.Random(3)
+        for e in [*seed, *(seed_variant(rng.choice) for _ in range(400))]:
+            try:
+                singulars, plural, _ = stem_tables(e, registry)
+            except TaksirError:
+                continue
+            for stem, table in (*singulars, plural):
+                features = table.rows[0][2]
+                shared = (table is _ending_table(stem[-1:], paradigm, features.gender, features.number)
+                          for paradigm in PARADIGM_IDS)
+                assert table.cut == len(stem) or any(shared), (e.lemma, stem)
