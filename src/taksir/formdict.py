@@ -31,9 +31,13 @@ noun part only, carrying the D feature.
 
 One iterative walk serves both lookup modes.  In diacritic-optional mode it
 may also skip dictionary diacritics the query omits, but a diacritic present
-in the query must match the dictionary exactly; strict mode never skips.  A
-walk reports the forms ending at each of several positions of its text, so
-the segmenter walks a token once per noun start.
+in the query must match the dictionary exactly; strict mode never skips.
+Optional mode reads what lies past skipped diacritics from a skip table,
+built per state on first use and never stored: the word ends so reached
+and, per next letter, the arcs that take it, so the walk branches only
+where that letter goes on.  A walk reports the forms ending at each of
+several positions of its text, so the segmenter walks a token once per noun
+start.
 """
 
 import struct
@@ -42,6 +46,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from collections import Counter
+from functools import cached_property
 from itertools import accumulate, chain, islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -281,16 +286,23 @@ class FormDictionary:
         return [self.analysis(form, p) for _, form, rank in self.walk(surface, 0, (len(surface),), mode)
                 for p in self.payloads_by_rank[rank]]
 
+    @cached_property
+    def skip_table(self) -> "SkipTable":
+        return SkipTable(self.arcs, self.finals)
+
     def walk(self, text: str, start: int, ends, mode: str) -> list[tuple[int, str, int]]:
         """Every (end, dictionary form, rank) where ``text[start:end]`` matches
         a form and ``end`` is one of ``ends``, sorted: per end, forms come in
         rank order, which is form order.  The inner loop follows the text's
-        letters; a skipped diacritic starts a stack entry, whose form is
-        ``built + text[at:qi]``."""
+        letters.  In diacritic-optional mode each state it reaches also reads
+        its skip table entry: the word ends past skipped diacritics, and the
+        moves on the next letter, each of which starts a stack entry, whose
+        form is ``built + text[at:qi]``."""
         if mode not in ("strict", "diacritic-optional"):
             raise ValueError(f"unknown lookup mode {mode!r}")
         skip = mode == "diacritic-optional"
-        arcs, finals, diacritics, last = self.arcs, self.finals, bn.DIACRITICS, max(ends)
+        arcs, finals, last = self.arcs, self.finals, max(ends)
+        skip_table = self.skip_table if skip else None
         # Skipping can reach a form along several alignments, in any order;
         # each (end, form) counts once.  Without it, forms come in end order.
         found: dict[tuple[int, int], str] = {}
@@ -298,16 +310,19 @@ class FormDictionary:
         while stack:
             state, rank, qi, built, at = stack.pop()
             while True:
-                table = arcs[state]
                 if finals[state] and qi in ends:
                     found[qi, rank] = built + text[at:qi]
                 if skip:
-                    for label, (target, offset) in table.items():
-                        if label in diacritics:
-                            stack.append((target, rank + offset, qi, built + text[at:qi] + label, qi))
-                if qi == last:
+                    word_ends, moves = skip_table[state]
+                    if word_ends and qi in ends:
+                        for offset, skipped in word_ends:
+                            found[qi, rank + offset] = built + text[at:qi] + skipped
+                    if qi < last and text[qi] in moves:
+                        for target, offset, skipped in moves[text[qi]]:
+                            stack.append((target, rank + offset, qi + 1, built + text[at:qi] + skipped, qi))
+                if qi >= last:
                     break
-                arc = table.get(text[qi])
+                arc = arcs[state].get(text[qi])
                 if arc is None:
                     break
                 state, offset = arc
@@ -505,6 +520,33 @@ class FormDictionary:
     def load(cls, path) -> "FormDictionary":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+_NO_SKIPS = ((), {})
+
+
+class SkipTable(dict):
+    """Per state, made on first lookup, ``(word_ends, moves)`` of the states
+    that one or more of its diacritic arcs lead to: the (rank offset,
+    skipped diacritics) of each final one, and per label the (target, rank
+    offset, skipped) of each arc leaving one.  States without a diacritic
+    arc share one empty entry.  It holds no reference to the dictionary."""
+
+    def __init__(self, arcs, finals):
+        self.arcs, self.finals = arcs, finals
+
+    def __missing__(self, state: int) -> tuple:
+        arcs, diacritics, word_ends, moves = self.arcs, bn.DIACRITICS, [], {}
+        skips = [(target, offset, label) for label, (target, offset) in arcs[state].items() if label in diacritics]
+        for at, rank, skipped in skips:     # grows as it goes: the automaton is acyclic
+            if self.finals[at]:
+                word_ends.append((rank, skipped))
+            for label, (target, offset) in arcs[at].items():
+                moves.setdefault(label, []).append((target, rank + offset, skipped))
+                if label in diacritics:
+                    skips.append((target, rank + offset, skipped + label))
+        entry = self[state] = (tuple(word_ends), moves) if skips else _NO_SKIPS
+        return entry
 
 
 def _column(values) -> bytes:

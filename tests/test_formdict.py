@@ -6,13 +6,14 @@ import random
 import re
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paradigm_reference as reference
-from lookup_reference import linear_scan, sample_queries
+from lookup_reference import linear_scan, ref_optional_match, sample_queries
 from taksir import bn
 from taksir.classes import parse_registry
 from taksir.codes import HAMZA, parse_code
@@ -355,6 +356,106 @@ class TestOracle:
         for surface, _ in form_list:
             hits = compiled.lookup(bn.strip_diacritics(surface), "diacritic-optional")
             assert any(a.surface == surface for a in hits), surface
+
+
+def reference_walk(form_list, text, start, ends, mode) -> list[tuple[int, str, int]]:
+    """``FormDictionary.walk`` by brute force over the listed forms, which
+    come in rank order; a form can only match a query of its skeleton."""
+    by_skeleton = {}
+    for rank, (form, _) in enumerate(form_list):
+        by_skeleton.setdefault(bn.strip_diacritics(form), []).append((rank, form))
+    hits = []
+    for end in set(ends):
+        query = text[start:end]
+        for rank, form in by_skeleton.get(bn.strip_diacritics(query), []) if end >= start else []:
+            if form == query if mode == "strict" else ref_optional_match(form, query):
+                hits.append((end, form, rank))
+    return sorted(hits)
+
+
+def visited_states(d, query) -> set[int]:
+    """The root and every state a diacritic-optional walk of ``query``
+    reaches by matching one of its letters: the states whose skip table
+    entries the walk reads."""
+    skeleton, states, stack = bn.strip_diacritics(query), {d.root}, [(d.root, "")]
+    while stack:
+        state, path = stack.pop()
+        for label, (target, _) in d.arcs[state].items():
+            p = path + label
+            if skeleton.startswith(bn.strip_diacritics(p)):
+                stack.append((target, p))
+                if any(p[-1] == query[k - 1] and ref_optional_match(p[:-1], query[:k - 1])
+                       for k in range(1, len(query) + 1)):
+                    states.add(target)
+    return states
+
+
+#: Words with chains of diacritic arcs (a vowel, shadda, a vowel, then
+#: tanwin or the word's end): for the query "b", "baGa" ends only past
+#: skipped diacritics; "kaab" meets the query "kab" along two alignments;
+#: "iN" is diacritics alone.
+CHAINS = ["baGa", "baGaN", "daGuN", "kitabaN", "kitabu", "kaab", "kab", "iN", "kutub", "kutubu", "kutubK"]
+
+
+class TestWalk:
+    MODES = ("strict", "diacritic-optional")
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        return FormDictionary.build(word_units({word: [PAYLOAD] for word in sorted(CHAINS)}))
+
+    def test_seed_matches_a_brute_force_scan(self, compiled, form_list):
+        rng = random.Random(20261019)
+        for query, _ in sample_queries(rng, [s for s, _ in form_list], 60):
+            prefix, suffix = rng.choice(["", "w", "wAl", "bi"]), rng.choice(["", "hA", "kum"])
+            text, start = prefix + query + suffix, len(prefix)
+            ends = (start + len(query), *rng.sample(range(len(text) + 1), min(3, len(text) + 1)))
+            for mode in self.MODES:
+                assert compiled.walk(text, start, ends, mode) == reference_walk(form_list, text, start, ends,
+                                                                                mode), (text, start, ends, mode)
+
+    @pytest.mark.parametrize("text", ["b", "ba", "bG", "bGa", "baGN", "dN", "kab", "kaab", "kitb", "ktbN", "ktb",
+                                      "kutubu", "ktbK", "iN", "N", "wbhA", "wkabhA", "wktbu"])
+    def test_chains_of_diacritics_match_a_brute_force_scan(self, chains, text):
+        form_list = list(chains.forms())
+        for start in range(len(text) + 1):
+            ends = tuple(range(len(text) + 1))      # some below the start, one at it
+            for mode in self.MODES:
+                assert chains.walk(text, start, ends, mode) == reference_walk(form_list, text, start, ends, mode)
+
+    def test_chain_cases(self, chains):
+        rank = {form: rank for rank, (form, _) in enumerate(chains.forms())}
+        optional = "diacritic-optional"
+        assert chains.walk("b", 0, (1,), optional) == [(1, "baGa", rank["baGa"]), (1, "baGaN", rank["baGaN"])]
+        assert chains.walk("kab", 0, (3,), optional) == [(3, "kaab", rank["kaab"]), (3, "kab", rank["kab"])]
+        assert chains.walk("wkab", 1, (1,), optional) == [(1, "iN", rank["iN"])]
+        assert chains.walk("wkab", 1, (1,), "strict") == []
+        assert chains.walk("wkab", 1, (0,), optional) == []     # every end below the start
+
+    def test_skip_table_is_built_lazily_and_never_seen(self, compiled):
+        d = FormDictionary.from_bytes(compiled.to_bytes())
+        assert "skip_table" not in vars(d)
+        before = d.to_bytes(), d.dump_text(), d.stats(0)
+        for surface, _ in islice(d.forms(), 0, None, 97):
+            assert d.lookup(surface, "strict")
+        assert "skip_table" not in vars(d)
+        visited = set()
+        for query in ("Eqd", "kutub", "EuquwdK"):
+            assert d.lookup(query, "diacritic-optional")
+            visited |= visited_states(d, query)
+            assert d.skip_table.keys() == visited
+        assert len(d.skip_table) < len(d.arcs)
+        plain = [entry for state, entry in d.skip_table.items() if not bn.DIACRITICS & d.arcs[state].keys()]
+        assert plain and all(entry is plain[0] for entry in plain)
+        assert (d.to_bytes(), d.dump_text(), d.stats(0)) == before
+
+    def test_unknown_mode_rejected_before_the_skip_table(self, compiled):
+        d = FormDictionary.from_bytes(compiled.to_bytes())
+        with pytest.raises(ValueError, match=r"^unknown lookup mode 'optional'$"):
+            d.walk("kutub", 0, (5,), "optional")
+        with pytest.raises(ValueError, match=r"^unknown lookup mode 'optional'$"):
+            d.lookup("kutub", "optional")
+        assert "skip_table" not in vars(d)
 
 
 def assert_minimal(d):
