@@ -9,10 +9,9 @@ which keeps the codec bijective.
 """
 
 import functools
-from importlib import resources
 from typing import NamedTuple
 
-from .errors import InvalidBnChar, UnmappedCodepoint, data_rows
+from .errors import InvalidBnChar, UnmappedCodepoint, data_rows, data_text
 
 #: The silent diacritic (sukun): rules out a non-scripted short vowel.
 SILENT = "o"
@@ -46,8 +45,7 @@ def _codec() -> _Codec:
     CLI reports it, not at import."""
     ar2bn: dict[str, str] = {}
     bn2ar: dict[str, str] = {}
-    text = resources.files(__package__).joinpath("data/bn_table.txt").read_text("utf-8")
-    for _, (hexpoint, latin) in data_rows(text, "codec table", 2):
+    for _, (hexpoint, latin) in data_rows(data_text("bn_table.txt"), "codec table", 2):
         arabic = chr(int(hexpoint, 16))
         ar2bn[arabic] = latin
         bn2ar[latin] = arabic

@@ -15,11 +15,10 @@ are seated from their orthographic context when the stem is rendered.
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 from . import bn
 from .codes import HAMZA, InflectionalCode, code_tables, parse_root_code
-from .errors import ArityMismatch, DataError, MalformedCode, UnknownClass, data_rows
+from .errors import ArityMismatch, DataError, MalformedCode, UnknownClass, data_rows, data_text
 
 DEFINITENESS = ("D", "i", "a")
 CASES = ("N", "A", "G")
@@ -37,7 +36,7 @@ def load_paradigms() -> tuple[dict[str, dict[tuple[str, str], Cell]], dict[tuple
     by (definiteness, case); definite surfaces are prefixed with Al- on top
     of these suffixes."""
     # Safe to cache: nothing changes the tables after load.
-    text = resources.files(__package__).joinpath("data/paradigms.tsv").read_text("utf-8")
+    text = data_text("paradigms.tsv")
     paradigms: dict = {}
     for lineno, (kind, *cells) in data_rows(text, "paradigm table", {"case": 11, "dual": 10}):
         name = cells.pop(0) if kind == "case" else None     # the dual row is paradigm None
@@ -95,8 +94,7 @@ class ClassRegistry:
 @lru_cache(maxsize=1)
 def load_registry() -> ClassRegistry:
     # Safe to cache: a registry is immutable after load.
-    text = resources.files(__package__).joinpath("data/classes.tsv").read_text("utf-8")
-    return parse_registry(text)
+    return parse_registry(data_text("classes.tsv"))
 
 
 def parse_registry(text: str) -> ClassRegistry:

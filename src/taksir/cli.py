@@ -263,7 +263,14 @@ def main(argv=None) -> int:
     if getattr(args, "mode", None) == "optional":
         args.mode = "diacritic-optional"
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()      # a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:     # the reader went away; the exit flush then writes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except TaksirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,6 @@ labels and code respellings that codes are checked against live in
 import functools
 import re
 from dataclasses import dataclass
-from importlib import resources
 
 from . import bn
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
     NotFullyDiacritized,
     UnknownBpLabel,
     data_rows,
+    data_text,
 )
 
 #: Abstract glottal-stop radical.  Lemma letters c, C, O, W, I, e all map to
@@ -52,7 +52,7 @@ class CodeTables:
 def code_tables() -> CodeTables:
     """Read and check each row once, on first use."""
     # Safe to cache: nothing changes the tables after load.
-    text = resources.files(__package__).joinpath("data/codes.tsv").read_text("utf-8")
+    text = data_text("codes.tsv")
     endings, labels, respellings = {}, {}, {}
     for lineno, (kind, name, *value) in data_rows(text, "code table", {"tag": 3, "label": 2, "respell": 3}):
         table = {"tag": endings, "label": labels, "respell": respellings}[kind]

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the bundled data tables' reader."""
+"""Exception types shared across the package, and the bundled data files' readers."""
+
+import os
 
 
 class TaksirError(Exception):
@@ -61,6 +63,13 @@ class DataError(ValueError):
 
     def __init__(self, source: str, line: int, reason: str):
         super().__init__(f"{source} line {line}: {reason}")
+
+
+def data_text(name: str) -> str:
+    """The text of ``data/<name>`` beside the package, found with ``os.path``, which is quick to import
+    where ``importlib.resources`` and ``pathlib`` are not; a zipped install is therefore not supported."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def data_rows(text: str, source: str, widths: int | dict[str, int]):

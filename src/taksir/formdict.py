@@ -8,15 +8,16 @@ sum to the form's lexicographic rank, which indexes its analysis payload
 list.  Suffix tails stay shared across the whole lexicon, which is what
 makes the serialized artifact small.  It is built in one pass over the
 sorted forms (Daciuk, Mihov, Watson & Watson 2000), so construction never
-holds more than the minimal automaton plus one word's path.
+holds more than the minimal automaton plus one word's path.  States are
+numbered as they are registered, which makes the numbering canonical.
 
 Every compiled form comes in a unit: the rows of an entry's singular row
 tables, or of its plural's, each filled from its stem, all starting with
 one base.  Where no other form starts with a unit's base, the states below
 the base depend only on the unit's suffixes, so the pass registers that
 sub-automaton once per distinct suffix tuple and takes the base as one
-item whose last arc leads into it; any other unit is expanded into its
-forms.
+item whose last arc leads into it, built where that arc is added; any
+other unit is expanded into its forms.
 
 Payloads do not name entries directly: they hold the feature tag, the
 inflectional code and a positional rewrite that rebuilds the lemma from the
@@ -131,7 +132,9 @@ class FormDictionary:
         Only the previous word's path is unregistered.  Where the next word
         leaves it, the states below the divergence are frozen, deepest first:
         each is registered under its (final, arcs) signature, merging it with
-        any equal state.
+        any equal state, and numbered as it is registered: after the states
+        below it and its smaller siblings' subtrees, which is the canonical
+        postorder of a depth-first walk, children in label order.
 
         ``units`` are ``(base, Unit)`` pairs, a unit holding the forms of
         one or more row tables (an entry's masculine and feminine singular
@@ -185,9 +188,10 @@ class FormDictionary:
         # is right-language equality in an acyclic automaton.
         registry: dict[tuple, int] = {}
         min_trans: list[tuple] = []
-        min_final: list[bool] = []
+        min_final: list[int] = []
+        subs: dict[tuple, int] = {}     # per distinct tuple of tails: its sub-automaton
 
-        def register(final: bool, edges: list) -> int:
+        def register(final: int, edges: list) -> int:
             signature = (final, tuple(edges))
             state = registry.get(signature)
             if state is None:
@@ -198,11 +202,14 @@ class FormDictionary:
 
         def minimal(items) -> int:
             """The root of sorted ``(string, target)`` items: a word where
-            the target is None, else a path whose last arc leads to it."""
+            the target is None, else a path whose last arc leads to the
+            sub-automaton of the target, a tuple of tails, built (or found
+            in ``subs``) where that arc is added: after the states it
+            follows in postorder are frozen, before those it precedes."""
             # Per depth of the previous item's path: finality, and the arcs
             # to registered states, in label order (the arc to the next path
             # state is added when that state is frozen).
-            path_final, path_edges, prev = [False], [[]], ""
+            path_final, path_edges, prev = [0], [[]], ""
 
             def freeze(depth: int) -> None:
                 while len(path_edges) > depth + 1:
@@ -213,19 +220,20 @@ class FormDictionary:
                 common = common_prefix_length(prev, word)
                 freeze(common)
                 grow = len(word) - common - (target is not None)
-                path_final.extend([False] * grow)
+                path_final.extend([0] * grow)
                 path_edges.extend([[] for _ in range(grow)])
                 if target is None:
-                    path_final[-1] = True
+                    path_final[-1] = 1
                 else:
-                    path_edges[-1].append((word[-1], target))
+                    if target not in subs:
+                        subs[target] = minimal((tail, None) for tail in target)
+                    path_edges[-1].append((word[-1], subs[target]))
                 prev = word
             freeze(0)
             return register(path_final[0], path_edges[0])
 
         payloads_by_rank: list[tuple] = []
         orders: dict[tuple, tuple] = {}
-        subs: dict[tuple, int] = {}     # per distinct tuple of tails: its sub-automaton
 
         def ranked():
             """The items in rank order, ranking payload sets on the way."""
@@ -233,10 +241,7 @@ class FormDictionary:
                 value = entries[key]
                 if type(value) is Unit:
                     payloads_by_rank.extend(sets[value][0])
-                    sub = subs.get(value.tails)
-                    if sub is None:
-                        sub = subs[value.tails] = minimal((tail, None) for tail in value.tails)
-                    yield key, sub
+                    yield key, value.tails
                     continue
                 payloads, reach, tied = payload_set(value)
                 if reach > len(key):
@@ -247,28 +252,13 @@ class FormDictionary:
                 payloads_by_rank.append(payloads)
                 yield key, None
 
-        root = minimal(ranked())
-        del registry, shared, entries, sets     # freed before the automaton is renumbered
-
-        # Renumber in the postorder of a depth-first walk from the root,
-        # children in label order: every target then comes before its
-        # source, and the numbering depends on the minimal automaton alone,
-        # so the artifact is canonical.
-        order, seen, stack = [], {root}, [(root, iter(min_trans[root]))]
-        while stack:
-            for _, target in stack[-1][1]:
-                if target not in seen:
-                    seen.add(target)
-                    stack.append((target, iter(min_trans[target])))
-                    break
-            else:
-                order.append(stack.pop()[0])
-        number = dict(zip(order, range(len(order))))
-        edges = [min_trans[old] for old in order]
-        finals = [int(min_final[old]) for old in order]
-        arcs, _ = _arc_tables(finals, map(len, edges), [ch for e in edges for ch, _ in e],
-                              [number[t] for e in edges for _, t in e])
-        return cls(arcs, finals, payloads_by_rank)
+        minimal(ranked())
+        # Freed before the arc tables are built; minimal calls itself, so
+        # only deleting it frees what it holds without the cycle collector.
+        del registry, shared, entries, sets, subs, minimal
+        arcs, _ = _arc_tables(min_final, map(len, min_trans), [ch for e in min_trans for ch, _ in e],
+                              [t for e in min_trans for _, t in e])
+        return cls(arcs, min_final, payloads_by_rank)
 
     # -- lookup ------------------------------------------------------------
 
@@ -689,7 +679,7 @@ def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[list[tuple[
     def fill(stem: str, table, lemma: str, code: str, rewrite) -> list[Payload]:
         """The payload of each row; ``rewrite`` is the plural's, None for a singular."""
         payloads, keep = [], len(stem)
-        for cut, tail, features, standalone, _ in table.rows:
+        for cut, tail, features, standalone in table.rows:
             kept, tag = keep - cut, features.tag()
             if rewrite is None:
                 # A word that keeps more of the stem than the lemma spells

@@ -12,12 +12,11 @@ Parsing never aborts: bad lines become diagnostics and good lines load.
 
 import functools
 from dataclasses import dataclass, field
-from importlib import resources
 
 from . import bn
 from .classes import ClassRegistry
 from .codes import InflectionalCode, SurfaceRoot, code_tables, expand_madda, extract_root, parse_code
-from .errors import TaksirError
+from .errors import TaksirError, data_text
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,7 @@ def lexicon_stats(lex: LexiconFile) -> StatsReport:
 
 def load_seed() -> LexiconFile:
     """The bundled lexicon transcribed from the worked examples."""
-    text = resources.files(__package__).joinpath("data/seed_lexicon.txt").read_text("utf-8")
-    lex, diagnostics = parse_lexicon(text)
+    lex, diagnostics = parse_lexicon(data_text("seed_lexicon.txt"))
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
         raise ValueError("seed lexicon has errors: " + "; ".join(map(str, errors)))

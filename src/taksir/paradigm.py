@@ -73,11 +73,11 @@ class InflectedForm:
 
 class RowTable:
     """The forms of one stem in one paradigm, gender and number, as rows
-    ``(cut, tail, features, standalone, definite)``: a row spells
-    ``stem[:len(stem) - cut] + tail``, with the article Al- in front when
-    ``definite``.  Most stems share one table per distinct list of rows;
-    each row of any other spells its whole word (see ``_table``).  Tables
-    compare and hash by identity."""
+    ``(cut, tail, features, standalone)``: a row spells ``stem[:len(stem) -
+    cut] + tail``, with the article Al- in front when its features are
+    definite.  Most stems share one table per distinct list of rows; each
+    row of any other spells its whole word (see ``_table``).  Tables compare
+    and hash by identity."""
 
     __slots__ = ("rows", "cut")
 
@@ -112,14 +112,14 @@ def _rows(stem: str, paradigm: str, gender: str, number: str) -> tuple:
             if suffix == "FA" and stem[: len(stem) - cut].endswith(("Aoc", "O")):
                 suffix = "F"  # no alif seat after -aA' or hamza-on-alif
             if d != "a":
-                rows.append((cut, suffix, _bundle(gender, number, d, c, False), True, d == "D"))
+                rows.append((cut, suffix, _bundle(gender, number, d, c, False), True))
                 continue
             pro_cut, pro_tail = _pro_variant(stem, cell.suffix, paradigm)
             same = (substitute_madda(stem[: len(stem) - pro_cut] + pro_tail)
                     == substitute_madda(stem[: len(stem) - cut] + suffix))
-            rows.append((cut, suffix, _bundle(gender, number, d, c, same), True, False))
+            rows.append((cut, suffix, _bundle(gender, number, d, c, same), True))
             if not same:
-                rows.append((pro_cut, pro_tail, _bundle(gender, number, d, c, True), False, False))
+                rows.append((pro_cut, pro_tail, _bundle(gender, number, d, c, True), False))
     if number == "s":
         cut, head = 0, ""
         if paradigm == "ap-final":
@@ -127,7 +127,7 @@ def _rows(stem: str, paradigm: str, gender: str, number: str) -> tuple:
         elif paradigm == "invariable-aY" and stem.endswith("Y"):
             cut, head = 1, "y"
         # Construct duals lose their -ni, so each one takes a pronoun as it stands.
-        rows += [(cut, head + suffix, _bundle(gender, "d", d, c, d == "a"), True, d == "D")
+        rows += [(cut, head + suffix, _bundle(gender, "d", d, c, d == "a"), True)
                  for (d, c), suffix in dual.items()]
     return tuple(rows)
 
@@ -182,9 +182,9 @@ def stem_tables(entry, registry: ClassRegistry):
 
 
 def _forms(stem: str, table: RowTable) -> list[InflectedForm]:
-    keep = len(stem)
-    return [InflectedForm(("Al" if definite else "") + stem[: keep - cut] + tail, features, standalone)
-            for cut, tail, features, standalone, definite in table.rows]
+    return [InflectedForm(("Al" if features.definiteness == "D" else "") + stem[: len(stem) - cut] + tail,
+                          features, standalone)
+            for cut, tail, features, standalone in table.rows]
 
 
 def dual_forms(stem: str, paradigm: str) -> dict[tuple[str, str], str]:

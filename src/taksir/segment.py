@@ -10,9 +10,8 @@ variant, and the determiner and a pronoun never co-occur.
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 
-from .errors import DataError, data_rows
+from .errors import DataError, data_rows, data_text
 from .formdict import Analysis, FormDictionary
 from .paradigm import FeatureBundle
 
@@ -47,7 +46,7 @@ class CliticInventory:
 def load_clitics() -> CliticInventory:
     # Safe to cache: an inventory is immutable.
     kinds: dict[str, list] = {"conj": [], "prep": [], "det": [], "pro": []}
-    text = resources.files(__package__).joinpath("data/clitics.tsv").read_text("utf-8")
+    text = data_text("clitics.tsv")
     for lineno, (kind, surface) in data_rows(text, "clitic table", dict.fromkeys(kinds, 2)):
         if kind == "det" and kinds["det"]:
             raise DataError("clitic table", lineno, "a second det row")

@@ -199,6 +199,40 @@ def test_class_added_through_data_only(tmp_path):
     assert done.stderr == "# base forms: 27 (expected 27); with pro variants: 27\n"
 
 
+@pytest.mark.parametrize("words", [20000, 1], ids=["large", "buffered"])
+def test_closed_stdout_exits_2_quietly(words, dict_path, tmp_path):
+    # `analyze BIG | head -1` printed a BrokenPipeError traceback and exited 1.
+    # The large output meets the closed pipe while it prints; the small one
+    # stays buffered until the flush at the end, which is why
+    # PYTHONUNBUFFERED is left out.
+    text = write_text(tmp_path, "kutubu " * words)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
+    read, write = os.pipe()
+    if words == 1:
+        os.close(read)      # the reader is gone before the child writes anything
+    proc = subprocess.Popen([sys.executable, "-m", "taksir", "analyze", str(text), "--dict", str(dict_path)],
+                            stdout=write, stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    if words > 1:
+        with open(read, "rb") as out:
+            assert out.readline().startswith(b"kutubu\t")    # far more than a pipe holds is still to come
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (2, b"")
+
+
+def test_import_reads_data_without_importlib_resources():
+    # importlib.resources and pathlib cost milliseconds to import; every
+    # bundled data file is read by its path beside the package.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import taksir.cli; m = sys.modules; "
+            "m['taksir.bn']._codec(); m['taksir.codes'].code_tables(); m['taksir.classes'].load_paradigms(); "
+            "m['taksir.classes'].load_registry(); m['taksir.lexicon'].load_seed(); m['taksir.segment'].load_clitics(); "
+            "print(sorted({'importlib.resources', 'pathlib'} & set(m)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(pathlib.Path(cli.__file__).parents[1])],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def write_text(tmp_path, content, name="text.txt"):
     p = tmp_path / name
     p.write_text(content, encoding="utf-8")

@@ -92,6 +92,7 @@ class TestBuild:
         d = FormDictionary.build(word_units({w: [PAYLOAD] for w in words}))
         assert [s for s, _ in d.forms()] == sorted(words)
         assert_minimal(d)
+        assert_canonical(d)
         data = d.to_bytes()
         assert FormDictionary.from_bytes(data).to_bytes() == data
 
@@ -107,6 +108,18 @@ class TestBuild:
         limit = sys.getrecursionlimit()
         compile_lexicon(seed, registry)
         assert sys.getrecursionlimit() == limit
+
+    def test_build_leaves_nothing_for_the_cycle_collector(self, seed, registry):
+        # A construction closure that called itself kept every registered
+        # state alive until the next full collection.
+        units, _ = fill_lexicon(seed, registry)
+        gc.collect()
+        gc.disable()
+        try:
+            FormDictionary.build(units)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_drop_longer_than_its_form_rejected(self):
         with pytest.raises(ValueError, match=r"the lemma rewrite \[0:-9\]\+'x' reaches past the form 'ab'"):
@@ -192,12 +205,13 @@ class TestCompileOracle:
         good = [e for e in entries if e.key not in failed]
         assert sorted(d.dump_text().splitlines()) == reference_listing(LexiconFile(good), registry)
         assert_minimal(d)
+        assert_canonical(d)
 
 
 def unit(rows, payloads, end=""):
     """The Unit of a table of (cut, tail) rows, filled from a stem that
     ends in ``end``."""
-    return Unit([(end, RowTable(tuple((cut, tail, None, True, False) for cut, tail in rows)), payloads)])
+    return Unit([(end, RowTable(tuple((cut, tail, None, True) for cut, tail in rows)), payloads)])
 
 
 def build_both_ways(units):
@@ -212,6 +226,7 @@ def build_both_ways(units):
     assert by_units.stats(len(by_units.to_bytes())) == by_words.stats(len(by_words.to_bytes()))
     assert by_units.payloads_by_rank == by_words.payloads_by_rank
     assert_minimal(by_units)
+    assert_canonical(by_units)
     return by_units
 
 
@@ -302,6 +317,14 @@ class TestUnitBuild:
         # The tied unit is expanded; the non-ASCII ones are isolated.
         for base, u in [("kutub", tied), ("kutub", wide), ("k\u00fctub", unit([(0, "u")], [drop]))]:
             build_both_ways(word_units({"b": [PAYLOAD]}) + [(base, u)])
+
+    def test_isolated_base_after_a_deeper_divergence(self):
+        # The states of the word abx below the divergence at a are frozen
+        # when the base ac comes; the sub-automaton of ac's tails, built
+        # before them, would be numbered before them too.
+        u = unit([(0, "u"), (0, "a")], [PAYLOAD, PAYLOAD._replace(tag="N:q:i:A")])
+        d = build_both_ways(word_units({"abx": [PAYLOAD]}) + [("ac", u)])
+        assert [s for s, _ in d.forms()] == ["abx", "aca", "acu"]
 
     def test_rewrite_past_a_unit_form_rejected(self):
         u = unit([(0, "u"), (0, "")], [PAYLOAD, PAYLOAD._replace(rewrite=tail(9, "x"))])
@@ -473,9 +496,28 @@ def assert_minimal(d):
     assert len(set(all_sigs)) == len(all_sigs)
 
 
+def assert_canonical(d):
+    """States are numbered in the postorder of a depth-first walk from the
+    root, children in label order, which depends on the minimal automaton
+    alone."""
+    order, seen, stack = [], {d.root}, [(d.root, iter(d.arcs[d.root].values()))]
+    while stack:
+        for target, _ in stack[-1][1]:
+            if target not in seen:
+                seen.add(target)
+                stack.append((target, iter(d.arcs[target].values())))
+                break
+        else:
+            order.append(stack.pop()[0])
+    assert order == list(range(len(d.arcs)))
+
+
 class TestMinimality:
     def test_no_two_states_share_a_right_language(self, compiled):
         assert_minimal(compiled)
+
+    def test_states_numbered_in_canonical_postorder(self, compiled):
+        assert_canonical(compiled)
 
 
 class TestSerialization:
