@@ -13,8 +13,8 @@ are seated from their orthographic context when the stem is rendered.
 """
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import bn
 from .codes import HAMZA, InflectionalCode, code_tables, parse_root_code
@@ -24,8 +24,7 @@ DEFINITENESS = ("D", "i", "a")
 CASES = ("N", "A", "G")
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     suffix: str
     transform: str = "none"     # none | drop-iy
 
@@ -54,8 +53,7 @@ def load_paradigms() -> tuple[dict[str, dict[tuple[str, str], Cell]], dict[tuple
     return paradigms, {key: cell.suffix for key, cell in dual.items()}
 
 
-@dataclass(frozen=True)
-class InflectionClass:
+class InflectionClass(NamedTuple):
     key: str
     bp_template: str
     sg_paradigm: str

@@ -13,7 +13,8 @@ labels and code respellings that codes are checked against live in
 
 import functools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from . import bn
 from .errors import (
@@ -39,8 +40,7 @@ SLOT_LETTERS = "FELBDJ"
 LONG_OF = {"a": "A", "i": "y", "u": "w"}
 
 
-@dataclass(frozen=True)
-class CodeTables:
+class CodeTables(NamedTuple):
     """The inventories of ``data/codes.tsv`` that codes are checked against."""
 
     endings: dict           # class tag -> the lemma ending it strips
@@ -69,8 +69,7 @@ def code_tables() -> CodeTables:
     return CodeTables(endings, frozenset(labels), respellings)
 
 
-@dataclass(frozen=True)
-class SingularPatternCode:
+class SingularPatternCode(NamedTuple):
     """Parsed singular-pattern code, e.g. FvEvL or FvEEvvL."""
 
     text: str
@@ -84,8 +83,7 @@ class SingularPatternCode:
         return self.text
 
 
-@dataclass(frozen=True)
-class RootCode:
+class RootCode(NamedTuple):
     """Parsed root code, e.g. 123, 12y, h234, 123G."""
 
     text: str
@@ -95,14 +93,10 @@ class RootCode:
         return self.text
 
 
-@dataclass(frozen=True)
-class InflectionalCode:
-    class_tag: str
-    gender_flag: str            # m | f | g
-    sg_code: SingularPatternCode
-    bp_label: str
-    root_code: RootCode
-    human: bool = False
+class InflectionalCode(namedtuple("InflectionalCode", "class_tag gender_flag sg_code bp_label root_code human",
+                                  defaults=(False,))):
+    """A parsed code; its gender flag is m, f or g.  Its instance dict keeps
+    ``text``."""
 
     @functools.cached_property
     def text(self) -> str:
@@ -118,17 +112,31 @@ class InflectionalCode:
         return self.text
 
 
-@dataclass(frozen=True)
 class SurfaceRoot:
-    """Ordered radicals of a stem; glottal stop stored abstractly."""
+    """Ordered radicals of a stem; glottal stop stored abstractly.  ``len``
+    counts the radicals, so this is no named tuple: roots compare and hash
+    by their fields, which cannot be set."""
 
-    radicals: tuple
-    geminate_flags: tuple = ()
-    positions: tuple = ()       # 1-based indices into expand_madda(lemma)
+    __slots__ = ("radicals", "geminate_flags", "positions")   # positions: 1-based, into expand_madda(lemma)
 
-    def __post_init__(self):
-        if not self.geminate_flags:
-            object.__setattr__(self, "geminate_flags", (False,) * len(self.radicals))
+    def __init__(self, radicals: tuple, geminate_flags: tuple = (), positions: tuple = ()):
+        for name, value in zip(self.__slots__, (radicals, geminate_flags or (False,) * len(radicals), positions)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a surface root is immutable")
+
+    def _key(self) -> tuple:
+        return self.radicals, self.geminate_flags, self.positions
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is SurfaceRoot else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SurfaceRoot{self._key()!r}"
 
     def __len__(self) -> int:
         return len(self.radicals)

@@ -45,7 +45,6 @@ import struct
 import sys
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, chain, islice
@@ -80,8 +79,7 @@ class Payload(NamedTuple):
         return (self.code, self.tag, self.rewrite, not self.standalone)
 
 
-@dataclass(frozen=True, slots=True)
-class Analysis:
+class Analysis(NamedTuple):
     surface: str        # the dictionary form that matched
     lemma: str
     code: str

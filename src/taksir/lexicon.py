@@ -11,7 +11,7 @@ Parsing never aborts: bad lines become diagnostics and good lines load.
 """
 
 import functools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import bn
 from .classes import ClassRegistry
@@ -19,13 +19,9 @@ from .codes import InflectionalCode, SurfaceRoot, code_tables, expand_madda, ext
 from .errors import TaksirError, data_text
 
 
-@dataclass(frozen=True)
-class LexicalEntry:
-    lemma: str
-    code: InflectionalCode
-    gloss: str = ""
-    source_ref: str = ""
-    line: int = 0               # source line in the lexicon file, when parsed
+class LexicalEntry(namedtuple("LexicalEntry", "lemma code gloss source_ref line", defaults=("", "", 0))):
+    """One entry: ``line`` is its line in the lexicon file, when parsed.  Its
+    instance dict keeps ``sg_root``."""
 
     @property
     def key(self) -> tuple[str, str]:
@@ -38,22 +34,19 @@ class LexicalEntry:
         return extract_root(self.lemma, self.code.sg_code, self.code.class_tag)
 
 
-@dataclass
 class Diagnostic:
-    line: int
-    col: int
-    code: str
-    message: str
-    severity: str = "error"     # error | warning
+    def __init__(self, line: int, col: int, code: str, message: str, severity: str = "error"):
+        self.line, self.col, self.code, self.message = line, col, code, message
+        self.severity = severity    # error | warning
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col} {self.code} {self.message}"
 
 
-@dataclass
 class LexiconFile:
-    entries: list[LexicalEntry] = field(default_factory=list)
-    header: list[str] = field(default_factory=list)
+    def __init__(self, entries: list[LexicalEntry] | None = None, header: list[str] | None = None):
+        self.entries = [] if entries is None else entries
+        self.header = [] if header is None else header
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -168,11 +161,11 @@ def validate_entry(entry: LexicalEntry, registry: ClassRegistry) -> list[Diagnos
     return diags
 
 
-@dataclass
 class StatsReport:
-    by_bp_label: dict[str, int]
-    by_sg_code: dict[tuple[str, str], int]   # (bp_label, sg_code) -> count
-    total: int
+    def __init__(self, by_bp_label: dict[str, int], by_sg_code: dict[tuple[str, str], int], total: int):
+        self.by_bp_label = by_bp_label
+        self.by_sg_code = by_sg_code    # (bp_label, sg_code) -> count
+        self.total = total
 
     def format(self) -> str:
         lines = [f"entries\t{self.total}"]

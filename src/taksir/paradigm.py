@@ -14,7 +14,8 @@ is one concatenation per form.
 """
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .classes import CASES, DEFINITENESS, ClassRegistry, load_paradigms, render_bp_stem, seat_hamzas, substitute_madda
 from .codes import HAMZA, apply_root_code
@@ -25,25 +26,26 @@ NUMBERS = ("s", "d", "p", "q")
 _FINAL_HAMZA = ("c", "O", "W", "e")
 
 
-@dataclass(frozen=True)
-class FeatureBundle:
-    """The features of one paradigm cell.  Paradigms and ``from_tag`` share
-    one interned bundle per distinct feature set (see ``_bundle``)."""
+class FeatureBundle(namedtuple("FeatureBundle", "gender number definiteness case pro_compat", defaults=(False,))):
+    """The features of one paradigm cell: gender m, f or none, number s, d,
+    p or q, definiteness D, i or a, and case N, A or G.  Paradigms and
+    ``from_tag`` share one interned bundle per distinct feature set (see
+    ``_bundle``).  Its instance dict keeps its tag, which equality and
+    hashing ignore."""
 
-    gender: str          # m | f | none
-    number: str          # s | d | p | q
-    definiteness: str    # D | i | a
-    case: str            # N | A | G
-    pro_compat: bool = False
-
-    def __post_init__(self):
-        if self.number == "q" and self.gender != "none":
+    def __new__(cls, gender: str, number: str, definiteness: str, case: str, pro_compat: bool = False):
+        if number == "q" and gender != "none":
             raise ValueError("broken plurals carry no gender")
-        if self.pro_compat and self.definiteness != "a":
+        if pro_compat and definiteness != "a":
             raise ValueError("pronoun-compatible forms are construct-state")
-        g = "" if self.gender == "none" else self.gender
-        tag = f"N:{g}{self.number}:{self.definiteness}:{self.case}" + (":+pro" if self.pro_compat else "")
-        object.__setattr__(self, "_tag", tag)  # not a field: equality and hashing ignore it
+        self = super().__new__(cls, gender, number, definiteness, case, pro_compat)
+        g = "" if gender == "none" else gender
+        self._tag = f"N:{g}{number}:{definiteness}:{case}" + (":+pro" if pro_compat else "")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "FeatureBundle":
+        return cls(*fields)     # so that ``_replace`` checks and tags its bundle too
 
     def tag(self) -> str:
         return self._tag
@@ -64,8 +66,7 @@ class FeatureBundle:
 _bundle = functools.lru_cache(maxsize=None)(FeatureBundle)
 
 
-@dataclass(frozen=True)
-class InflectedForm:
+class InflectedForm(NamedTuple):
     surface: str
     features: FeatureBundle
     standalone: bool = True     # False for bound pro-variants (-at-, re-seated hamza)

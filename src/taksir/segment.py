@@ -8,20 +8,17 @@ variant, and the determiner and a pronoun never co-occur.
 """
 
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import DataError, data_rows, data_text
 from .formdict import Analysis, FormDictionary
 from .paradigm import FeatureBundle
 
 
-@dataclass(frozen=True)
-class CliticInventory:
-    conjunctions: tuple
-    prepositions: tuple
-    determiner: str
-    pronouns: tuple
+class CliticInventory(namedtuple("CliticInventory", "conjunctions prepositions determiner pronouns")):
+    """The clitics a token may carry.  Its instance dict keeps ``affixes``."""
 
     @cached_property
     def affixes(self) -> tuple:
@@ -57,15 +54,13 @@ def load_clitics() -> CliticInventory:
     return CliticInventory(tuple(conj), tuple(prep), det[0], tuple(pro))
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(NamedTuple):
     surface: str
     tag: str                      # CONJC | PREP | DET | N | PRO+Gen
     analysis: Analysis | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Reading:
+class Reading(NamedTuple):
     segments: tuple
     noun: Analysis      # the analysis of the N segment
     shown: str          # the segments as surface/TAG, joined by "+"
@@ -74,8 +69,7 @@ class Reading:
         return self.shown
 
 
-@dataclass(frozen=True, slots=True)
-class SegmentLattice:
+class SegmentLattice(NamedTuple):
     token: str
     readings: tuple = ()
 

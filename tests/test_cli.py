@@ -233,6 +233,17 @@ def test_import_reads_data_without_importlib_resources():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_import_leaves_out_dataclasses():
+    # dataclasses, with the inspect, ast and dis it imports, took about a
+    # third of the package import; the records are named tuples or plain
+    # classes.  No site packages and no test runner run first in a bare
+    # interpreter, so none of them can have imported these already.
+    code = "import sys, taksir.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def write_text(tmp_path, content, name="text.txt"):
     p = tmp_path / name
     p.write_text(content, encoding="utf-8")
