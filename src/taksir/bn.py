@@ -9,7 +9,7 @@ which keeps the codec bijective.
 """
 
 import functools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InvalidBnChar, UnmappedCodepoint, data_rows, data_text
 
@@ -30,13 +30,12 @@ HAMZA_LETTERS = frozenset("cCOWIe")
 _PASSTHROUGH = frozenset(" \t\n.,;:!?()[]\"'-_/0123456789")
 
 
-class _Codec(NamedTuple):
-    ar2bn: dict[str, str]
-    bn2ar: dict[str, str]
-    translation: dict[int, str]     # ar2bn as a str.translate table
-    known: frozenset[str]           # what to_bn takes: the table's Arabic and the passthrough
-    basic_letters: frozenset[str]
-    alphabet: frozenset[str]
+class _Codec(namedtuple("_Codec", "ar2bn bn2ar translation known basic_letters alphabet")):
+    """The codec table both ways; ``translation`` is ar2bn as a
+    str.translate table, and ``known`` what to_bn takes: the table's Arabic
+    and the passthrough."""
+
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=1)

@@ -13,8 +13,8 @@ are seated from their orthographic context when the stem is rendered.
 """
 
 import re
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import bn
 from .codes import HAMZA, InflectionalCode, code_tables, parse_root_code
@@ -24,9 +24,10 @@ DEFINITENESS = ("D", "i", "a")
 CASES = ("N", "A", "G")
 
 
-class Cell(NamedTuple):
-    suffix: str
-    transform: str = "none"     # none | drop-iy
+class Cell(namedtuple("Cell", "suffix transform")):
+    """A paradigm cell: its suffix and its transform, none or drop-iy."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1)
@@ -53,16 +54,15 @@ def load_paradigms() -> tuple[dict[str, dict[tuple[str, str], Cell]], dict[tuple
     return paradigms, {key: cell.suffix for key, cell in dual.items()}
 
 
-class InflectionClass(NamedTuple):
-    key: str
-    bp_template: str
-    sg_paradigm: str
-    bp_paradigm: str
-    steps: tuple                # ("radical", k) | ("geminate", k) | ("lit", text)
-    arity: int                  # radicals of the plural surface root
-    #: ``(k, at)`` per radical copied from singular radical k and written at
-    #: stem index ``at``, and the stem's length before a madda contraction.
-    radical_copies: tuple[tuple[tuple[int, int], ...], int]
+class InflectionClass(namedtuple("InflectionClass", "key bp_template sg_paradigm bp_paradigm steps arity "
+                                                     "radical_copies")):
+    """A registry row.  ``steps`` spell the plural template, each
+    ("radical", k), ("geminate", k) or ("lit", text); ``arity`` counts the
+    radicals of the plural surface root; ``radical_copies`` is ``(k, at)``
+    per radical copied from singular radical k and written at stem index
+    ``at``, with the stem's length before a madda contraction."""
+
+    __slots__ = ()
 
 
 class ClassRegistry:

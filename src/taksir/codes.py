@@ -14,7 +14,6 @@ labels and code respellings that codes are checked against live in
 import functools
 import re
 from collections import namedtuple
-from typing import NamedTuple
 
 from . import bn
 from .errors import (
@@ -40,12 +39,12 @@ SLOT_LETTERS = "FELBDJ"
 LONG_OF = {"a": "A", "i": "y", "u": "w"}
 
 
-class CodeTables(NamedTuple):
-    """The inventories of ``data/codes.tsv`` that codes are checked against."""
+class CodeTables(namedtuple("CodeTables", "endings labels respellings")):
+    """The inventories of ``data/codes.tsv`` that codes are checked against:
+    per class tag the lemma ending it strips, the plural pattern labels, and
+    per code spelling found in source material its fix."""
 
-    endings: dict           # class tag -> the lemma ending it strips
-    labels: frozenset       # plural pattern labels
-    respellings: dict       # a code spelling found in source material -> its fix
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=1)
@@ -69,11 +68,11 @@ def code_tables() -> CodeTables:
     return CodeTables(endings, frozenset(labels), respellings)
 
 
-class SingularPatternCode(NamedTuple):
-    """Parsed singular-pattern code, e.g. FvEvL or FvEEvvL."""
+class SingularPatternCode(namedtuple("SingularPatternCode", "text tokens")):
+    """Parsed singular-pattern code, e.g. FvEvL or FvEEvvL; each token is
+    ("slot", rank), ("gem_slot", rank), ("v",) or ("vv",)."""
 
-    text: str
-    tokens: tuple  # ("slot", rank) | ("gem_slot", rank) | ("v",) | ("vv",)
+    __slots__ = ()
 
     @property
     def arity(self) -> int:
@@ -83,11 +82,11 @@ class SingularPatternCode(NamedTuple):
         return self.text
 
 
-class RootCode(NamedTuple):
-    """Parsed root code, e.g. 123, 12y, h234, 123G."""
+class RootCode(namedtuple("RootCode", "text tokens")):
+    """Parsed root code, e.g. 123, 12y, h234, 123G; each token is
+    ("copy", k), ("lit", char) or ("gemfinal",)."""
 
-    text: str
-    tokens: tuple  # ("copy", k) | ("lit", char) | ("gemfinal",)
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.text

@@ -45,11 +45,10 @@ import struct
 import sys
 from array import array
 from contextlib import contextmanager
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
-from typing import NamedTuple
 
 from . import bn
 from .classes import ClassRegistry
@@ -59,7 +58,7 @@ from .paradigm import FeatureBundle, stem_tables
 from .rewrite import Rewrite, RewritePool, common_prefix_length, cut_pieces, past_the_form, radical_rewrite
 
 MAGIC = b"TKDC"
-VERSION = 5
+VERSION = 6
 
 _HEADER = struct.Struct("<4sH12Q")    # see the byte layout below
 
@@ -67,24 +66,21 @@ _HEADER = struct.Struct("<4sH12Q")    # see the byte layout below
 _WIDTHS = "BHIQ"
 
 
-class Payload(NamedTuple):
-    """Analysis record attached to a form (entry-independent)."""
+class Payload(namedtuple("Payload", "rewrite code tag standalone")):
+    """Analysis record attached to a form (entry-independent): the rewrite
+    that gives the lemma from the surface, the full code text, the feature
+    tag (e.g. N:q:i:G) and whether it stands without an attached pronoun."""
 
-    rewrite: Rewrite    # gives the lemma from the surface
-    code: str           # full inflectional code text
-    tag: str            # feature tag, e.g. N:q:i:G
-    standalone: bool    # usable without an attached pronoun
+    __slots__ = ()
 
     def sort_key(self):
         return (self.code, self.tag, self.rewrite, not self.standalone)
 
 
-class Analysis(NamedTuple):
-    surface: str        # the dictionary form that matched
-    lemma: str
-    code: str
-    features: FeatureBundle
-    standalone: bool
+class Analysis(namedtuple("Analysis", "surface lemma code features standalone")):
+    """A payload read for the dictionary form that matched."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{self.surface}\t{self.lemma}\t{self.code}\t{self.features.tag()}"
@@ -254,8 +250,8 @@ class FormDictionary:
         # Freed before the arc tables are built; minimal calls itself, so
         # only deleting it frees what it holds without the cycle collector.
         del registry, shared, entries, sets, subs, minimal
-        arcs, _ = _arc_tables(min_final, map(len, min_trans), [ch for e in min_trans for ch, _ in e],
-                              [t for e in min_trans for _, t in e])
+        arcs, _ = _arc_tables([final | len(e) << 2 for final, e in zip(min_final, min_trans)],
+                              (ch for e in min_trans for ch, _ in e), [t for e in min_trans for _, t in e])
         return cls(arcs, min_final, payloads_by_rank)
 
     # -- lookup ------------------------------------------------------------
@@ -361,16 +357,17 @@ class FormDictionary:
     #   columns: one per integer field below, each a struct code (B, H, I
     #            or Q) and then one value per record at that width, the
     #            narrowest that holds the column's largest value:
-    #     state:   final, fanout                   (postorder: every target
+    #     state:   shape = 4 fanout + 2 next + final  (postorder: every target
     #                                               before its source, the
     #                                               root last)
-    #     trans:   label (code point), target      (per state, label-sorted)
+    #     trans:   label (code point), target      (per state, label-sorted;
+    #              none for a last arc flagged next: it leads to state - 1)
     #     token:   tuple_id                        (rank order, see _tokens)
     #     tuple:   length                          (ids in first-use order)
     #     tupleref: set_id                         (concatenated tuples)
     #     set:     length                          (ids in first-use order)
     #     setref:  payload_id                      (concatenated set contents)
-    #     payload: tag_id, code_id (string ids), rewrite_id, standalone
+    #     payload: tag = 2 tag_id + standalone, code_id (string ids), rewrite_id
     #     rewrite: length (its pieces)             (ids in first-use order)
     #     piece:   start, stop, literal_id         (concatenated rewrites; a
     #              stop s from the start is stored as 2s, a stop k letters
@@ -388,10 +385,10 @@ class FormDictionary:
         # One column at a time, each listed and encoded before the next; set,
         # tuple, payload, rewrite and string ids are assigned in first-use order.
         out = bytearray(_HEADER.size)     # the header is packed in last
-        out += _column(self.finals)
-        out += _column(len(t) for t in arcs)
+        nexts = [bool(t) and next(reversed(t.values()))[0] == state - 1 for state, t in enumerate(arcs)]
+        out += _column(final | nxt << 1 | len(t) << 2 for final, nxt, t in zip(self.finals, nexts, arcs))
         out += _column(ord(ch) for t in arcs for ch in t)
-        out += _column(target for t in arcs for target, _ in t.values())
+        out += _column(target for t, nxt in zip(arcs, nexts) for target, _ in islice(t.values(), len(t) - nxt))
         set_ids = [sets.setdefault(payloads, len(sets)) for payloads in self.payloads_by_rank]
         tokens = [tuples.setdefault(t, len(tuples)) for t in _tokens(arcs, self.finals, set_ids)]
         out += _column(tokens)
@@ -400,10 +397,9 @@ class FormDictionary:
         out += _column(map(len, sets))
         out += _column(payload_ids.setdefault(p, len(payload_ids)) for payloads in sets for p in payloads)
         # Tags and codes are few: interned first, they keep narrow ids.
-        out += _column(strings.setdefault(p.tag, len(strings)) for p in payload_ids)
+        out += _column(2 * strings.setdefault(p.tag, len(strings)) + p.standalone for p in payload_ids)
         out += _column(strings.setdefault(p.code, len(strings)) for p in payload_ids)
         out += _column(rewrites.setdefault(p.rewrite, len(rewrites)) for p in payload_ids)
-        out += _column(p.standalone for p in payload_ids)
         out += _column(len(r) for r in rewrites)
         out += _column(start for r in rewrites for start, _, _ in r)
         out += _column(2 * stop if stop >= 0 else 2 * ~stop + 1 for r in rewrites for _, stop, _ in r)
@@ -445,9 +441,19 @@ class FormDictionary:
             raise ValueError(f"unsupported dictionary version {version}")
         (n_states, n_trans, n_forms, n_tokens, n_tuples, n_tuple_refs, n_sets, n_refs, n_payloads, n_rewrites,
          n_pieces, n_strings) = struct.unpack("<12Q", take(_HEADER.size - 6))
-        finals, fanouts, labels, targets, token_ids, tuple_lens, tuple_refs, set_lens, refs = map(
-            column, (n_states, n_states, n_trans, n_trans, n_tokens, n_tuples, n_tuple_refs, n_sets, n_refs))
-        tags, codes, rewrite_ids, standalones = (column(n_payloads) for _ in range(4))
+        shapes = column(n_states)
+        # The flags size the target column, so the shapes are checked first.
+        shape_counts = Counter(shapes)
+        if sum((shape >> 2) * n for shape, n in shape_counts.items()) != n_trans:
+            raise ValueError(f"corrupt dictionary: state fanouts do not sum to the {n_trans} transitions")
+        if 2 in shape_counts or 3 in shape_counts:
+            raise ValueError("corrupt dictionary: a state.shape flags the last arc of a state with no arc")
+        if n_states and shapes[0] & 2:
+            raise ValueError("corrupt dictionary: state 0's state.shape flags an arc to a state before it")
+        labels, targets, token_ids, tuple_lens, tuple_refs, set_lens, refs = map(column, (
+            n_trans, n_trans - sum(n for shape, n in shape_counts.items() if shape & 2), n_tokens, n_tuples,
+            n_tuple_refs, n_sets, n_refs))
+        tags, codes, rewrite_ids = (column(n_payloads) for _ in range(3))
         rewrite_lens = column(n_rewrites)
         starts, stops, literals = (column(n_pieces) for _ in range(3))
         lengths = column(n_strings)
@@ -457,13 +463,9 @@ class FormDictionary:
         if off != len(data):
             raise ValueError(f"trailing bytes after the dictionary: {len(data) - off}")
 
-        if max(finals, default=0) > 1:
-            raise ValueError("corrupt dictionary: a state.final is neither 0 nor 1")
-        if sum(fanouts) != n_trans:
-            raise ValueError(f"corrupt dictionary: state fanouts do not sum to the {n_trans} transitions")
         if any(label > 0x10FFFF or 0xD800 <= label < 0xE000 for label in set(labels)):
             raise ValueError("corrupt dictionary: a trans.label is not a character")
-        arcs, counts = _arc_tables(finals, fanouts, map(chr, labels), targets)
+        arcs, counts = _arc_tables(shapes, map(chr, labels), targets)
         if not counts or counts[-1] != n_forms:
             raise ValueError(f"corrupt dictionary: the root does not count the {n_forms} forms")
 
@@ -481,11 +483,14 @@ class FormDictionary:
             rewrites = [Rewrite(islice(pieces, n)) for n in rewrite_lens]
         with _ids_below(n_rewrites, "payload.rewrite_id", "rewrites"):
             payload_rewrites = list(map(rewrites.__getitem__, rewrite_ids))
-        with _ids_below(n_strings, "payload string id", "strings"):
-            payloads = list(map(Payload._make, zip(payload_rewrites, map(string, codes), map(string, tags),
-                                                   map(bool, standalones))))
-        for tag in set(tags):       # ids checked above
-            FeatureBundle.from_tag(string(tag))  # a malformed tag raises ValueError here, not at lookup
+        with _ids_below(n_strings, "payload.tag string id", "strings"):
+            tag_of = {tag: string(tag >> 1) for tag in set(tags)}     # per distinct payload.tag: the tag string
+        standalone_of = {tag: tag & 1 == 1 for tag in tag_of}
+        for tag in set(tag_of.values()):
+            FeatureBundle.from_tag(tag)  # a malformed tag raises ValueError here, not at lookup
+        with _ids_below(n_strings, "payload string id", "strings"):     # tuple.__new__: no Python-level call per record
+            payloads = list(map(tuple.__new__, repeat(Payload), zip(payload_rewrites, map(string, codes),
+                                map(tag_of.__getitem__, tags), map(standalone_of.__getitem__, tags))))
         with _ids_below(n_payloads, "setref.payload_id", "payloads"):
             members = map(payloads.__getitem__, refs)
             set_contents = [tuple(islice(members, n)) for n in set_lens]
@@ -496,7 +501,7 @@ class FormDictionary:
             token_tuples = list(map(tuple_contents.__getitem__, token_ids))
         if sum(map(len, token_tuples)) != n_forms:
             raise ValueError(f"corrupt dictionary: the tokens' tuples do not hold the {n_forms} forms")
-        return cls(arcs, finals, list(chain.from_iterable(token_tuples)))
+        return cls(arcs, list(map((1).__and__, shapes)), list(chain.from_iterable(token_tuples)))
 
     def save(self, path) -> int:
         """Write the artifact; returns its size in bytes."""
@@ -600,24 +605,35 @@ def _ids_below(count: int, field: str, what: str):
         raise ValueError(f"corrupt dictionary: a {field} is not below the {count} {what}") from None
 
 
-def _arc_tables(finals, fanouts, labels, targets) -> tuple[list[dict[str, tuple[int, int]]], list[int]]:
+def _arc_tables(shapes, labels, targets) -> tuple[list[dict[str, tuple[int, int]]], list[int]]:
     """Per state, its arcs, label -> (target, rank offset), and the words
-    accepted in its subtree: its own word and its targets'.  Each target
-    must come before its source, which rules out a cycle, so taken in order
-    every state's targets are counted before it is; and labels must
-    strictly increase within a state, as a repeated one would hide an arc.
-    A state that breaks either is a corrupt artifact: ValueError."""
+    accepted in its subtree: its own word and its targets'.  A state's shape
+    gives its finality, how many of its arcs take a target from ``targets``
+    and whether one more, flagged, leads to the state just below; ``labels``
+    is an iterator of every arc's label.  Each target must come before its
+    source, which rules out a cycle, so taken in order every state's targets
+    are counted before it is; and labels must strictly increase within a
+    state, as a repeated one would hide an arc.  A state that breaks either
+    is a corrupt artifact: ValueError."""
+    kinds = {shape: (shape & 1, (shape >> 2) - (shape >> 1 & 1), shape & 2) for shape in set(shapes)}
     arcs, counts, edges = [], [], zip(labels, targets)
-    for state, (final, fanout) in enumerate(zip(finals, fanouts)):
-        offset, table, last = final, {}, ""
-        for label, target in islice(edges, fanout):
+    for state, (offset, explicit, flagged) in enumerate(map(kinds.__getitem__, shapes)):
+        table, last = {}, ""
+        if explicit:    # most flagged states have no other arc: no islice for them
+            for label, target in islice(edges, explicit):
+                if label <= last:
+                    raise ValueError("corrupt dictionary: a state's trans.labels do not strictly increase")
+                if target >= state:
+                    raise ValueError("corrupt dictionary: a trans.target is not below the state it leaves")
+                table[label] = (target, offset)
+                offset += counts[target]
+                last = label
+        if flagged:
+            label = next(labels)
             if label <= last:
                 raise ValueError("corrupt dictionary: a state's trans.labels do not strictly increase")
-            if target >= state:
-                raise ValueError("corrupt dictionary: a trans.target is not below the state it leaves")
-            table[label] = (target, offset)
-            offset += counts[target]
-            last = label
+            table[label] = (state - 1, offset)
+            offset += counts[-1]
         arcs.append(table)
         counts.append(offset)
     return arcs, counts

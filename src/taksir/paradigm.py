@@ -15,7 +15,6 @@ is one concatenation per form.
 
 import functools
 from collections import namedtuple
-from typing import NamedTuple
 
 from .classes import CASES, DEFINITENESS, ClassRegistry, load_paradigms, render_bp_stem, seat_hamzas, substitute_madda
 from .codes import HAMZA, apply_root_code
@@ -66,10 +65,11 @@ class FeatureBundle(namedtuple("FeatureBundle", "gender number definiteness case
 _bundle = functools.lru_cache(maxsize=None)(FeatureBundle)
 
 
-class InflectedForm(NamedTuple):
-    surface: str
-    features: FeatureBundle
-    standalone: bool = True     # False for bound pro-variants (-at-, re-seated hamza)
+class InflectedForm(namedtuple("InflectedForm", "surface features standalone", defaults=(True,))):
+    """A generated form; ``standalone`` is False for bound pro-variants
+    (-at-, re-seated hamza)."""
+
+    __slots__ = ()
 
 
 class RowTable:

@@ -10,10 +10,9 @@ variant, and the determiner and a pronoun never co-occur.
 import weakref
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from .errors import DataError, data_rows, data_text
-from .formdict import Analysis, FormDictionary
+from .formdict import FormDictionary
 from .paradigm import FeatureBundle
 
 
@@ -54,24 +53,25 @@ def load_clitics() -> CliticInventory:
     return CliticInventory(tuple(conj), tuple(prep), det[0], tuple(pro))
 
 
-class Segment(NamedTuple):
-    surface: str
-    tag: str                      # CONJC | PREP | DET | N | PRO+Gen
-    analysis: Analysis | None = None
+class Segment(namedtuple("Segment", "surface tag analysis", defaults=(None,))):
+    """One segment of a token: its tag is CONJC, PREP, DET, N or PRO+Gen,
+    and only an N segment has an analysis."""
+
+    __slots__ = ()
 
 
-class Reading(NamedTuple):
-    segments: tuple
-    noun: Analysis      # the analysis of the N segment
-    shown: str          # the segments as surface/TAG, joined by "+"
+class Reading(namedtuple("Reading", "segments noun shown")):
+    """A split of a token: its segments, the analysis of the N segment, and
+    the segments shown as surface/TAG, joined by "+"."""
+
+    __slots__ = ()
 
     def show(self) -> str:
         return self.shown
 
 
-class SegmentLattice(NamedTuple):
-    token: str
-    readings: tuple = ()
+class SegmentLattice(namedtuple("SegmentLattice", "token readings", defaults=((),))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return bool(self.readings)

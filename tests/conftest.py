@@ -1,6 +1,6 @@
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import strategies as st
@@ -96,14 +96,15 @@ def load_golden():
     return rows
 
 
-#: The columns of a format v5 artifact in file order, each with the index of
+#: The columns of a format v6 artifact in file order, each with the index of
 #: the header count that gives its length (states, transitions, forms,
 #: tokens, tuples, tuple refs, payload sets, set refs, payloads, rewrites,
-#: rewrite pieces, strings).  The forms count has no column of its own.
+#: rewrite pieces, strings).  The forms count has no column of its own, and
+#: trans.target is shorter than the transitions count by the flagged states.
 COLUMNS = (
-    ("state.final", 0), ("state.fanout", 0), ("trans.label", 1), ("trans.target", 1),
+    ("state.shape", 0), ("trans.label", 1), ("trans.target", 1),
     ("token.tuple_id", 3), ("tuple.length", 4), ("tupleref.set_id", 5), ("set.length", 6), ("setref.payload_id", 7),
-    ("payload.tag_id", 8), ("payload.code_id", 8), ("payload.rewrite_id", 8), ("payload.standalone", 8),
+    ("payload.tag", 8), ("payload.code_id", 8), ("payload.rewrite_id", 8),
     ("rewrite.length", 9), ("piece.start", 10), ("piece.stop", 10), ("piece.literal_id", 10), ("string.length", 11),
 )
 
@@ -113,6 +114,7 @@ ID_FIELDS = {
     "token.tuple_id": ("token.tuple_id", 4),
     "tupleref.set_id": ("tupleref.set_id", 6),
     "setref.payload_id": ("setref.payload_id", 8),
+    "payload.tag string id": ("payload.tag_id", 11),
     "payload string id": ("payload.code_id", 11),
     "payload.rewrite_id": ("payload.rewrite_id", 9),
     "piece.literal_id": ("piece.literal_id", 11),
@@ -148,6 +150,15 @@ V4_ARTIFACT = bytes.fromhex(
 )
 
 
+#: A format v5 artifact: the word "ab" with one payload.
+V5_ARTIFACT = bytes.fromhex(
+    "544b4443050003000000000000000200000000000000010000000000000001000000000000000100000000000000010000000000000001000"
+    "0000000000001000000000000000100000000000000010000000000000001000000000000000300000000000000420100004200010142626"
+    "14200014200420142004201420042004201420042014201420042014202420717004e3a713a693a47244e3330302d6d2d467645764c2d46"
+    "7545754c2d313233"
+)
+
+
 def narrowest(values) -> str:
     """The struct code of the narrowest column width that holds ``values``."""
     return next(code for code in "BHIQ" if max(values, default=0) < 256 ** struct.calcsize(code))
@@ -155,31 +166,62 @@ def narrowest(values) -> str:
 
 @dataclass
 class Artifact:
-    """A format v5 artifact decoded field by field with ``struct``, apart
-    from the loader, so that tests can edit it and encode it again."""
+    """A format v6 artifact decoded field by field with ``struct``, apart
+    from the loader, so that tests can edit it and encode it again.  It
+    holds the logical columns: state.final, state.fanout and every
+    trans.target in place of state.shape and the targets stored, and
+    payload.tag_id and payload.standalone in place of payload.tag."""
 
     counts: list[int]                   # the twelve header counts
     columns: dict[str, list[int]]
-    widths: dict[str, str]              # column -> struct code, as stored
+    widths: dict[str, str]              # stored column -> struct code, as stored
     strings: bytes
+    shapes: dict[int, int] = field(default_factory=dict)    # state -> a state.shape to store as it is
 
     @classmethod
     def decode(cls, data: bytes) -> "Artifact":
         magic, version, *counts = HEADER.unpack_from(data)
-        assert (magic, version) == (b"TKDC", 5)
+        assert (magic, version) == (b"TKDC", 6)
         columns, widths, off = {}, {}, HEADER.size
         for name, count in COLUMNS:
             code, n = chr(data[off]), counts[count]
+            if name == "trans.target":
+                n -= sum(shape >> 1 & 1 for shape in columns["state.shape"])
             widths[name] = code
             columns[name] = list(struct.unpack_from(f"<{n}{code}", data, off + 1))
             off += 1 + n * struct.calcsize(code)
+        shapes, stored, tags = columns.pop("state.shape"), iter(columns["trans.target"]), columns.pop("payload.tag")
+        targets = []
+        for state, shape in enumerate(shapes):
+            targets += [next(stored) for _ in range((shape >> 2) - (shape >> 1 & 1))] + [state - 1] * (shape >> 1 & 1)
+        columns.update({"state.final": [shape & 1 for shape in shapes], "state.fanout": [shape >> 2 for shape in shapes],
+                        "trans.target": targets, "payload.tag_id": [tag >> 1 for tag in tags],
+                        "payload.standalone": [tag & 1 for tag in tags]})
         return cls(counts, columns, widths, data[off:])
+
+    def stored(self) -> dict[str, list[int]]:
+        """The stored columns: a state's last arc is flagged where it leads
+        to the state just below, and its target then left out; a state in
+        ``shapes`` gets that shape instead, and the targets its shape
+        flags are left out."""
+        columns, targets = self.columns, self.columns["trans.target"]
+        at, shapes, stored = 0, [], []
+        for state, (final, fanout) in enumerate(zip(columns["state.final"], columns["state.fanout"])):
+            at += fanout
+            shapes.append(fanout << 2 | (targets[at - fanout:at][-1:] == [state - 1]) << 1 | final)
+        shapes = [self.shapes.get(state, shape) for state, shape in enumerate(shapes)]
+        at = 0
+        for shape in shapes:
+            at += shape >> 2
+            stored += targets[at - (shape >> 2):at - (shape >> 1 & 1)]
+        tags = [2 * tag + standalone for tag, standalone in zip(columns["payload.tag_id"], columns["payload.standalone"])]
+        packed = {"state.shape": shapes, "trans.target": stored, "payload.tag": tags}
+        return {name: packed[name] if name in packed else columns[name] for name, _ in COLUMNS}
 
     def encode(self) -> bytes:
         """The artifact, each column at its narrowest width."""
-        out = HEADER.pack(b"TKDC", 5, *self.counts)
-        for name, _ in COLUMNS:
-            values = self.columns[name]
+        out = HEADER.pack(b"TKDC", 6, *self.counts)
+        for values in self.stored().values():
             code = narrowest(values)
             out += code.encode() + struct.pack(f"<{len(values)}{code}", *values)
         return out + self.strings
@@ -237,6 +279,26 @@ def cyclic_artifact() -> bytes:
     assert artifact.columns["trans.label"] == [ord("b"), ord("u"), ord("a")]
     artifact.columns["trans.label"][0] = ord("u")
     artifact.columns["trans.target"][0] = 2
+    return artifact.encode()
+
+
+def misflagged_artifact(case: str) -> bytes:
+    """An artifact with a next flag that names no arc below its state.
+    "no arc": final state 0 of {"ab", "b"}, which has no arc, flagged.
+    "state 0": that state 0 given one arc, flagged, and the root one arc in
+    place of two, so that the fanouts still sum to the transitions.
+    "label": the flagged last arc of the root of {"ab", "ba"} relabelled
+    with the label of the arc before it."""
+    words = {"ab": [PAYLOAD], "ba" if case == "label" else "b": [PAYLOAD]}
+    artifact = Artifact.decode(FormDictionary.build(word_units(words)).to_bytes())
+    shapes = artifact.stored()["state.shape"]
+    if case == "label":
+        labels = artifact.columns["trans.label"]
+        assert shapes[-1] == 2 << 2 | 2 and labels[-2:] == [ord("a"), ord("b")]     # the root: a, then b flagged
+        labels[-1] = labels[-2]
+    else:
+        assert shapes == [1, 1 << 2 | 2, 2 << 2]
+        artifact.shapes = {0: 3} if case == "no arc" else {0: 1 << 2 | 2 | 1, 2: 1 << 2}
     return artifact.encode()
 
 

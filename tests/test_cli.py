@@ -13,8 +13,9 @@ from taksir.codes import extract_root
 from taksir.formdict import FormDictionary
 from taksir.lexicon import load_seed
 
-from conftest import (ID_FIELDS, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT, V4_ARTIFACT, corrupt_id, cyclic_artifact,
-                      overreaching_artifact, repeated_label_artifact, retagged_artifact)
+from conftest import (ID_FIELDS, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT, V4_ARTIFACT, V5_ARTIFACT, corrupt_id,
+                      cyclic_artifact, misflagged_artifact, overreaching_artifact, repeated_label_artifact,
+                      retagged_artifact)
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
 DATA = pathlib.Path(__file__).parent / "data"
@@ -235,10 +236,11 @@ def test_import_reads_data_without_importlib_resources():
 
 def test_import_leaves_out_dataclasses():
     # dataclasses, with the inspect, ast and dis it imports, took about a
-    # third of the package import; the records are named tuples or plain
-    # classes.  No site packages and no test runner run first in a bare
-    # interpreter, so none of them can have imported these already.
-    code = "import sys, taksir.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # third of the package import, and typing a few milliseconds more; the
+    # records are collections.namedtuple subclasses or plain classes.  No
+    # site packages and no test runner run first in a bare interpreter, so
+    # none of them can have imported these already.
+    code = "import sys, taksir.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
@@ -387,6 +389,14 @@ class TestAnalyze:
         assert err.value.code == 2
         assert capsys.readouterr().err == "error: unsupported dictionary version 4\n"
 
+    def test_v5_artifact_exits_2(self, tmp_path, capsys):
+        old = tmp_path / "v5.primdict"
+        old.write_bytes(V5_ARTIFACT)
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(write_text(tmp_path, "ab\n")), "--dict", str(old)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "error: unsupported dictionary version 5\n"
+
     @pytest.mark.parametrize("argv", [["analyze", "{text}", "--dict", "{dict}"],
                                       ["stats", "--dict", "{dict}", "--text", "{text}"],
                                       ["analyze", "{text}", "--dict", "{dict}", "--mode", "strict"]])
@@ -413,7 +423,10 @@ class TestAnalyze:
     @pytest.mark.parametrize("artifact, message", [
         (lambda: retagged_artifact("N:q:zz:yy"), "malformed feature tag 'N:q:zz:yy'"),
         (repeated_label_artifact, "a state's trans.labels do not strictly increase"),
-    ], ids=["tag value", "repeated label"])
+        (lambda: misflagged_artifact("no arc"), "a state.shape flags the last arc of a state with no arc"),
+        (lambda: misflagged_artifact("state 0"), "state 0's state.shape flags an arc to a state before it"),
+        (lambda: misflagged_artifact("label"), "a state's trans.labels do not strictly increase"),
+    ], ids=["tag value", "repeated label", "flag without arc", "flag on state 0", "flagged label"])
     def test_artifact_the_analyses_cannot_trust_exits_2(self, tmp_path, capsys, artifact, message):
         bad = tmp_path / "bad.primdict"
         bad.write_bytes(artifact())

@@ -4,6 +4,7 @@ import os
 import pathlib
 import random
 import re
+import struct
 import subprocess
 import sys
 from itertools import islice
@@ -23,11 +24,13 @@ from taksir.rewrite import Rewrite
 from taksir.lexicon import LexicalEntry, LexiconFile, load_seed, parse_lexicon
 
 from conftest import (HEADER, ID_FIELDS, PAYLOAD, SEED_SLOTS, STRONG, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT,
-                      V4_ARTIFACT, Artifact, corrupt_id, cyclic_artifact, narrowest, overreaching_artifact,
-                      repeated_label_artifact, retagged_artifact, seed_variant, seed_variants, tail, word_units)
+                      V4_ARTIFACT, V5_ARTIFACT, Artifact, corrupt_id, cyclic_artifact, misflagged_artifact, narrowest,
+                      overreaching_artifact, repeated_label_artifact, retagged_artifact, seed_variant, seed_variants, tail,
+                      word_units)
 
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
+BENCH = pathlib.Path(__file__).parents[1] / "bench"
 
 #: A rewrite of three pieces: "kutubN" -> "kitaAb".
 PIECES = Rewrite(((0, 1, "i"), (2, 3, "aA"), (4, 5, "")))
@@ -520,11 +523,41 @@ class TestMinimality:
         assert_canonical(compiled)
 
 
+@pytest.fixture(scope="module")
+def lexicon7(registry):
+    """The dictionary of the 5,000-entry bench lexicon of seed 7."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(BENCH))
+    lex, diagnostics = parse_lexicon(inputs.synthetic_lexicon(7, 5000))
+    d, failures = compile_lexicon(lex, registry)
+    assert not diagnostics and not failures
+    return d
+
+
 class TestSerialization:
     def test_bit_identical_round_trip(self, compiled):
         data = compiled.to_bytes()
         clone = FormDictionary.from_bytes(data)
         assert clone.to_bytes() == data
+
+    @pytest.mark.parametrize("which", ["seed", "lexicon 7"])
+    def test_next_flag_is_canonical(self, request, which):
+        # A state's last arc is flagged exactly where it leads to the state
+        # just below, so one automaton has one encoding, which loads and
+        # writes again byte for byte.
+        d = request.getfixturevalue({"seed": "compiled", "lexicon 7": "lexicon7"}[which])
+        data = d.to_bytes()
+        artifact = Artifact.decode(data)
+        code, targets, at = chr(data[HEADER.size]), artifact.columns["trans.target"], 0
+        shapes = struct.unpack_from(f"<{artifact.counts[0]}{code}", data, HEADER.size + 1)    # as stored
+        for state, (shape, fanout) in enumerate(zip(shapes, artifact.columns["state.fanout"])):
+            at += fanout
+            assert bool(shape & 2) == (fanout > 0 and targets[at - 1] == state - 1), state
+        assert sum(shape & 2 for shape in shapes) > len(shapes) // 2    # over a quarter of the states
+        assert FormDictionary.from_bytes(data).to_bytes() == data
 
     def test_save_load(self, compiled, tmp_path):
         path = tmp_path / "seed.primdict"
@@ -549,7 +582,7 @@ class TestSerialization:
         for d in (compiled, beyond_v1):
             data = d.to_bytes()
             artifact = Artifact.decode(data)
-            for name, values in artifact.columns.items():
+            for name, values in artifact.stored().items():
                 assert artifact.widths[name] == narrowest(values), name
             assert artifact.encode() == data
             widths.update(artifact.widths.values())
@@ -580,6 +613,11 @@ class TestSerialization:
         for cut in range(6, len(V4_ARTIFACT) + 1):
             with pytest.raises(ValueError, match="unsupported dictionary version 4"):
                 FormDictionary.from_bytes(V4_ARTIFACT[:cut])
+
+    def test_v5_artifact_names_its_version(self):
+        for cut in range(6, len(V5_ARTIFACT) + 1):
+            with pytest.raises(ValueError, match="unsupported dictionary version 5"):
+                FormDictionary.from_bytes(V5_ARTIFACT[:cut])
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -649,7 +687,6 @@ class TestSerialization:
     # The case ids are the names these cases have always run under.
     @pytest.mark.parametrize("column, index, message", [
         pytest.param("state.final", -1, "root does not count", id="state-0-root does not count"),    # the root
-        pytest.param("state.final", 0, "neither 0 nor 1", id="state-final-neither 0 nor 1"),
         pytest.param("state.fanout", 0, "fanouts", id="state-5-fanouts"),
         pytest.param("set.length", 0, "set lengths", id="set-0-set lengths"),
         pytest.param("tuple.length", 0, "tuple lengths", id="tuple-0-tuple lengths"),
@@ -710,6 +747,15 @@ class TestSerialization:
         artifact.columns["trans.label"][0] = label
         with pytest.raises(ValueError, match="a trans.label is not a character"):
             FormDictionary.from_bytes(artifact.encode())
+
+    @pytest.mark.parametrize("case, message", [
+        ("no arc", "a state.shape flags the last arc of a state with no arc"),
+        ("state 0", "state 0's state.shape flags an arc to a state before it"),
+        ("label", "a state's trans.labels do not strictly increase"),
+    ], ids=["no arc", "state 0", "label"])
+    def test_misplaced_next_flag_rejected(self, case, message):
+        with pytest.raises(ValueError, match=f"corrupt dictionary: {re.escape(message)}"):
+            FormDictionary.from_bytes(misflagged_artifact(case))
 
     def test_cycle_rejected_at_load(self):
         # Loaded, the cycle made diacritic-optional lookup of "a" run forever.
@@ -860,7 +906,7 @@ class TestPinnedOutputs:
     """The seed lexicon's artifact and listing, pinned: a change to either
     is a change of format or of behaviour, not a refactoring."""
 
-    ARTIFACT = (44805, "b76f973412332c96cfde374fd973b2806eeee8afaa042d43cbe087d24e78d6e6")
+    ARTIFACT = (38165, "3f78d5c0463765e41a456515ce885289898e1ec36c8583194fbd3eadc9d0a420")
     LISTING = (299472, "821e1c7dff0f57a97405955b3e813495b812a9fe31bb5c1dda384fbb69459571")
 
     @staticmethod
@@ -877,7 +923,7 @@ class TestPinnedOutputs:
         assert self.digest(clone.dump_text().encode("utf-8")) == self.LISTING
 
     STATS = {"forms": 2593, "analyses": 5049, "states": 1000, "transitions": 1405,
-             "serialized_bytes": 44805}
+             "serialized_bytes": 38165}
 
     def test_stats(self, compiled):
         assert compiled.stats(len(compiled.to_bytes())) == self.STATS
