@@ -19,9 +19,7 @@ from functools import lru_cache
 from . import bn
 from .codes import HAMZA, InflectionalCode, code_tables, parse_root_code
 from .errors import ArityMismatch, DataError, MalformedCode, UnknownClass, data_rows, data_text
-
-DEFINITENESS = ("D", "i", "a")
-CASES = ("N", "A", "G")
+from .features import CASES, DEFINITENESS
 
 
 class Cell(namedtuple("Cell", "suffix transform")):

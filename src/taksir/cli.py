@@ -3,6 +3,7 @@
 Commands: compile, gen, analyze, validate, stats, concord.  Exit codes:
 0 success, 1 validation failures, 2 usage or I/O problems.  Output is the
 transliteration by default; --arabic switches display only, never storage.
+The commands that run the generator import it themselves, so reading does not.
 """
 
 import argparse
@@ -11,11 +12,8 @@ import sys
 import time
 
 from . import bn
-from .classes import load_registry
 from .errors import DataError, InvalidBnChar, TaksirError, UnmappedCodepoint
-from .formdict import FormDictionary, compile_lexicon
-from .lexicon import Diagnostic, lexicon_stats, parse_lexicon, validate_entry
-from .paradigm import form_count, inflect
+from .formdict import FormDictionary
 from .rewrite import CorruptDictionary
 from .segment import concordance, format_reading, parse_mask, segment
 
@@ -38,6 +36,7 @@ def _read(path: str) -> str:
 
 def _check_lexicon(path: str, registry):
     """The lexicon and its parse diagnostics, then each entry's."""
+    from .lexicon import parse_lexicon, validate_entry
     lex, diagnostics = parse_lexicon(_read(path))
     for entry in lex.entries:
         diagnostics += validate_entry(entry, registry)
@@ -77,6 +76,8 @@ def _display(surface: str, arabic: bool) -> str:
 
 
 def cmd_compile(args) -> int:
+    from .classes import load_registry
+    from .formdict import compile_lexicon
     registry = load_registry()
     lex, diagnostics = _check_lexicon(args.lexicon, registry)
     errors = [d for d in diagnostics if d.severity == "error"]
@@ -104,6 +105,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .classes import load_registry
+    from .lexicon import Diagnostic, parse_lexicon, validate_entry
+    from .paradigm import form_count, inflect
     registry = load_registry()
     lex, diagnostics = parse_lexicon(args.entry)
     if not diagnostics and len(lex.entries) != 1:   # a comment, or several lines
@@ -148,6 +152,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .classes import load_registry
     lex, diagnostics = _check_lexicon(args.lexicon, load_registry())
     for d in diagnostics:
         print(str(d))
@@ -162,6 +167,7 @@ def cmd_stats(args) -> int:
         raise SystemExit(2)
     status = 0
     if args.lexicon:
+        from .lexicon import lexicon_stats, parse_lexicon
         lex, diagnostics = parse_lexicon(_read(args.lexicon))
         if any(d.severity == "error" for d in diagnostics):
             status = 1

@@ -51,10 +51,8 @@ from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 
 from . import bn
-from .classes import ClassRegistry
 from .errors import TaksirError
-from .lexicon import LexicalEntry, LexiconFile
-from .paradigm import FeatureBundle, stem_tables
+from .features import FeatureBundle
 from .rewrite import Rewrite, RewritePool, common_prefix_length, cut_pieces, past_the_form, radical_rewrite
 
 MAGIC = b"TKDC"
@@ -646,10 +644,10 @@ def dictionary_key(form) -> str:
     return form.surface
 
 
-Failure = tuple[LexicalEntry, TaksirError]
+Failure = tuple["LexicalEntry", TaksirError]
 
 
-def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDictionary, list[Failure]]:
+def compile_lexicon(lex: "LexiconFile", registry: "ClassRegistry") -> tuple[FormDictionary, list[Failure]]:
     """Generate every entry's paradigm and build the automaton.  Entries
     whose generation fails are reported with their error, not fatal; the
     dictionary is built from the rest."""
@@ -657,7 +655,7 @@ def compile_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[FormDict
     return FormDictionary.build(units), failures
 
 
-def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[list[tuple[str, Unit]], list[Failure]]:
+def fill_lexicon(lex: "LexiconFile", registry: "ClassRegistry") -> tuple[list[tuple[str, Unit]], list[Failure]]:
     """The ``(base, Unit)`` pairs of every entry's paradigm for
     ``FormDictionary.build``, and ``(entry, error)`` per failed entry.
 
@@ -684,6 +682,7 @@ def fill_lexicon(lex: LexiconFile, registry: ClassRegistry) -> tuple[list[tuple[
     gives, is not kept for reuse: its keys hold whole stems and lemmas, so
     it cannot repeat.
     """
+    from .paradigm import stem_tables   # here, so that loading a dictionary never imports the generator
     units: list[tuple[str, Unit]] = []
     records: dict[tuple, Payload] = {}     # one Payload per distinct record
     rewrites = RewritePool()

@@ -12,8 +12,8 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .errors import DataError, data_rows, data_text
+from .features import FeatureBundle
 from .formdict import FormDictionary
-from .paradigm import FeatureBundle
 
 
 class CliticInventory(namedtuple("CliticInventory", "conjunctions prepositions determiner pronouns")):

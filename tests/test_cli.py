@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+import taksir.classes
+import taksir.formdict
+import taksir.lexicon
 from taksir import cli
 from taksir.classes import parse_registry
 from taksir.cli import main
@@ -85,7 +88,7 @@ class TestCompile:
             "invalid: 1:1 NotFullyDiacritized lemma 'xyz' is not fully diacritized (position 1)"]
         # Unflagged by validation, the entry is reported where generation
         # fails, and a repeat of it only as a duplicate.
-        monkeypatch.setattr(cli, "validate_entry", lambda entry, registry: [])
+        monkeypatch.setattr(taksir.lexicon, "validate_entry", lambda entry, registry: [])
         assert reported(f"{bad}\n{good}\n") == [failed]
         assert reported(f"{bad}\n{good}\n{bad}\n") == [
             "invalid: 3:1 E_DUP duplicate of line 1: xyz,N300-m-FvEvL-FuEuL-123", failed]
@@ -104,7 +107,7 @@ class TestCompile:
         assert sorted(calls) == sorted(e.lemma for e in load_seed().entries)
 
     def test_compiles_beyond_v1_limits(self, beyond_v1, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "compile_lexicon", lambda lex, registry: (beyond_v1, []))
+        monkeypatch.setattr(taksir.formdict, "compile_lexicon", lambda lex, registry: (beyond_v1, []))
         out = tmp_path / "x.primdict"
         assert main(["compile", str(SEED_PATH), "--out", str(out)]) == 0
         assert out.read_bytes() == beyond_v1.to_bytes()
@@ -135,7 +138,7 @@ def test_non_utf8_input_exits_2(argv, dict_path, tmp_path, capsys):
 ], ids=["compile", "gen", "validate"])
 def test_refused_registry_exits_2(argv, tmp_path, capsys, monkeypatch):
     text = "N300-FvEvL-FuEuL-123\t1u2u3\ttriptote\ttriptote\nN300-FvEvL-FuEuuL-123\t1u2uwo3o4\ttriptote\ttriptote\n"
-    monkeypatch.setattr(cli, "load_registry", lambda: parse_registry(text))
+    monkeypatch.setattr(taksir.classes, "load_registry", lambda: parse_registry(text))
     assert main([arg.format(lex=SEED_PATH, out=tmp_path / "x.primdict") for arg in argv]) == 2
     printed = capsys.readouterr().err
     assert printed.startswith("error: classes registry line 2: template 1u2uwo3o4 ") and "Traceback" not in printed
@@ -225,7 +228,9 @@ def test_closed_stdout_exits_2_quietly(words, dict_path, tmp_path):
 def test_import_reads_data_without_importlib_resources():
     # importlib.resources and pathlib cost milliseconds to import; every
     # bundled data file is read by its path beside the package.
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import taksir.cli; m = sys.modules; "
+    # The read commands leave the generator out, so it is imported here.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import taksir.cli, taksir.codes, taksir.classes, taksir.lexicon; m = sys.modules; "
             "m['taksir.bn']._codec(); m['taksir.codes'].code_tables(); m['taksir.classes'].load_paradigms(); "
             "m['taksir.classes'].load_registry(); m['taksir.lexicon'].load_seed(); m['taksir.segment'].load_clitics(); "
             "print(sorted({'importlib.resources', 'pathlib'} & set(m)))")
@@ -239,11 +244,49 @@ def test_import_leaves_out_dataclasses():
     # third of the package import, and typing a few milliseconds more; the
     # records are collections.namedtuple subclasses or plain classes.  No
     # site packages and no test runner run first in a bare interpreter, so
-    # none of them can have imported these already.
-    code = "import sys, taksir.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    # none of them can have imported these already.  taksir.cli leaves the
+    # generator out, so it is imported too.
+    code = ("import sys, taksir.cli, taksir.paradigm, taksir.lexicon; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+GENERATOR = ["taksir.classes", "taksir.codes", "taksir.lexicon", "taksir.paradigm"]
+
+
+def bare_run(code: str) -> str:
+    """The stderr of ``code`` run by a bare interpreter that finds only the
+    package under test, and writes no bytecode beside it; it must exit 0."""
+    env = {"PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-B", "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stderr
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["analyze", "{text}", "--dict", "{dict}"], []),
+    (["concord", "{text}", "--dict", "{dict}"], []),
+    (["stats", "--dict", "{dict}", "--text", "{text}"], []),
+    (["compile", "{lex}", "--out", "{out}"], GENERATOR),
+], ids=["analyze", "concord", "stats-dict", "compile"])
+def test_command_imports_generator_only_when_it_runs_it(argv, loaded, dict_path, tmp_path):
+    # Reading a compiled dictionary needs none of the generator; compile,
+    # the control, needs all of it.
+    text = write_text(tmp_path, "kutubu wabiAlokutubi")
+    argv = [a.format(text=text, dict=dict_path, lex=SEED_PATH, out=tmp_path / "x.primdict") for a in argv]
+    code = (f"import sys; from taksir import cli; assert cli.main({argv!r}) == 0; "
+            f"print(sorted(set({GENERATOR!r}) & set(sys.modules)), file=sys.stderr)")
+    assert bare_run(code).splitlines()[-1] == str(loaded)    # compile's timing line comes first
+
+
+def test_package_names_resolve_without_the_generator_loaded():
+    code = (f"import sys, taksir; print(sorted(set({GENERATOR!r}) & set(sys.modules)), file=sys.stderr); "
+            "import taksir.cli; from taksir import segment; assert callable(segment) and taksir.segment is segment; "
+            "assert all(getattr(taksir, name) is not None and name in dir(taksir) for name in taksir.__all__); "
+            "from taksir import *; print(inflect.__module__, load_registry.__module__, file=sys.stderr)")
+    assert bare_run(code) == "[]\ntaksir.paradigm taksir.classes\n"
 
 
 def write_text(tmp_path, content, name="text.txt"):
