@@ -222,6 +222,8 @@ def substitute_madda(text: str) -> str:
 
 def seat_hamzas(chars: list[str]) -> str:
     """Replace abstract glottal stops with context-appropriate allographs."""
+    if HAMZA not in chars:
+        return substitute_madda("".join(chars))
     resolved = list(chars)
     for i, c in enumerate(resolved):
         if c != HAMZA:

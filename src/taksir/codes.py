@@ -95,14 +95,14 @@ class RootCode(namedtuple("RootCode", "text tokens")):
 class InflectionalCode(namedtuple("InflectionalCode", "class_tag gender_flag sg_code bp_label root_code human",
                                   defaults=(False,))):
     """A parsed code; its gender flag is m, f or g.  Its instance dict keeps
-    ``text``."""
+    ``text`` and ``class_key``."""
 
     @functools.cached_property
     def text(self) -> str:
         tail = "+Hum" if self.human else ""
         return f"{self.class_tag}-{self.gender_flag}-{self.sg_code}-{self.bp_label}-{self.root_code}{tail}"
 
-    @property
+    @functools.cached_property
     def class_key(self) -> str:
         """Registry key: the code without the gender flag and +Hum."""
         return f"{self.class_tag}-{self.sg_code}-{self.bp_label}-{self.root_code}"
@@ -244,16 +244,22 @@ def parse_code(text: str) -> InflectionalCode:
 def check_diacritization(lemma: str) -> None:
     """Every basic letter except the last must carry one diacritic (or shadda
     plus one); the madda letter C carries its long vowel itself."""
-    chars = list(lemma)
-    i = 0
+    if (position := _undiacritized(lemma.translate(_shape()))) is not None:
+        raise NotFullyDiacritized(lemma, position)
+
+
+@functools.lru_cache(maxsize=None)
+def _undiacritized(chars: str) -> int | None:
+    """Per lemma shape (``_shape``): the 1-based position that fails, or None."""
     basics = [j for j, c in enumerate(chars) if not bn.is_diacritic(c)]
     if not basics:
-        raise NotFullyDiacritized(lemma, 0)
+        return 0
     last_basic = basics[-1]
+    i = 0
     while i < len(chars):
         c = chars[i]
         if bn.is_diacritic(c):
-            raise NotFullyDiacritized(lemma, i + 1)  # diacritic with no carrier
+            return i + 1  # diacritic with no carrier
         if c == "C":
             i += 1
             continue
@@ -264,7 +270,7 @@ def check_diacritization(lemma: str) -> None:
             j += 1
         if i == last_basic:
             if marks not in ([], [bn.SHADDA]):
-                raise NotFullyDiacritized(lemma, i + 1)
+                return i + 1
         else:
             ok = (
                 len(marks) == 1 and marks[0] in "auio"
@@ -272,15 +278,15 @@ def check_diacritization(lemma: str) -> None:
                 marks and marks[0] == bn.SHADDA and (len(marks) == 1 or (len(marks) == 2 and marks[1] in "auio"))
             )
             if not ok:
-                raise NotFullyDiacritized(lemma, i + 1)
+                return i + 1
         i = j
 
 
 @functools.lru_cache(maxsize=1)
 def _shape() -> dict[int, str]:
-    """The pattern parse reads which letters are diacritics, madda or
-    long-vowel letters and nothing else of a letter: this translation makes
-    every other basic letter one placeholder."""
+    """The pattern parse and the diacritization check read which letters are
+    diacritics, madda or long-vowel letters and nothing else of a letter:
+    this translation makes every other basic letter one placeholder."""
     return str.maketrans(dict.fromkeys(bn.BASIC_LETTERS - set("ACwy"), "b"))
 
 

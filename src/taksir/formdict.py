@@ -677,16 +677,17 @@ def fill_lexicon(lex: "LexiconFile", registry: "ClassRegistry") -> tuple[list[tu
     The tables of the singular stems make one ``Unit``, and the plural's
     another, one per tuple of payload keys: the stems up to the tables'
     largest cut are the unit's base (the masculine stem, which the feminine
-    extends, leads), and the keys fix every letter after it.  A unit with
-    an empty base, as every stem with rows of their own (``paradigm._table``)
-    gives, is not kept for reuse: its keys hold whole stems and lemmas, so
-    it cannot repeat.
+    extends, leads), and the keys fix every letter after it.  The end tables
+    of ``paradigm._table`` live in ``ends`` for this fill.  A unit with an
+    empty base, from a table that cuts its whole stem, is not kept for reuse:
+    its keys hold whole stems and lemmas, so it cannot repeat.
     """
     from .paradigm import stem_tables   # here, so that loading a dictionary never imports the generator
     units: list[tuple[str, Unit]] = []
     records: dict[tuple, Payload] = {}     # one Payload per distinct record
     rewrites = RewritePool()
     filled: dict[tuple, Unit] = {}
+    ends: dict[tuple, "RowTable"] = {}
     failures: list[Failure] = []
 
     def fill(stem: str, table, lemma: str, code: str, rewrite) -> list[Payload]:
@@ -712,7 +713,7 @@ def fill_lexicon(lex: "LexiconFile", registry: "ClassRegistry") -> tuple[list[tu
 
     for entry in lex.entries:
         try:
-            singulars, (bp_stem, bp_table), cls = stem_tables(entry, registry)
+            singulars, (bp_stem, bp_table), cls = stem_tables(entry, registry, ends)
         except TaksirError as exc:
             failures.append((entry, exc))
             continue

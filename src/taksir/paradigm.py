@@ -35,9 +35,9 @@ class RowTable:
     """The forms of one stem in one paradigm, gender and number, as rows
     ``(cut, tail, features, standalone)``: a row spells ``stem[:len(stem) -
     cut] + tail``, with the article Al- in front when its features are
-    definite.  Most stems share one table per distinct list of rows; each
-    row of any other spells its whole word (see ``_table``).  Tables compare
-    and hash by identity."""
+    definite.  Most stems share the table of their last letter or last five
+    letters; one that contracts into madda by itself spells its whole word
+    (see ``_table``).  Tables compare and hash by identity."""
 
     __slots__ = ("rows", "cut")
 
@@ -103,27 +103,32 @@ def _ending_table(last: str, paradigm: str, gender: str, number: str) -> RowTabl
     return _shared_table(_rows(last, paradigm, gender, number))
 
 
-def _table(stem: str, paradigm: str, gender: str, number: str) -> RowTable:
-    """The row table of a stem.  A stem that ends in a glottal stop re-seats
-    it before a pronoun, one with a hamza-on-alif O in its last five letters
-    may contract with a suffix into madda, and one that contracts by itself
-    does in every row: such a stem gets rows of its own, each spelling its
-    whole word with the contraction applied.  A madda spans at most four
-    letters from its O, a row cuts at most two and no suffix holds an O, so
-    an O further back never meets a suffix.  The rows of any other stem
-    read only its last letter (drop-iy cuts two letters unread, and a
+def _table(stem: str, paradigm: str, gender: str, number: str, ends: dict) -> RowTable:
+    """The row table of a stem.  A final glottal stop is re-seated before a
+    pronoun from at most three letters back, and a hamza-on-alif O in the
+    last five letters may contract with a suffix into madda (a madda spans
+    at most four letters from its O, a row cuts at most two and no suffix
+    holds an O): such a stem gets the table of its last five letters, kept
+    in ``ends``, whose rows cut them and spell them again with the tail; one
+    that contracts by itself gets one of its whole stem.  Any other stem's
+    rows read only its last letter (drop-iy cuts two letters unread, and a
     pronoun variant, the one row compared with another, cuts at most one),
     so it shares the table of that letter."""
-    if "O" in stem[-5:] or stem.endswith(_FINAL_HAMZA) or substitute_madda(stem) != stem:
-        return RowTable(tuple((len(stem), substitute_madda(stem[: len(stem) - cut] + tail), *rest)
-                              for cut, tail, *rest in _rows(stem, paradigm, gender, number)))
-    return _ending_table(stem[-1:], paradigm, gender, number)
+    if substitute_madda(stem) == stem:
+        if "O" not in stem[-5:] and not stem.endswith(_FINAL_HAMZA):
+            return _ending_table(stem[-1:], paradigm, gender, number)
+        stem = stem[-5:]
+    key = (stem, paradigm, gender, number)
+    if key not in ends:
+        ends[key] = RowTable(tuple((len(stem), substitute_madda(stem[: len(stem) - cut] + tail), *rest)
+                                   for cut, tail, *rest in _rows(*key)))
+    return ends[key]
 
 
-def stem_tables(entry, registry: ClassRegistry):
+def stem_tables(entry, registry: ClassRegistry, ends: dict):
     """``(singulars, (bp_stem, bp_table), cls)``: each singular stem (the
-    lemma, then for a gender-inflecting entry the feminine in -ap) with its
-    row table, the broken plural's and the entry's inflection class."""
+    lemma, then a gender-inflecting entry's feminine in -ap) with its row
+    table from ``_table`` and ``ends``, the plural's and the entry's class."""
     code = entry.code
     cls = registry.resolve(code)
     bp_stem = render_bp_stem(apply_root_code(entry.sg_root, code.root_code), cls)
@@ -137,8 +142,8 @@ def stem_tables(entry, registry: ClassRegistry):
     singulars = []
     for gender, stem in gender_stems:
         paradigm = "ap-final" if stem.endswith("ap") and not lemma.endswith("ap") else cls.sg_paradigm
-        singulars.append((stem, _table(stem, paradigm, gender, "s")))
-    return singulars, (bp_stem, _table(bp_stem, cls.bp_paradigm, "none", "q")), cls
+        singulars.append((stem, _table(stem, paradigm, gender, "s", ends)))
+    return singulars, (bp_stem, _table(bp_stem, cls.bp_paradigm, "none", "q", ends)), cls
 
 
 def _forms(stem: str, table: RowTable) -> list[InflectedForm]:
@@ -150,7 +155,7 @@ def _forms(stem: str, table: RowTable) -> list[InflectedForm]:
 def dual_forms(stem: str, paradigm: str) -> dict[tuple[str, str], str]:
     """The nine dual cells of a singular stem."""
     return {(f.features.definiteness, f.features.case): f.surface
-            for f in _forms(stem, _table(stem, paradigm, "m", "s")) if f.features.number == "d"}
+            for f in _forms(stem, _table(stem, paradigm, "m", "s", {})) if f.features.number == "d"}
 
 
 def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
@@ -160,7 +165,7 @@ def inflect(entry, registry: ClassRegistry) -> list[InflectedForm]:
     pronoun; everything else is a base form.  The base forms number 27 for a
     fixed-gender entry and 45 for a gender-inflecting one.
     """
-    singulars, plural, _ = stem_tables(entry, registry)
+    singulars, plural, _ = stem_tables(entry, registry, {})
     return [form for stem, table in (*singulars, plural) for form in _forms(stem, table)]
 
 

@@ -1,13 +1,14 @@
-"""The singular-pattern parse as it was before ``taksir.codes`` memoised it
-per lemma shape, kept as the oracle the memoised one is compared against: it
-walks the real lemma and dedupes its matches by radicals as it goes."""
+"""The singular-pattern parse and the diacritization check as they were
+before ``taksir.codes`` memoised them per lemma shape, kept as the oracles
+the memoised ones are compared against: they walk the real lemma, and the
+parse dedupes its matches by radicals as it goes."""
 
 from dataclasses import dataclass, field
 
 from taksir import bn
 from taksir.codes import (LONG_OF, SingularPatternCode, SurfaceRoot, _as_radical, _discardable,
-                          check_diacritization, code_tables, expand_madda)
-from taksir.errors import AmbiguousPatternMatch, ArityMismatch, MalformedCode
+                          code_tables, expand_madda)
+from taksir.errors import AmbiguousPatternMatch, ArityMismatch, MalformedCode, NotFullyDiacritized
 
 
 @dataclass
@@ -19,6 +20,41 @@ class _Parse:
 
     def copy(self) -> "_Parse":
         return _Parse(list(self.radicals), list(self.gemflags), list(self.positions), self.fallback_gem)
+
+
+def check_diacritization(lemma: str) -> None:
+    """Every basic letter except the last must carry one diacritic (or shadda
+    plus one); the madda letter C carries its long vowel itself."""
+    chars = list(lemma)
+    i = 0
+    basics = [j for j, c in enumerate(chars) if not bn.is_diacritic(c)]
+    if not basics:
+        raise NotFullyDiacritized(lemma, 0)
+    last_basic = basics[-1]
+    while i < len(chars):
+        c = chars[i]
+        if bn.is_diacritic(c):
+            raise NotFullyDiacritized(lemma, i + 1)  # diacritic with no carrier
+        if c == "C":
+            i += 1
+            continue
+        j = i + 1
+        marks = []
+        while j < len(chars) and bn.is_diacritic(chars[j]):
+            marks.append(chars[j])
+            j += 1
+        if i == last_basic:
+            if marks not in ([], [bn.SHADDA]):
+                raise NotFullyDiacritized(lemma, i + 1)
+        else:
+            ok = (
+                len(marks) == 1 and marks[0] in "auio"
+            ) or (
+                marks and marks[0] == bn.SHADDA and (len(marks) == 1 or (len(marks) == 2 and marks[1] in "auio"))
+            )
+            if not ok:
+                raise NotFullyDiacritized(lemma, i + 1)
+        i = j
 
 
 def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> SurfaceRoot:

@@ -3,9 +3,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import codes_reference as reference
+from taksir import bn
 from taksir.codes import (
     HAMZA,
     _parses,
+    _undiacritized,
+    check_diacritization,
     SurfaceRoot,
     apply_root_code,
     extract_root,
@@ -277,6 +280,46 @@ class TestShapeMemo:
             _parses.cache_clear()
             for lemma in order:
                 self.assert_as_unmemoised(lemma, sg, "N400")
+
+
+class TestDiacritizationMemo:
+    """``check_diacritization`` runs its letter loop once per lemma shape:
+    for every lemma it raises what the unmemoised loop raises, at the same
+    position and naming that lemma."""
+
+    @staticmethod
+    def assert_as_unmemoised(lemma):
+        def outcome(check):
+            try:
+                check(lemma)
+            except NotFullyDiacritized as exc:
+                return str(exc), exc.position
+            return None
+
+        assert outcome(check_diacritization) == outcome(reference.check_diacritization), lemma
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=sorted(bn.ALPHABET), max_size=10))
+    def test_any_lemma(self, lemma):
+        self.assert_as_unmemoised(lemma)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed_variants(), st.integers(0, 12), st.sampled_from(["", "a", "o", "G", "C", "b", "F", "A"]))
+    def test_seed_variants_and_edits(self, entry, at, letter):
+        self.assert_as_unmemoised(entry.lemma)
+        self.assert_as_unmemoised(entry.lemma[:at] + letter + entry.lemma[at + 1:])
+
+    def test_seed(self, seed):
+        for e in seed:
+            self.assert_as_unmemoised(e.lemma)
+
+    def test_one_failing_shape_names_each_lemma(self):
+        # Both lemmas lack the vowel of their first letter and share one shape.
+        _undiacritized.cache_clear()
+        for lemma in ("Eqdap", "ktbap"):
+            with pytest.raises(NotFullyDiacritized, match=f"lemma '{lemma}' .* \\(position 1\\)"):
+                check_diacritization(lemma)
+        assert _undiacritized.cache_info().currsize == 1
 
 
 class TestArity:

@@ -252,16 +252,16 @@ class TestUnitBuild:
         "kitaAob,$N300-m-FvEvL-FuEuL-123\nkutaAob,$N300-m-FvEvL-FuEuL-123",
         # Stems that differ where a row cuts.
         "raAoEiy,$N300-m-FvvEvL-FuEoLaan-12y+Hum\nraAoEib,$N300-m-FvvEvL-FuEoLaan-12y+Hum",
-        # The masculine stem ends in a glottal stop, so its table is its
-        # own and cuts the whole stem: the singular unit's base is the
-        # common prefix of all its forms.
+        # The masculine stem ends in a glottal stop, so its table is the end
+        # table of its last five letters and cuts them: the singular unit's
+        # base is the common prefix of all its forms.
         "qaAoric,$N300-g-FvvEvL-FuEEaL-123",
         # Hamza-final and O stems beside the stems of shared tables.
         "juzoc,$N300-m-FvEvL-OaFoEaaL-123\nbadoc,$N300-m-FvEvL-OaFoEaaL-123\nSaAoHib,$N300-g-FvEvL-OaFoEaaL-123+Hum",
         # Singular stems whose last O is 0 (mabodaO), 2 (tawoOam, raOos), 4
         # (maOozaq, raOosap) and 6 (maOozaqap) letters from the end: only
-        # the last shares a table, and its entry's unit holds it beside the
-        # masculine stem's own table.
+        # the last shares the table of its last letter, and its entry's unit
+        # holds it beside the masculine stem's end table.
         "mabodaO,$N400-m-FvEvLvB-FaEaaLiB-123h\ntawoOam,$N400-m-FvEvLvB-FaEaaLiB-12h4+Hum\n"
         "maOozaq,$N400-g-FvEvLvB-FaEaaLiB-1h34\nraOos,$N300-g-FvEvL-FuEuuL-123",
         # 5 and 6 letters from the end: shared tables, beside O plurals.
@@ -272,6 +272,13 @@ class TestUnitBuild:
         # Gender-inflecting entries: a lemma in -ap, whose feminine stem
         # ends in -apap, and one whose plural stem has an O.
         "Euqodap,$N3ap-g-FvEvL-FuEaL-123\nbaAoeis,$N300-g-FvvEvL-FaEaLap-1h3+Hum",
+        # Pairs of hamza-final and O stems that differ only before their
+        # last five letters, singular and plural: each pair shares its end
+        # tables, and so its units.
+        "mabodaO,$N400-m-FvEvLvB-FaEaaLiB-123h\nkabodaO,$N400-m-FvEvLvB-FaEaaLiB-123h\n"
+        "SaHoraAoc,$N3ac-f-FvEvL-FaEaaLiB-123y\nbaSoraAoc,$N3ac-f-FvEvL-FaEaaLiB-123y\n"
+        "miyonaAoc,$N300-m-FvvEvvL-FaEaaLiB-1w2h\nliyonaAoc,$N300-m-FvvEvvL-FaEaaLiB-1w2h\n"
+        "maOozaq,$N400-g-FvEvLvB-FaEaaLiB-1h34\ntaOozaq,$N400-g-FvEvLvB-FaEaaLiB-1h34",
     ])
     def test_hand_made_lexicons(self, registry, text):
         lex, diagnostics = parse_lexicon(text)
@@ -284,8 +291,8 @@ class TestUnitBuild:
     @pytest.mark.parametrize("text, bases", [
         ("kaAotib,$N300-g-FvvEvL-FuEEaL-123+Hum", ["kaAotib", "kutGaAob"]),
         ("Euqodap,$N3ap-g-FvEvL-FuEaL-123", ["Euqad", "Euqoda"]),
-        # Hamza-final: the masculine table is its own, so the unit's base is
-        # the common prefix of all its forms.
+        # Hamza-final: the masculine table cuts the last five letters, so
+        # the unit's base is the common prefix of all its forms.
         ("qaAoric,$N300-g-FvvEvL-FuEEaL-123", ["qaAori", "qurGaAo"]),
     ])
     def test_gender_inflecting_entry_is_one_unit(self, registry, text, bases):

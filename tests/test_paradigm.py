@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import paradigm_reference as reference
 from conftest import seed_variant, seed_variants
-from taksir.classes import load_paradigms
+from taksir.classes import load_paradigms, substitute_madda
 from taksir.codes import parse_code
 from taksir.errors import TaksirError
 from taksir.lexicon import LexicalEntry
@@ -252,39 +252,82 @@ class TestRowsMatchReference:
         *(("kaO" + "obatil"[:after], after >= 5) for after in range(7)),     # the last O 0-6 letters from the end
         ("OaAoxir", False),         # contracts into madda by itself
         ("OakaOobatil", True),      # two Os, both far from the end
+        ("bakaOobati", True),       # the O six letters from the end, letters before it
+        ("bakaOobat", False),       # the O five letters from the end, letters before it
     ])
     @pytest.mark.parametrize("paradigm", PARADIGM_IDS)
     def test_o_stems(self, stem, shared, paradigm):
         # No suffix reaches an O five or more letters back, so such a stem
-        # shares the table of its last letter.
-        table = _table(stem, paradigm, "m", "s")
+        # shares the table of its last letter; a stem with an O nearer the
+        # end gets the table of its last five letters, unless it contracts
+        # into madda by itself.
+        ends = {}
+        table = _table(stem, paradigm, "m", "s", ends)
         assert (table is _ending_table(stem[-1:], paradigm, "m", "s")) == shared
+        if not shared:
+            assert table.cut == (len(stem) if substitute_madda(stem) != stem else len(stem[-5:]))
         assert triples(_forms(stem, table)) == reference.stem_cells(stem, paradigm, "m", "s")
 
+    @pytest.mark.parametrize("stem", [
+        "samaAoc", "qariyoc", "kajuzoc", "juzoc",       # c after a long vowel or sukun
+        "nabaAoO", "tabiyoO", "kaduzoO",                # O
+        "nabaAoW", "tawuwoW", "kaduzoW",                # W
+        "kabiyoe", "qaraAoe", "kaduzoe",                # e
+    ])
+    @pytest.mark.parametrize("paradigm", PARADIGM_IDS)
+    def test_hamza_final_stems(self, stem, paradigm):
+        # A final glottal stop is re-seated before a pronoun from at most
+        # three letters before it: the table is that of the last five letters.
+        ends = {}
+        table = _table(stem, paradigm, "m", "s", ends)
+        assert table is ends[(stem[-5:], paradigm, "m", "s")] and table.cut == len(stem[-5:])
+        assert triples(_forms(stem, table)) == reference.stem_cells(stem, paradigm, "m", "s")
+
+    @pytest.mark.parametrize("stems", [("mabodaO", "kiqubodaO"), ("samaAoc", "lumaAoc"), ("kaOobat", "miqaOobat")])
+    @pytest.mark.parametrize("paradigm", PARADIGM_IDS)
+    def test_stems_that_end_alike_share_one_table(self, stems, paradigm):
+        ends = {}
+        first, second = (_table(stem, paradigm, "m", "s", ends) for stem in stems)
+        assert first is second
+        for stem in stems:
+            assert triples(_forms(stem, first)) == reference.stem_cells(stem, paradigm, "m", "s")
+
+    #: End tables filled by one example and met by later ones, as in one fill.
+    ends: dict = {}
+
     @settings(max_examples=500, deadline=None)
-    @given(st.text(alphabet="btkqlAwyYiuaoGpOcWeCt", min_size=1, max_size=8),
+    @given(st.text(alphabet="btkqlAwyYiuaoGpOcWeCt", min_size=1, max_size=12),
            st.sampled_from(PARADIGM_IDS), st.sampled_from(("m", "f", "none")))
     def test_any_stem(self, stem, paradigm, gender):
         # Many stems end alike, so most of them meet a shared table filled
         # from another stem.
         number = "q" if gender == "none" else "s"
-        table = _table(stem, paradigm, gender, number)
+        table = _table(stem, paradigm, gender, number, self.ends)
         assert triples(_forms(stem, table)) == reference.stem_cells(stem, paradigm, gender, number)
 
 
 class TestUnitCacheRule:
     """formdict.fill_lexicon keeps a unit for reuse only when its base is
-    not empty, so a table of a stem's own must cut the whole stem."""
+    not empty.  Every table is the one of the stem's last letter, the end
+    table of its last five letters, which cuts those five, or, for a stem
+    that contracts into madda by itself, a table that cuts the whole stem."""
 
     def test_every_table_is_shared_or_cuts_its_whole_stem(self, seed, registry):
         rng = random.Random(3)
+        ends, end_stems = {}, set()
         for e in [*seed, *(seed_variant(rng.choice) for _ in range(400))]:
             try:
-                singulars, plural, _ = stem_tables(e, registry)
+                singulars, plural, _ = stem_tables(e, registry, ends)
             except TaksirError:
                 continue
             for stem, table in (*singulars, plural):
                 features = table.rows[0][2]
-                shared = (table is _ending_table(stem[-1:], paradigm, features.gender, features.number)
-                          for paradigm in PARADIGM_IDS)
-                assert table.cut == len(stem) or any(shared), (e.lemma, stem)
+                keys = [(paradigm, features.gender, features.number) for paradigm in PARADIGM_IDS]
+                if substitute_madda(stem) != stem:
+                    assert table.cut == len(stem), (e.lemma, stem)
+                elif any(table is ends.get((stem[-5:], *key)) for key in keys):
+                    assert table.cut == len(stem[-5:]), (e.lemma, stem)
+                    end_stems.add(stem)
+                else:
+                    assert any(table is _ending_table(stem[-1:], *key) for key in keys), (e.lemma, stem)
+        assert len(ends) < len(end_stems)
