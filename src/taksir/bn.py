@@ -85,6 +85,13 @@ def to_bn(text: str) -> str:
     raise UnmappedCodepoint(ch, i)
 
 
+def to_bn_if_known(text: str) -> str:
+    """``to_bn`` of a text whose every character the codec knows; any other
+    text as written (no dictionary form can match it, so it is UNK)."""
+    codec = _codec()
+    return text.translate(codec.translation) if codec.known.issuperset(text) else text
+
+
 def to_arabic(text: str) -> str:
     """Inverse transliteration; ``to_bn(to_arabic(s)) == s`` for valid input."""
     out, bn2ar = [], _codec().bn2ar

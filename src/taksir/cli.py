@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import bn
-from .errors import DataError, InvalidBnChar, TaksirError, UnmappedCodepoint
+from .errors import DataError, InvalidBnChar, TaksirError
 from .formdict import FormDictionary
 from .rewrite import CorruptDictionary
 from .segment import concordance, format_reading, parse_mask, segment
@@ -55,14 +55,8 @@ def tokenize(text: str) -> list[str]:
     tokens = []
     for raw in text.split():
         token = raw.replace("\u0640", "").strip(_PUNCT)  # tatweel only stretches letters
-        if not token:
-            continue
-        if bn.looks_arabic(token):
-            try:
-                token = bn.to_bn(token)
-            except UnmappedCodepoint:
-                pass  # kept as written: no dictionary form can match it, so it is UNK
-        tokens.append(token)
+        if token:
+            tokens.append(bn.to_bn_if_known(token))
     return tokens
 
 

@@ -32,7 +32,9 @@ noun part only, carrying the D feature.
 
 One iterative walk serves both lookup modes.  In diacritic-optional mode it
 may also skip dictionary diacritics the query omits, but a diacritic present
-in the query must match the dictionary exactly; strict mode never skips.
+in the query must match the dictionary exactly.  Strict mode never skips:
+its walk follows one path and reports its matches in end order, so only
+optional mode de-duplicates and sorts them.
 Optional mode reads what lies past skipped diacritics from a skip table,
 built per state on first use and never stored: the word ends so reached
 and, per next letter, the arcs that take it, so the walk branches only
@@ -276,29 +278,27 @@ class FormDictionary:
         """Every (end, dictionary form, rank) where ``text[start:end]`` matches
         a form and ``end`` is one of ``ends``, sorted: per end, forms come in
         rank order, which is form order.  The inner loop follows the text's
-        letters.  In diacritic-optional mode each state it reaches also reads
-        its skip table entry: the word ends past skipped diacritics, and the
-        moves on the next letter, each of which starts a stack entry, whose
-        form is ``built + text[at:qi]``."""
+        letters.  A strict walk is one path, so its stack never grows and its
+        matches come once each, in end order.  In diacritic-optional mode each
+        state it reaches also reads its skip table entry: the word ends past
+        skipped diacritics, and the moves on the next letter, each of which
+        starts a stack entry, whose form is ``built + text[at:qi]``."""
         if mode not in ("strict", "diacritic-optional"):
             raise ValueError(f"unknown lookup mode {mode!r}")
-        skip = mode == "diacritic-optional"
         arcs, finals, last = self.arcs, self.finals, max(ends)
-        skip_table = self.skip_table if skip else None
-        # Skipping can reach a form along several alignments, in any order;
-        # each (end, form) counts once.  Without it, forms come in end order.
-        found: dict[tuple[int, int], str] = {}
+        skip_table = self.skip_table if mode == "diacritic-optional" else None
+        found = []
         stack = [(self.root, 0, start, "", start)]
         while stack:
             state, rank, qi, built, at = stack.pop()
             while True:
                 if finals[state] and qi in ends:
-                    found[qi, rank] = built + text[at:qi]
-                if skip:
+                    found.append((qi, built + text[at:qi], rank))
+                if skip_table is not None:
                     word_ends, moves = skip_table[state]
                     if word_ends and qi in ends:
                         for offset, skipped in word_ends:
-                            found[qi, rank + offset] = built + text[at:qi] + skipped
+                            found.append((qi, built + text[at:qi] + skipped, rank + offset))
                     if qi < last and text[qi] in moves:
                         for target, offset, skipped in moves[text[qi]]:
                             stack.append((target, rank + offset, qi + 1, built + text[at:qi] + skipped, qi))
@@ -310,7 +310,10 @@ class FormDictionary:
                 state, offset = arc
                 rank += offset
                 qi += 1
-        return [(end, form, rank) for (end, rank), form in (sorted(found.items()) if skip else found.items())]
+        # Skipping can reach a form along several alignments, in any order.
+        # A rank names one form, and ranks follow form order, so sorting the
+        # distinct matches sorts them by (end, rank).
+        return found if skip_table is None else sorted(set(found))
 
     # -- enumeration -------------------------------------------------------
 

@@ -134,8 +134,10 @@ def _segment(token: str, dictionary: FormDictionary, mode: str, inventory: Cliti
                         shown = f"{head}{noun}/N{tail}"
                         reading = Reading((*clitics, Segment(noun, "N", analysis), *pro), analysis, shown)
                         readings.setdefault((shown, p.code, analysis.lemma, p.tag), reading)
-    ordered = sorted(readings.values(), key=lambda r: (len(r.segments), r.shown, r.noun.code))
-    return SegmentLattice(token, tuple(ordered))
+    ordered = tuple(readings.values())
+    if len(ordered) > 1:
+        ordered = tuple(sorted(ordered, key=lambda r: (len(r.segments), r.shown, r.noun.code)))
+    return SegmentLattice(token, ordered)
 
 
 def format_reading(token: str, reading: Reading) -> str:

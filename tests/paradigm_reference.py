@@ -95,3 +95,14 @@ def inflect(entry, registry):
         forms += stem_cells(stem, paradigm, gender, "s")
     forms += stem_cells(bp_stem, cls.bp_paradigm, "none", "q")
     return forms
+
+
+def listing(lex, registry) -> list[str]:
+    """The lines of ``dump_text()``, sorted: each form's key (without the
+    article) with its own entry's lemma and code."""
+    lines = []
+    for e in lex.entries:
+        for surface, tag, _ in inflect(e, registry):
+            key = surface[2:] if tag.split(":")[2] == "D" else surface
+            lines.append(f"{key}\t{e.lemma}\t{e.code.text}\t{tag}")
+    return sorted(lines)

@@ -1,7 +1,8 @@
-"""Three oracles on a lexicon too large for the tier-1 tests: the
-``dump_text()`` and byte round trips through the artifact, the linear-scan
-lookup oracle over a seeded sample of forms, and the brute-force
-segmentation oracle over clitic-chained tokens.
+"""Four oracles on a lexicon too large for the tier-1 tests: ``dump_text()``
+against the reference generator's listing, the ``dump_text()`` and byte
+round trips through the artifact, the linear-scan lookup oracle over a
+seeded sample of forms, and the brute-force segmentation oracle over
+clitic-chained tokens.
 
     PYTHONPATH=src:tests python tests/scale_oracles.py LEXICON
 
@@ -12,7 +13,9 @@ first disagreements.
 import random
 import sys
 import time
+from collections import Counter
 
+import paradigm_reference
 from lookup_reference import linear_scan, sample_queries
 from segment_reference import Reference, clitic_chains
 from taksir import bn
@@ -41,7 +44,8 @@ def main(argv: list[str]) -> int:
     rng = random.Random(SEED)
     with open(argv[0], encoding="utf-8") as fh:
         lex, diagnostics = parse_lexicon(fh.read())
-    built, failures = compile_lexicon(lex, load_registry())
+    registry = load_registry()
+    built, failures = compile_lexicon(lex, registry)
     if diagnostics or failures:
         reasons = [*map(str, diagnostics), *(f"{e.lemma},{e.code}: {error}" for e, error in failures)]
         print(f"the lexicon does not compile cleanly: {reasons[:3]}")
@@ -49,7 +53,14 @@ def main(argv: list[str]) -> int:
     ok = True
 
     started = time.perf_counter()
-    listing, data = built.dump_text(), built.to_bytes()
+    listing = built.dump_text()
+    got, want = Counter(listing.splitlines()), Counter(paradigm_reference.listing(lex, registry))
+    bad = [f"compiled only: {line}" for line in got - want] + [f"reference only: {line}" for line in want - got]
+    ok &= check("generation against the reference listing", started, sum(want.values()), bad)
+    del got, want
+
+    started = time.perf_counter()
+    data = built.to_bytes()
     dictionary = FormDictionary.from_bytes(data)
     bad = [] if dictionary.to_bytes() == data else ["the reloaded artifact serialises to other bytes"]
     del built, data

@@ -5,14 +5,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import taksir.classes
 import taksir.formdict
 import taksir.lexicon
-from taksir import cli
+from taksir import bn, cli
 from taksir.classes import parse_registry
 from taksir.cli import main
 from taksir.codes import extract_root
+from taksir.errors import UnmappedCodepoint
 from taksir.formdict import FormDictionary
 from taksir.lexicon import load_seed
 
@@ -603,3 +606,34 @@ class TestArabicInput:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "كتب٣\tUNK"
         assert len(lines) > 1 and "UNK" not in lines[1]
+
+
+def tokenize_in_two_steps(text: str) -> list[str]:
+    """The rule ``cli.tokenize`` keeps, written out: strip, then transliterate
+    a token with Arabic in it, keeping one the codec refuses as written."""
+    tokens = []
+    for raw in text.split():
+        token = raw.replace("\u0640", "").strip(cli._PUNCT)
+        if token and bn.looks_arabic(token):
+            try:
+                token = bn.to_bn(token)
+            except UnmappedCodepoint:
+                pass
+        if token:
+            tokens.append(token)
+    return tokens
+
+
+#: Codec Arabic, transliteration letters, digits and ASCII punctuation,
+#: tatweel, the Arabic comma, semicolon and question mark, code points
+#: outside the table (a lam-alif ligature, an Arabic-Indic digit, Latin
+#: with an accent) and whitespace.
+TOKENIZE_CHARACTERS = sorted({*bn._AR2BN, *bn.ALPHABET, *"0123456789", *bn._PASSTHROUGH, *cli._PUNCT,
+                              "\u0640", "\u060c", "\u061b", "\u061f", "\ufefb", "\u0663", "\u00e9", " ", "\t", "\n"})
+
+
+@given(st.text(st.sampled_from(TOKENIZE_CHARACTERS), max_size=40))
+@example("12 3.5 ... -_/ \u0663")
+@example("\u0643\u062a\u0628\u0663 \ufefb kitaAob \u0643\u062a\u0640\u0628\u060c")
+def test_tokenize_keeps_its_rule(text):
+    assert cli.tokenize(text) == tokenize_in_two_steps(text)

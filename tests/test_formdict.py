@@ -129,24 +129,13 @@ class TestBuild:
             FormDictionary.build(word_units({"ab": [PAYLOAD._replace(rewrite=tail(9, "x"))]}))
 
 
-def reference_listing(lex, registry) -> list[str]:
-    """The lines of dump_text(), sorted, from the reference generator: each
-    form's key (without the article) with its own entry's lemma and code."""
-    lines = []
-    for e in lex.entries:
-        for surface, tag, _ in reference.inflect(e, registry):
-            key = surface[2:] if tag.split(":")[2] == "D" else surface
-            lines.append(f"{key}\t{e.lemma}\t{e.code.text}\t{tag}")
-    return sorted(lines)
-
-
 class TestCompileOracle:
     """Every generated form analyses to the entry that generated it, and
     to nothing else: payloads filled once per table and stem ending give
     each entry its own lemma."""
 
     def test_seed(self, compiled, seed, registry):
-        assert sorted(compiled.dump_text().splitlines()) == reference_listing(seed, registry)
+        assert sorted(compiled.dump_text().splitlines()) == reference.listing(seed, registry)
 
     def test_stems_that_differ_where_a_row_cuts(self, registry):
         # Defective-iy singulars drop their last two letters in the
@@ -156,7 +145,7 @@ class TestCompileOracle:
         assert not diagnostics
         d, failures = compile_lexicon(lex, registry)
         assert not failures
-        assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
+        assert sorted(d.dump_text().splitlines()) == reference.listing(lex, registry)
 
     def test_rows_that_respell_a_copied_radical(self, registry):
         # The plural stems OajozaAoc and OabodaAoc copy their final glottal
@@ -165,7 +154,7 @@ class TestCompileOracle:
         lex, _ = parse_lexicon("juzoc,$N300-m-FvEvL-OaFoEaaL-123\nbadoc,$N300-m-FvEvL-OaFoEaaL-123\n")
         d, failures = compile_lexicon(lex, registry)
         assert not failures
-        assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
+        assert sorted(d.dump_text().splitlines()) == reference.listing(lex, registry)
         assert [a.lemma for a in d.lookup("OajozaAoWu")] == ["juzoc"]
 
     def test_shared_rows_that_cut_copied_radicals(self):
@@ -176,7 +165,7 @@ class TestCompileOracle:
         lex, _ = parse_lexicon("ramoy,$N300-m-FvEvL-FuEuL-123\nrasoy,$N300-m-FvEvL-FuEuL-123\n")
         d, failures = compile_lexicon(lex, registry)
         assert not failures
-        assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
+        assert sorted(d.dump_text().splitlines()) == reference.listing(lex, registry)
         assert {a.lemma for a in d.lookup("ruK")} == {"ramoy", "rasoy"}
 
     def test_payloads_of_one_code_and_tag_in_lemma_order(self, compiled, registry):
@@ -206,7 +195,7 @@ class TestCompileOracle:
         d, failures = compile_lexicon(lex, registry)
         failed = {entry.key for entry, _ in failures}
         good = [e for e in entries if e.key not in failed]
-        assert sorted(d.dump_text().splitlines()) == reference_listing(LexiconFile(good), registry)
+        assert sorted(d.dump_text().splitlines()) == reference.listing(LexiconFile(good), registry)
         assert_minimal(d)
         assert_canonical(d)
 
@@ -286,7 +275,7 @@ class TestUnitBuild:
         units, failures = fill_lexicon(lex, registry)
         assert units and not failures
         d = build_both_ways(units)
-        assert sorted(d.dump_text().splitlines()) == reference_listing(lex, registry)
+        assert sorted(d.dump_text().splitlines()) == reference.listing(lex, registry)
 
     @pytest.mark.parametrize("text, bases", [
         ("kaAotib,$N300-g-FvvEvL-FuEEaL-123+Hum", ["kaAotib", "kutGaAob"]),
