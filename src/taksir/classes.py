@@ -17,7 +17,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import bn
-from .codes import HAMZA, InflectionalCode, code_tables, parse_root_code
+from .codes import HAMZA, InflectionalCode, code_tables, parse_root_code, parse_sg_code
 from .errors import ArityMismatch, DataError, MalformedCode, UnknownClass, data_rows, data_text
 from .features import CASES, DEFINITENESS
 
@@ -95,7 +95,8 @@ def load_registry() -> ClassRegistry:
 
 def parse_registry(text: str) -> ClassRegistry:
     """Read each row once: its template becomes steps, and a row whose key
-    names a tag, label or paradigm that is not declared, or whose steps do
+    names an undeclared tag, label or paradigm, or a singular code that is
+    not canonical or has another slot count than its tag, or whose steps do
     not place each radical of its root code exactly once, is refused."""
     rows: dict[str, InflectionClass] = {}
     tables, (paradigms, _) = code_tables(), load_paradigms()
@@ -114,7 +115,12 @@ def parse_registry(text: str) -> ClassRegistry:
         else:
             try:    # one radical per root-code token but G, which geminates the last
                 radicals = [token for token in parse_root_code(parts[3]).tokens if token[0] != "gemfinal"]
+                sg_code = parse_sg_code(parts[1])
                 reason = None
+                if sg_code.text != parts[1]:
+                    reason = f"singular-pattern code {parts[1]} is not written as {sg_code.text}"
+                elif sg_code.arity != int(parts[0][1]):
+                    reason = f"class tag {parts[0]} expects {parts[0][1]} slots but {sg_code.text} has {sg_code.arity}"
             except MalformedCode as exc:
                 reason = str(exc)
         if reason:

@@ -19,12 +19,13 @@ sub-automaton once per distinct suffix tuple and takes the base as one
 item whose last arc leads into it, built where that arc is added; any
 other unit is expanded into its forms.
 
-Payloads do not name entries directly: they hold the feature tag, the
-inflectional code and a positional rewrite that rebuilds the lemma from the
-matched surface (``taksir.rewrite``).  Entries of the same class therefore
-share payload records.  In memory, built or loaded, each distinct record is
-one ``Payload`` tuple and forms with equal payload sets share one tuple of
-them, so serialising resolves each set once.
+Payloads do not name entries directly: they hold the cell's interned
+``FeatureBundle`` (a tag string id in the artifact, parsed once per load),
+the inflectional code and a positional rewrite that rebuilds the lemma from
+the matched surface (``taksir.rewrite``), so entries of the same class share
+payload records.  In memory, built or loaded, each distinct record is one
+``Payload`` and forms with equal payload sets share one tuple of them, so
+serialising resolves each set once.
 
 Definite cells are stored without the article: Al- is a determiner segment
 (the segmenter restores it), so a definite surface in the automaton is the
@@ -66,15 +67,15 @@ _HEADER = struct.Struct("<4sH12Q")    # see the byte layout below
 _WIDTHS = "BHIQ"
 
 
-class Payload(namedtuple("Payload", "rewrite code tag standalone")):
+class Payload(namedtuple("Payload", "rewrite code features standalone")):
     """Analysis record attached to a form (entry-independent): the rewrite
-    that gives the lemma from the surface, the full code text, the feature
-    tag (e.g. N:q:i:G) and whether it stands without an attached pronoun."""
+    that gives the lemma from the surface, the full code text, the interned
+    features (stored as their tag) and whether it stands without a pronoun."""
 
     __slots__ = ()
 
     def sort_key(self):
-        return (self.code, self.tag, self.rewrite, not self.standalone)
+        return (self.code, self.features.tag(), self.rewrite, not self.standalone)
 
 
 class Analysis(namedtuple("Analysis", "surface lemma code features standalone")):
@@ -258,8 +259,7 @@ class FormDictionary:
 
     def analysis(self, form: str, payload: Payload) -> Analysis:
         """The analysis a payload gives the dictionary form that carries it."""
-        return Analysis(form, payload.rewrite.apply(form), payload.code, FeatureBundle.from_tag(payload.tag),
-                        payload.standalone)
+        return Analysis(form, payload.rewrite.apply(form), payload.code, payload.features, payload.standalone)
 
     def lookup(self, surface: str, mode: str = "strict") -> list[Analysis]:
         """Analyses of a surface string; empty list when absent.
@@ -398,7 +398,7 @@ class FormDictionary:
         out += _column(map(len, sets))
         out += _column(payload_ids.setdefault(p, len(payload_ids)) for payloads in sets for p in payloads)
         # Tags and codes are few: interned first, they keep narrow ids.
-        out += _column(2 * strings.setdefault(p.tag, len(strings)) + p.standalone for p in payload_ids)
+        out += _column(2 * strings.setdefault(p.features.tag(), len(strings)) + p.standalone for p in payload_ids)
         out += _column(strings.setdefault(p.code, len(strings)) for p in payload_ids)
         out += _column(rewrites.setdefault(p.rewrite, len(rewrites)) for p in payload_ids)
         out += _column(len(r) for r in rewrites)
@@ -484,14 +484,12 @@ class FormDictionary:
             rewrites = [Rewrite(islice(pieces, n)) for n in rewrite_lens]
         with _ids_below(n_rewrites, "payload.rewrite_id", "rewrites"):
             payload_rewrites = list(map(rewrites.__getitem__, rewrite_ids))
-        with _ids_below(n_strings, "payload.tag string id", "strings"):
-            tag_of = {tag: string(tag >> 1) for tag in set(tags)}     # per distinct payload.tag: the tag string
-        standalone_of = {tag: tag & 1 == 1 for tag in tag_of}
-        for tag in set(tag_of.values()):
-            FeatureBundle.from_tag(tag)  # a malformed tag raises ValueError here, not at lookup
+        with _ids_below(n_strings, "payload.tag string id", "strings"):     # a malformed tag raises here, once
+            features_of = {tag: FeatureBundle.from_tag(string(tag >> 1)) for tag in set(tags)}
+        standalone_of = {tag: tag & 1 == 1 for tag in features_of}
         with _ids_below(n_strings, "payload string id", "strings"):     # tuple.__new__: no Python-level call per record
             payloads = list(map(tuple.__new__, repeat(Payload), zip(payload_rewrites, map(string, codes),
-                                map(tag_of.__getitem__, tags), map(standalone_of.__getitem__, tags))))
+                                map(features_of.__getitem__, tags), map(standalone_of.__getitem__, tags))))
         with _ids_below(n_payloads, "setref.payload_id", "payloads"):
             members = map(payloads.__getitem__, refs)
             set_contents = [tuple(islice(members, n)) for n in set_lens]
@@ -580,19 +578,19 @@ def _form_order(form: str, payloads: tuple) -> tuple:
     the sooner, and then alphabetically."""
     def key(p):
         lemma = p.rewrite.apply(form)
-        return (p.code, p.tag, -common_prefix_length(form, lemma), lemma, not p.standalone)
+        return (p.code, p.features.tag(), -common_prefix_length(form, lemma), lemma, not p.standalone)
 
     return tuple(sorted(payloads, key=key))
 
 
 def _reach_and_tie(payloads) -> tuple[int, bool]:
     """The reach of a sorted payload set's rewrites, and whether two of its
-    payloads share a code and tag."""
-    reach, tied, code, tag = 0, False, None, None
-    for rewrite, next_code, next_tag, _ in payloads:
+    payloads share a code and features."""
+    reach, tied, code, features = 0, False, None, None
+    for rewrite, next_code, next_features, _ in payloads:
         reach = max(reach, rewrite.reach)
-        tied = tied or (next_code == code and next_tag == tag)
-        code, tag = next_code, next_tag
+        tied = tied or (next_code == code and next_features == features)
+        code, features = next_code, next_features
     return reach, tied
 
 
@@ -710,7 +708,7 @@ def fill_lexicon(lex: "LexiconFile", registry: "ClassRegistry") -> tuple[list[tu
             payload = records.get(record)
             if payload is None:
                 pieces = ((0, ~record[0], record[1]),) if rewrite is None else record[0]
-                payload = records[record] = Payload(rewrites[pieces], code, tag, standalone)
+                payload = records[record] = Payload(rewrites[pieces], code, features, standalone)
             payloads.append(payload)
         return payloads
 

@@ -66,9 +66,6 @@ class Reading(namedtuple("Reading", "segments noun shown")):
 
     __slots__ = ()
 
-    def show(self) -> str:
-        return self.shown
-
 
 class SegmentLattice(namedtuple("SegmentLattice", "token readings", defaults=((),))):
     __slots__ = ()
@@ -77,14 +74,11 @@ class SegmentLattice(namedtuple("SegmentLattice", "token readings", defaults=(()
         return bool(self.readings)
 
 
-@lru_cache(maxsize=2048)
-def _fits(tag: str, standalone: bool, prep: bool, det: bool, pro: bool) -> bool:
-    """Whether a payload's noun may stand in a split of this shape.  Every
-    loaded tag is valid, and 120 tags by 2 flags by 8 shapes fit the cache."""
-    f = FeatureBundle.from_tag(tag)
-    if (prep and f.case != "G") or det != (f.definiteness == "D"):
+def _fits(features: FeatureBundle, standalone: bool, prep: bool, det: bool, pro: bool) -> bool:
+    """Whether a payload's noun may stand in a split of this shape."""
+    if (prep and features.case != "G") or det != (features.definiteness == "D"):
         return False
-    return f.definiteness == "a" and f.pro_compat if pro else standalone
+    return features.definiteness == "a" and features.pro_compat if pro else standalone
 
 
 #: Distinct (token, mode) pairs whose lattice each dictionary remembers.
@@ -129,11 +123,11 @@ def _segment(token: str, dictionary: FormDictionary, mode: str, inventory: Cliti
             noun, (pro, tail) = token[start:end], ends[end]
             for clitics, head, prep, det in splits:
                 for p in payloads_by_rank[rank]:
-                    if _fits(p.tag, p.standalone, prep, det, end < n):
+                    if _fits(p.features, p.standalone, prep, det, end < n):
                         analysis = dictionary.analysis(form, p)
                         shown = f"{head}{noun}/N{tail}"
                         reading = Reading((*clitics, Segment(noun, "N", analysis), *pro), analysis, shown)
-                        readings.setdefault((shown, p.code, analysis.lemma, p.tag), reading)
+                        readings.setdefault((shown, p.code, analysis.lemma, p.features), reading)
     ordered = tuple(readings.values())
     if len(ordered) > 1:
         ordered = tuple(sorted(ordered, key=lambda r: (len(r.segments), r.shown, r.noun.code)))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from taksir import compile_lexicon, load_registry, load_seed
 from taksir.codes import HAMZA
+from taksir.features import FeatureBundle
 from taksir.formdict import FormDictionary, Payload, Unit
 from taksir.lexicon import LexicalEntry
 from taksir.rewrite import Rewrite
@@ -17,7 +18,12 @@ def tail(drop: int, append: str) -> Rewrite:
     return Rewrite(((0, ~drop, append),))
 
 
-PAYLOAD = Payload(tail(0, ""), "$N300-m-FvEvL-FuEuL-123", "N:q:i:G", True)
+PAYLOAD = Payload(tail(0, ""), "$N300-m-FvEvL-FuEuL-123", FeatureBundle.from_tag("N:q:i:G"), True)
+
+
+def tagged(tag: str) -> Payload:
+    """``PAYLOAD`` with the features of ``tag``."""
+    return PAYLOAD._replace(features=FeatureBundle.from_tag(tag))
 
 
 def word_units(words: dict[str, list[Payload]]) -> list[tuple[str, Unit]]:
@@ -306,7 +312,7 @@ def retagged_artifact(tag: str) -> bytes:
     """The artifact of the one word "ab" with its one tag rewritten.  Tags
     are interned first, so the tag is string 0."""
     artifact = Artifact.decode(FormDictionary.build(word_units({"ab": [PAYLOAD]})).to_bytes())
-    old = len(PAYLOAD.tag.encode("utf-8"))
+    old = len(PAYLOAD.features.tag().encode("utf-8"))
     artifact.columns["string.length"][0] = len(tag.encode("utf-8"))
     artifact.strings = tag.encode("utf-8") + artifact.strings[old:]
     return artifact.encode()
@@ -325,7 +331,7 @@ def overreaching_artifact(stop: int) -> bytes:
 def repeated_label_artifact() -> bytes:
     """The artifact of {"ab", "ac"} with the label c rewritten to b: the
     state after "a" then holds two arcs labelled b."""
-    words = {"ab": [PAYLOAD], "ac": [PAYLOAD._replace(tag="N:q:i:A")]}
+    words = {"ab": [PAYLOAD], "ac": [tagged("N:q:i:A")]}
     artifact = Artifact.decode(FormDictionary.build(word_units(words)).to_bytes())
     labels = artifact.columns["trans.label"]
     labels[labels.index(ord("c"))] = ord("b")

@@ -79,7 +79,7 @@ def main(argv: list[str]) -> int:
     queries = sample_queries(rng, [surface for surface, _ in forms], QUERIES // 5)
     bad = []
     for query, mode in queries:
-        want = sorted((s, p.code, p.tag, p.standalone)
+        want = sorted((s, p.code, p.features.tag(), p.standalone)
                       for s, p in linear_scan(by_skeleton.get(bn.strip_diacritics(query), ()), query, mode))
         got = sorted((a.surface, a.code, a.features.tag(), a.standalone) for a in dictionary.lookup(query, mode))
         if got != want:

@@ -49,7 +49,8 @@ class Reference:
                         if len(prefix) + len(noun) + len(pro or "") != len(token) or not noun:
                             continue
                         for form, p in self.matches(noun, mode):
-                            parts = p.tag.split(":")
+                            feature_tag = p.features.tag()
+                            parts = feature_tag.split(":")
                             definiteness, case, pro_compat = parts[2], parts[3], parts[4:] == ["+pro"]
                             if prep is not None and case != "G":
                                 continue
@@ -64,8 +65,8 @@ class Reference:
                             shown = "+".join(segments)
                             lemma = "".join(form[start: stop if stop >= 0 else len(form) + stop + 1] + literal
                                             for start, stop, literal in p.rewrite)
-                            line = f"{token}\t{shown}\t{lemma},{p.code}\t{p.tag}"
-                            readings.setdefault((shown, p.code, lemma, p.tag), (len(segments), shown, p.code, line))
+                            line = f"{token}\t{shown}\t{lemma},{p.code}\t{feature_tag}"
+                            readings.setdefault((shown, p.code, lemma, feature_tag), (len(segments), shown, p.code, line))
         return [line for *_, line in sorted(readings.values(), key=lambda r: r[:3])]
 
 

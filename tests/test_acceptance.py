@@ -59,7 +59,7 @@ def test_03_figure_reproduction(compiled):
     }
     for token, (decomposition, (number, definiteness, case, pro)) in cases.items():
         lattice = segment(token, compiled, "diacritic-optional")
-        assert [r.show() for r in lattice.readings] == [decomposition], token
+        assert [r.shown for r in lattice.readings] == [decomposition], token
         f = lattice.readings[0].noun.features
         assert (f.number, f.definiteness, f.case, f.pro_compat) == (number, definiteness, case, pro)
     report(3, "all four figure tokens segment to the published decompositions")
@@ -143,7 +143,7 @@ def test_06_dictionary_round_trip(compiled, seed, registry):
     for _ in range(250):
         queries.append((bn.strip_diacritics(rng.choice(surfaces))[::-1] or "b", "diacritic-optional"))
     for query, mode in queries:
-        want = sorted((s, p.code, p.tag, p.standalone) for s, p in linear_scan(forms, query, mode))
+        want = sorted((s, p.code, p.features.tag(), p.standalone) for s, p in linear_scan(forms, query, mode))
         got = sorted((a.surface, a.code, a.features.tag(), a.standalone) for a in compiled.lookup(query, mode))
         assert got == want, (query, mode)
 

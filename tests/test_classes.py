@@ -83,7 +83,13 @@ class TestParseRegistry:
         # Loaded, this row made every entry of its class die with an
         # IndexError in apply_root_code: G had no radical to geminate.
         ("N300-FvEvL-FuEuL-G\tabc\ttriptote\ttriptote\n", "line 1: G in root code 'G' has no radical before it to geminate"),
-    ], ids=["fields", "paradigm", "duplicate", "key", "tag", "label", "singular paradigm", "lone G"])
+        # Loaded, these rows could never be resolved: class_key is built
+        # from the canonical parsed singular code.
+        ("N300-XYZ-FuEuL-123\t1u2u3\ttriptote\ttriptote\n", "line 1: bad character 'X' in singular-pattern code 'XYZ'"),
+        ("N300-fvevl-FuEuL-123\t1u2u3\ttriptote\ttriptote\n", "line 1: singular-pattern code fvevl is not written as FvEvL"),
+        ("N200-FvEvL-FuEuL-123\t1u2u3\ttriptote\ttriptote\n", "line 1: class tag N200 expects 2 slots but FvEvL has 3"),
+    ], ids=["fields", "paradigm", "duplicate", "key", "tag", "label", "singular paradigm", "lone G",
+            "malformed singular", "singular not canonical", "singular arity"])
     def test_malformed_row_refused(self, text, message):
         with pytest.raises(ValueError) as err:
             parse_registry(text)

@@ -18,6 +18,7 @@ from lookup_reference import linear_scan, ref_optional_match, sample_queries
 from taksir import bn
 from taksir.classes import parse_registry
 from taksir.codes import HAMZA, parse_code
+from taksir.features import FeatureBundle
 from taksir.formdict import FormDictionary, Unit, compile_lexicon, fill_lexicon
 from taksir.paradigm import RowTable
 from taksir.rewrite import Rewrite
@@ -26,7 +27,7 @@ from taksir.lexicon import LexicalEntry, LexiconFile, load_seed, parse_lexicon
 from conftest import (HEADER, ID_FIELDS, PAYLOAD, SEED_SLOTS, STRONG, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT,
                       V4_ARTIFACT, V5_ARTIFACT, Artifact, corrupt_id, cyclic_artifact, misflagged_artifact, narrowest,
                       overreaching_artifact, repeated_label_artifact, retagged_artifact, seed_variant, seed_variants, tail,
-                      word_units)
+                      tagged, word_units)
 
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
@@ -183,7 +184,7 @@ class TestCompileOracle:
                     lemma = d.analysis(form, p).lemma
                     shared = next((i for i, (a, b) in enumerate(zip(form, lemma)) if a != b),
                                   min(len(form), len(lemma)))
-                    keys.append((p.code, p.tag, -shared, lemma, not p.standalone))
+                    keys.append((p.code, p.features.tag(), -shared, lemma, not p.standalone))
                 assert keys == sorted(keys), form
                 tied += len({key[:2] for key in keys}) < len(keys)
         assert [a.lemma for a in pair.lookup("kutubFA")] == ["kutaAob", "kitaAob"] and tied
@@ -299,7 +300,7 @@ class TestUnitBuild:
         build_both_ways(units)
 
     def test_bases_of_one_letter_and_none(self):
-        payloads = [PAYLOAD._replace(tag=tag) for tag in ("N:q:i:N", "N:q:i:A", "N:q:i:G", "N:q:a:N")]
+        payloads = [tagged(tag) for tag in ("N:q:i:N", "N:q:i:A", "N:q:i:G", "N:q:a:N")]
         k = unit([(0, "u"), (0, "a"), (0, "aAni"), (1, "ayo")], payloads, end="t")
         assert (k.head, k.tails) == ("", ("ayo", "ta", "taAni", "tu"))
         dual = unit([(0, "aAni"), (0, "ayo")], payloads[2:])
@@ -321,7 +322,7 @@ class TestUnitBuild:
         # The states of the word abx below the divergence at a are frozen
         # when the base ac comes; the sub-automaton of ac's tails, built
         # before them, would be numbered before them too.
-        u = unit([(0, "u"), (0, "a")], [PAYLOAD, PAYLOAD._replace(tag="N:q:i:A")])
+        u = unit([(0, "u"), (0, "a")], [PAYLOAD, tagged("N:q:i:A")])
         d = build_both_ways(word_units({"abx": [PAYLOAD]}) + [("ac", u)])
         assert [s for s, _ in d.forms()] == ["abx", "aca", "acu"]
 
@@ -366,7 +367,7 @@ class TestOracle:
             expected = linear_scan(form_list, query, mode)
             hits = compiled.lookup(query, mode)
             got_keys = sorted((a.surface, a.code, a.features.tag(), a.standalone) for a in hits)
-            want_keys = sorted((s, p.code, p.tag, p.standalone) for s, p in expected)
+            want_keys = sorted((s, p.code, p.features.tag(), p.standalone) for s, p in expected)
             assert got_keys == want_keys, (query, mode)
 
     def test_round_trip_every_form(self, compiled, form_list):
@@ -758,15 +759,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="a trans.target is not below the state it leaves"):
             FormDictionary.from_bytes(cyclic_artifact())
 
-    def test_malformed_tag_rejected_at_load(self):
-        data = FormDictionary.build(word_units({"a": [PAYLOAD._replace(tag="junk")]})).to_bytes()
-        with pytest.raises(ValueError, match="malformed feature tag 'junk'"):
-            FormDictionary.from_bytes(data)
+    def test_payloads_hold_interned_bundles(self, compiled):
+        # The row tables' bundles when built, each stored tag's when loaded.
+        for dictionary in (compiled, FormDictionary.from_bytes(compiled.to_bytes())):
+            bundles = {id(p.features): p.features for payloads in dictionary.payloads_by_rank for p in payloads}
+            assert len(bundles) > 50
+            for features in bundles.values():
+                assert features is FeatureBundle.from_tag(features.tag())
 
-    @pytest.mark.parametrize("tag", ["N:q:zz:yy", "N:xs:i:N", "N:mz:i:N", "N:s:x:N", "N:s:i:x", "N:s:a:G:pro",
+    @pytest.mark.parametrize("tag", ["junk", "N:q:zz:yy", "N:xs:i:N", "N:mz:i:N", "N:s:x:N", "N:s:i:x", "N:s:a:G:pro",
                                      "N:s:a:G:+PRO", "N::i:N", "N:q:i:N:"])
     def test_tag_value_outside_the_inventory_rejected_at_load(self, tag):
-        with pytest.raises(ValueError, match="malformed feature tag"):
+        with pytest.raises(ValueError, match=f"^malformed feature tag {re.escape(repr(tag))}$"):
             FormDictionary.from_bytes(retagged_artifact(tag))
 
     @pytest.mark.parametrize("tag", ["N:q:i:G", "N:ms:D:N", "N:fd:a:A:+pro", "N:p:a:G"])
@@ -828,7 +832,7 @@ class TestTokens:
                           for i, p in zip(s, payloads))
 
     def test_shared_unit_stores_its_tuple_once(self):
-        payloads = [PAYLOAD._replace(tag=tag) for tag in ("N:q:i:N", "N:q:i:A", "N:q:i:G")]
+        payloads = [tagged(tag) for tag in ("N:q:i:N", "N:q:i:A", "N:q:i:G")]
         u = unit([(0, "u"), (0, "a"), (0, "i")], payloads)
         artifact = Artifact.decode(build_both_ways([("kutub", u), ("rusul", u)]).to_bytes())
         assert artifact.columns["token.tuple_id"] == [0, 0]
@@ -854,7 +858,7 @@ class TestLookupFuzz:
         @settings(max_examples=200, deadline=None)
         @given(st.text(alphabet="EuqodapAlbwk" + "iKN", min_size=1, max_size=10))
         def run(query):
-            want = sorted((s, p.code, p.tag, p.standalone) for s, p in linear_scan(form_list, query, "diacritic-optional"))
+            want = sorted((s, p.code, p.features.tag(), p.standalone) for s, p in linear_scan(form_list, query, "diacritic-optional"))
             got = sorted((a.surface, a.code, a.features.tag(), a.standalone) for a in compiled.lookup(query, "diacritic-optional"))
             assert got == want
 
@@ -869,7 +873,7 @@ class TestLoaderFuzz:
     def test_mutated_artifacts_raise_value_error_or_load(self, compiled):
         small = FormDictionary.build(word_units({
             "ab": [PAYLOAD, PAYLOAD._replace(rewrite=Rewrite(((0, 1, "i"), (1, 2, ""))))],
-            "b": [PAYLOAD, PAYLOAD._replace(rewrite=tail(1, ""), tag="N:q:i:A")]}))
+            "b": [PAYLOAD, tagged("N:q:i:A")._replace(rewrite=tail(1, ""))]}))
         artifacts = [small.to_bytes(), compiled.to_bytes()]
 
         @settings(max_examples=400, deadline=None)
@@ -943,7 +947,7 @@ class TestPluralSharing:
     def q_payloads(self, registry, entries) -> set:
         d, failures = compile_lexicon(LexiconFile(entries), registry)
         assert not failures, failures
-        return {p for s in d.payloads_by_rank for p in s if p.tag.split(":")[1] == "q"}
+        return {p for s in d.payloads_by_rank for p in s if p.features.number == "q"}
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -972,7 +976,7 @@ class TestPluralSharing:
 
 class TestSharing:
     def test_equal_payload_sets_share_one_tuple(self):
-        other = PAYLOAD._replace(tag="N:q:i:A")
+        other = tagged("N:q:i:A")
         d = FormDictionary.build(word_units({"a": [PAYLOAD, other], "b": [other, PAYLOAD, other], "c": [other]}))
         a, b, c = d.payloads_by_rank
         assert a == (other, PAYLOAD) and a is b and c == (other,)   # tag A sorts before G

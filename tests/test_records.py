@@ -21,7 +21,7 @@ def tag_fields(tag: str) -> tuple:
 
 
 def test_bundle_equals_the_bundle_of_its_tag(compiled):
-    tags = {payload.tag for payloads in compiled.payloads_by_rank for payload in payloads}
+    tags = {payload.features.tag() for payloads in compiled.payloads_by_rank for payload in payloads}
     assert len(tags) > 50
     for tag in tags:
         bundle, interned = FeatureBundle(*tag_fields(tag)), FeatureBundle.from_tag(tag)

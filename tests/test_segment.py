@@ -1,5 +1,6 @@
 import random
 import weakref
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ MODES = ("strict", "diacritic-optional")
 
 
 def reading_strings(lattice):
-    return sorted(r.show() for r in lattice.readings)
+    return sorted(r.shown for r in lattice.readings)
 
 
 def fresh(dictionary):
@@ -117,6 +118,26 @@ class TestSegmentation:
                     assert got == expected, (token, mode, memo)
         assert dictionary.segment_memo.cache_info().hits == len(tokens) * len(MODES)
 
+    def test_loaded_dictionary_parses_no_tag(self, compiled, monkeypatch):
+        # Loading parses each stored tag once; segmenting, lookup and listing
+        # then read the payloads' bundles.
+        dictionary = fresh(compiled)
+        tokens = ["liEuquwdK", "AlminoTaqapi", "OasmaAkihaA", "OanoMiTatihaA", "wabiEuqadK", "biAlEuqadi",
+                  "faAlkutubi", "EuqodatuhaA", "kaAotibaAhaA", "xyzzy"]
+        forms = [form for form, _ in islice(compiled.forms(), 0, None, 17)]
+        want = ({mode: [lines(t, segment(t, compiled, mode, load_clitics())) for t in tokens] for mode in MODES},
+                [compiled.lookup(form) for form in forms], compiled.dump_text())
+
+        def refuse(cls, tag):
+            raise AssertionError(f"tag {tag!r} parsed after load")
+
+        monkeypatch.setattr(FeatureBundle, "from_tag", classmethod(refuse))
+        got = ({mode: [lines(t, segment(t, dictionary, mode)) for t in tokens] for mode in MODES},
+               [dictionary.lookup(form) for form in forms], dictionary.dump_text())
+        assert got == want
+        unknown = {mode: [t for t, out in zip(tokens, got[0][mode]) if out == [f"{t}\tUNK"]] for mode in MODES}
+        assert unknown == {"strict": ["liEuquwdK", "OasmaAkihaA", "xyzzy"], "diacritic-optional": ["xyzzy"]}
+
     def test_clitic_inventory_loaded_once(self):
         assert load_clitics() is load_clitics()
 
@@ -139,7 +160,7 @@ def small():
     of SMALL_TAGS; forms kab and kub share a skeleton, and lemmas that drop
     the whole form make equal readings of different forms."""
     def payloads(word):
-        return [Payload(tail(len(word), "X") if i % 2 else tail(0, ""), f"$c{i % 2}", tag,
+        return [Payload(tail(len(word), "X") if i % 2 else tail(0, ""), f"$c{i % 2}", FeatureBundle.from_tag(tag),
                         not tag.endswith("+pro"))
                 for i, tag in enumerate(SMALL_TAGS)]
     words = ["k", "a", "b", "h", "u", "y", "ka", "bi", "hu", "ya", "Al", "wa", "kab", "kub", "kb", "kabu", "kaAhu"]
