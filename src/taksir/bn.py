@@ -5,13 +5,14 @@ Arabic codepoint, upper/lower case distinguishing independent letters.  The
 mapping lives in ``data/bn_table.txt`` so it can be audited line by line.
 Whitespace and ASCII punctuation pass through both ways; anything else
 (presentation forms, tatweel, digits) is rejected rather than normalized,
-which keeps the codec bijective.
+which keeps the codec bijective.  One ``str.translate`` pass decides: its
+result is ASCII exactly when the codec knows every character.
 """
 
 import functools
 from collections import namedtuple
 
-from .errors import InvalidBnChar, UnmappedCodepoint, data_rows, data_text
+from .errors import DataError, InvalidBnChar, UnmappedCodepoint, data_rows, data_text
 
 #: The silent diacritic (sukun): rules out a non-scripted short vowel.
 SILENT = "o"
@@ -30,10 +31,10 @@ HAMZA_LETTERS = frozenset("cCOWIe")
 _PASSTHROUGH = frozenset(" \t\n.,;:!?()[]\"'-_/0123456789")
 
 
-class _Codec(namedtuple("_Codec", "ar2bn bn2ar translation known basic_letters alphabet")):
+class _Codec(namedtuple("_Codec", "ar2bn bn2ar translation basic_letters alphabet")):
     """The codec table both ways; ``translation`` is ar2bn as a
-    str.translate table, and ``known`` what to_bn takes: the table's Arabic
-    and the passthrough."""
+    str.translate table that also sends each ASCII character outside the
+    passthrough to a non-ASCII sentinel."""
 
     __slots__ = ()
 
@@ -44,12 +45,15 @@ def _codec() -> _Codec:
     CLI reports it, not at import."""
     ar2bn: dict[str, str] = {}
     bn2ar: dict[str, str] = {}
-    for _, (hexpoint, latin) in data_rows(data_text("bn_table.txt"), "codec table", 2):
+    for lineno, (hexpoint, latin) in data_rows(data_text("bn_table.txt"), "codec table", 2):
         arabic = chr(int(hexpoint, 16))
+        if arabic.isascii() or not (len(latin) == 1 and latin.isascii() and latin.isalpha()):
+            raise DataError("codec table", lineno, "expected a non-ASCII code point and one ASCII letter")
         ar2bn[arabic] = latin
         bn2ar[latin] = arabic
     basic = frozenset(c for c in bn2ar if c not in DIACRITICS)
-    return _Codec(ar2bn, bn2ar, str.maketrans(ar2bn), frozenset(ar2bn) | _PASSTHROUGH, basic, basic | DIACRITICS)
+    unknown = dict.fromkeys((chr(i) for i in range(128) if chr(i) not in _PASSTHROUGH), "\ufffd")
+    return _Codec(ar2bn, bn2ar, str.maketrans(ar2bn | unknown), basic, basic | DIACRITICS)
 
 
 def __getattr__(name: str):
@@ -78,18 +82,19 @@ def is_diacritic(c: str) -> bool:
 
 def to_bn(text: str) -> str:
     """Transliterate Arabic script, character by character."""
-    codec = _codec()
-    if codec.known.issuperset(text):
-        return text.translate(codec.translation)
-    i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in codec.known)
+    latin = text.translate(_codec().translation)
+    if latin.isascii():
+        return latin
+    ar2bn = _codec().ar2bn
+    i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in ar2bn and ch not in _PASSTHROUGH)
     raise UnmappedCodepoint(ch, i)
 
 
 def to_bn_if_known(text: str) -> str:
     """``to_bn`` of a text whose every character the codec knows; any other
     text as written (no dictionary form can match it, so it is UNK)."""
-    codec = _codec()
-    return text.translate(codec.translation) if codec.known.issuperset(text) else text
+    latin = text.translate(_codec().translation)
+    return latin if latin.isascii() else text
 
 
 def to_arabic(text: str) -> str:

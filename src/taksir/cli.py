@@ -6,7 +6,6 @@ transliteration by default; --arabic switches display only, never storage.
 The commands that run the generator import it themselves, so reading does not.
 """
 
-import argparse
 import os
 import sys
 import time
@@ -207,6 +206,7 @@ def _mask(text: str) -> str:
     try:
         parse_mask(text)
     except ValueError as exc:
+        import argparse
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
@@ -217,7 +217,8 @@ def _add_mode(p):
                    help="lookup mode; 'optional' is short for diacritic-optional")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse     # with gettext and re: a library user of tokenize needs none of them
     parser = argparse.ArgumentParser(prog="taksir", description="Arabic broken-plural morphology toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

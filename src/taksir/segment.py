@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 from .errors import DataError, data_rows, data_text
 from .features import FeatureBundle
-from .formdict import FormDictionary
+from .formdict import Analysis, FormDictionary
 
 
 class CliticInventory(namedtuple("CliticInventory", "conjunctions prepositions determiner pronouns")):
@@ -103,7 +103,8 @@ def segment(token: str, dictionary: FormDictionary, mode: str = "strict",
 
 def _segment(token: str, dictionary: FormDictionary, mode: str, inventory: CliticInventory) -> SegmentLattice:
     """One walk per noun start, that is per prefix the token starts with;
-    each walk finds the nouns that end the token or a pronoun it ends with."""
+    each walk finds the nouns that end the token or a pronoun it ends with.
+    A reading is made, by tuple.__new__, only for a fitting payload that no earlier one repeats."""
     prefixes, prefix_lengths, pronouns, pronoun_lengths = inventory.affixes
     n = len(token)
     ends = {n: ((), "")}        # where a noun may end -> the segments and shown tail after it
@@ -112,6 +113,7 @@ def _segment(token: str, dictionary: FormDictionary, mode: str, inventory: Cliti
         if pro is not None:
             ends[n - length] = pro
     payloads_by_rank = dictionary.payloads_by_rank
+    new = tuple.__new__
     readings = {}
     for start in prefix_lengths:
         splits = prefixes.get(token[:start]) if start < n else None
@@ -120,18 +122,22 @@ def _segment(token: str, dictionary: FormDictionary, mode: str, inventory: Cliti
         for end, form, rank in dictionary.walk(token, start, ends, mode):
             if end == start:
                 continue        # a form of skipped diacritics alone: no noun
-            noun, (pro, tail) = token[start:end], ends[end]
+            noun, (pro, tail), has_pro = token[start:end], ends[end], end < n
             for clitics, head, prep, det in splits:
-                for p in payloads_by_rank[rank]:
-                    if _fits(p.features, p.standalone, prep, det, end < n):
-                        analysis = dictionary.analysis(form, p)
-                        shown = f"{head}{noun}/N{tail}"
-                        reading = Reading((*clitics, Segment(noun, "N", analysis), *pro), analysis, shown)
-                        readings.setdefault((shown, p.code, analysis.lemma, p.features), reading)
+                shown = None
+                for rewrite, code, features, standalone in payloads_by_rank[rank]:
+                    if not _fits(features, standalone, prep, det, has_pro):
+                        continue
+                    shown = shown or f"{head}{noun}/N{tail}"
+                    lemma = rewrite.apply(form)
+                    key = (shown, code, lemma, features)
+                    if key not in readings:
+                        analysis = new(Analysis, (form, lemma, code, features, standalone))
+                        readings[key] = new(Reading, ((*clitics, new(Segment, (noun, "N", analysis)), *pro), analysis, shown))
     ordered = tuple(readings.values())
     if len(ordered) > 1:
         ordered = tuple(sorted(ordered, key=lambda r: (len(r.segments), r.shown, r.noun.code)))
-    return SegmentLattice(token, ordered)
+    return new(SegmentLattice, (token, ordered))
 
 
 def format_reading(token: str, reading: Reading) -> str:

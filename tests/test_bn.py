@@ -122,3 +122,24 @@ def test_to_bn_matches_the_character_loop(text):
         assert (err.value.char, err.value.position, str(err.value)) == (exc.char, exc.position, str(exc))
     else:
         assert bn.to_bn(text) == expected
+
+
+def test_one_pass_keeps_the_set_rule_over_the_bmp():
+    # Every BMP code point alone, after an Arabic letter and before one: the
+    # one translate pass must give what the set rule gives (transliterate a
+    # text whose every character is the table's Arabic or passthrough, else
+    # keep it as written), and to_bn must refuse exactly where it keeps.
+    known = set(bn._AR2BN) | bn._PASSTHROUGH
+    table = str.maketrans(bn._AR2BN)
+    for text in (t for c in map(chr, range(0x10000)) for t in (c, "ب" + c, c + "ب")):
+        if known.issuperset(text):
+            assert bn.to_bn_if_known(text) == bn.to_bn(text) == text.translate(table), ascii(text)
+            continue
+        assert bn.to_bn_if_known(text) == text, ascii(text)
+        first = min(i for i, ch in enumerate(text) if ch not in known)
+        try:
+            bn.to_bn(text)
+        except UnmappedCodepoint as exc:
+            assert (exc.position, exc.char) == (first, text[first]), ascii(text)
+        else:
+            pytest.fail(f"to_bn took {ascii(text)}")

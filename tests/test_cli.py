@@ -176,7 +176,13 @@ def run_package(path, argv):
     ("clitics.tsv", "det\tAlo", ["analyze", "{text}", "--dict", "{dict}"], "clitic table line {line}: a second det row"),
     ("bn_table.txt", "0700", ["analyze", "{text}", "--dict", "{dict}"],
      "codec table line {line}: expected 2 tab-separated fields"),
-], ids=["classes", "codes", "paradigms", "clitics", "clitics-det", "codec"])
+    # One translate pass tells known text by its ASCII result: the table
+    # must map non-ASCII code points to single ASCII letters.
+    ("bn_table.txt", "0041\tx", ["analyze", "{text}", "--dict", "{dict}"],
+     "codec table line {line}: expected a non-ASCII code point and one ASCII letter"),
+    ("bn_table.txt", "0700\t\u00e9", ["analyze", "{text}", "--dict", "{dict}"],
+     "codec table line {line}: expected a non-ASCII code point and one ASCII letter"),
+], ids=["classes", "codes", "paradigms", "clitics", "clitics-det", "codec", "codec-ascii-point", "codec-latin"])
 def test_refused_data_row_exits_2(name, row, argv, message, dict_path, tmp_path):
     # An unknown clitic kind crashed analyze with a KeyError.
     text = write_text(tmp_path, "kutubu")
@@ -254,6 +260,18 @@ def test_import_leaves_out_dataclasses():
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_import_leaves_out_argparse():
+    # argparse, with the gettext and re it imports, was about a third of a
+    # bare ``import taksir.cli``; only a command line to parse needs it, not
+    # a library user of tokenize.  -X importtime names every module imported.
+    env = {"PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-B", "-X", "importtime", "-c", "import taksir.cli"],
+                          capture_output=True, text=True, env=env)
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+    assert done.returncode == 0 and "taksir.cli" in imported, done.stderr
+    assert not {"argparse", "gettext", "re"} & imported
 
 
 GENERATOR = ["taksir.classes", "taksir.codes", "taksir.lexicon", "taksir.paradigm"]

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from segment_reference import Reference, clitic_chains
 from taksir import bn, cli
-from taksir.formdict import FormDictionary, Payload, compile_lexicon
+from taksir.formdict import Analysis, FormDictionary, Payload, compile_lexicon
 from taksir.lexicon import LexiconFile
 from taksir.paradigm import FeatureBundle, inflect
 from taksir.segment import (
     MEMO_SIZE,
+    Reading,
+    Segment,
+    SegmentLattice,
     check_agreement,
     concordance,
     format_reading,
@@ -147,6 +150,28 @@ class TestSegmentation:
         token, segs, entry, features = line.split("\t")
         assert segs == "Al/DET+minoTaqapi/N"
         assert entry.startswith("minoTaqap,")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_readings_are_the_records_they_name(self, compiled, mode):
+        # Readings are made with tuple.__new__, past the records' own
+        # constructors: each must still be its record, hold the N segment's
+        # analysis as its noun and show its segments as written out.
+        nouns = sorted(surface for surface, _ in compiled.forms())
+        tokens = clitic_chains(random.Random(28), nouns, 400)
+        dictionary = fresh(compiled)
+        built = 0
+        for token in tokens:
+            lattice = segment(token, dictionary, mode)
+            assert type(lattice) is SegmentLattice
+            assert lattice == segment(token, dictionary, mode, inventory=load_clitics())
+            for r in lattice.readings:
+                assert type(r) is Reading and all(type(s) is Segment for s in r.segments)
+                (n,) = [s for s in r.segments if s.tag == "N"]
+                assert type(r.noun) is Analysis and r.noun is n.analysis
+                assert all(s.analysis is None for s in r.segments if s is not n)
+                assert r.shown == "+".join(f"{s.surface}/{s.tag}" for s in r.segments)
+                built += 1
+        assert built > len(tokens) // 10     # most random chains break a constraint
 
 
 #: The tags of the small dictionary below: some fit a preposition, the
