@@ -34,12 +34,13 @@ def _read(path: str) -> str:
 
 
 def _check_lexicon(path: str, registry):
-    """The lexicon and its parse diagnostics, then each entry's."""
+    """An iterator over the lexicon's entries, which alone holds them, and
+    the parse diagnostics, then each entry's."""
     from .lexicon import parse_lexicon, validate_entry
     lex, diagnostics = parse_lexicon(_read(path))
     for entry in lex.entries:
         diagnostics += validate_entry(entry, registry)
-    return lex, diagnostics
+    return iter(lex.entries), diagnostics
 
 
 def _load_dictionary(args) -> FormDictionary:
@@ -72,10 +73,10 @@ def cmd_compile(args) -> int:
     from .classes import load_registry
     from .formdict import compile_lexicon
     registry = load_registry()
-    lex, diagnostics = _check_lexicon(args.lexicon, registry)
+    entries, diagnostics = _check_lexicon(args.lexicon, registry)
     errors = [d for d in diagnostics if d.severity == "error"]
     started = time.perf_counter()
-    dictionary, failures = compile_lexicon(lex, registry)
+    dictionary, failures = compile_lexicon(entries, registry)    # the entries go once the fill has read them
     elapsed = time.perf_counter() - started
     try:
         stats = dictionary.stats(dictionary.save(args.out))
@@ -146,11 +147,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_validate(args) -> int:
     from .classes import load_registry
-    lex, diagnostics = _check_lexicon(args.lexicon, load_registry())
+    entries, diagnostics = _check_lexicon(args.lexicon, load_registry())
     for d in diagnostics:
         print(str(d))
     errors = [d for d in diagnostics if d.severity == "error"]
-    print(f"# {len(lex.entries)} entries, {len(errors)} errors, {len(diagnostics) - len(errors)} warnings")
+    print(f"# {sum(1 for _ in entries)} entries, {len(errors)} errors, {len(diagnostics) - len(errors)} warnings")
     return 1 if errors else 0
 
 

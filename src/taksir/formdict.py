@@ -141,7 +141,9 @@ class FormDictionary:
         with a tied set or a rewrite that reaches past a form; an expanded
         form shorter than its set's reach is refused.
 
-        Forms with equal payload sets share one payload tuple."""
+        Forms with equal payload sets share one payload tuple.  ``units``
+        is any iterable, read once and never changed, and no ``Unit``
+        outlives the isolation pass."""
         shared: dict[frozenset, tuple] = {}     # per distinct set: the tuple, its reach and whether it is tied
 
         def payload_set(members) -> tuple:
@@ -153,17 +155,17 @@ class FormDictionary:
             return known
 
         def unit_sets(unit: Unit):
-            """The unit's payload sets and the base length its rewrites
-            need; None where a set is tied."""
+            """The unit's payload sets, the base length its rewrites need
+            and its tails; None where a set is tied."""
             known = [payload_set(payloads) for payloads in unit.lists]
             if any(tied for _, _, tied in known):
                 return None
             return (tuple(payloads for payloads, _, _ in known),
-                    max(reach - len(t) for (_, reach, _), t in zip(known, unit.tails)))
+                    max(reach - len(t) for (_, reach, _), t in zip(known, unit.tails)), unit.tails)
 
         pairs = sorted(units, key=itemgetter(0))
         sets = {unit: unit_sets(unit) for unit in dict.fromkeys(unit for _, unit in pairs)}
-        entries: dict[str, list | Unit] = {}            # expanded words and isolated bases
+        entries: dict[str, list | tuple] = {}           # expanded words, and isolated bases' unit_sets
         ancestors: list[tuple[str, Unit]] = []          # the earlier bases that are prefixes of this one
         for i, (base, unit) in enumerate(pairs):
             while ancestors and not base.startswith(ancestors[-1][0]):
@@ -172,12 +174,13 @@ class FormDictionary:
             if (base and known and len(base) >= known[1]
                     and not (i + 1 < len(pairs) and pairs[i + 1][0].startswith(base))
                     and not any(t.startswith(base[len(b):]) for b, u in ancestors for t in u.tails)):
-                entries[base] = unit
+                entries[base] = known
             else:
                 for tail, payloads in zip(unit.tails, unit.lists):
                     listed = entries.get(base + tail)
                     entries[base + tail] = payloads if listed is None else listed + payloads
             ancestors.append((base, unit))
+        pairs = sets = ancestors = unit = None      # no Unit outlives the isolation pass
 
         # Two states merge iff finality and labelled successors agree: that
         # is right-language equality in an acyclic automaton.
@@ -234,9 +237,9 @@ class FormDictionary:
             """The items in rank order, ranking payload sets on the way."""
             for key in sorted(entries):
                 value = entries[key]
-                if type(value) is Unit:
-                    payloads_by_rank.extend(sets[value][0])
-                    yield key, value.tails
+                if type(value) is tuple:
+                    payloads_by_rank.extend(value[0])
+                    yield key, value[2]
                     continue
                 payloads, reach, tied = payload_set(value)
                 if reach > len(key):
@@ -250,7 +253,7 @@ class FormDictionary:
         minimal(ranked())
         # Freed before the arc tables are built; minimal calls itself, so
         # only deleting it frees what it holds without the cycle collector.
-        del registry, shared, entries, sets, subs, minimal
+        del registry, shared, entries, subs, minimal
         arcs, _ = _arc_tables([final | len(e) << 2 for final, e in zip(min_final, min_trans)],
                               (ch for e in min_trans for ch, _ in e), [t for e in min_trans for _, t in e])
         return cls(arcs, min_final, payloads_by_rank)
@@ -390,7 +393,10 @@ class FormDictionary:
         out += _column(final | nxt << 1 | len(t) << 2 for final, nxt, t in zip(self.finals, nexts, arcs))
         out += _column(ord(ch) for t in arcs for ch in t)
         out += _column(target for t, nxt in zip(arcs, nexts) for target, _ in islice(t.values(), len(t) - nxt))
-        set_ids = [sets.setdefault(payloads, len(sets)) for payloads in self.payloads_by_rank]
+        # Forms share set tuples, so each distinct object is hashed once, in first-use order.
+        set_of = {key: sets.setdefault(payloads, len(sets))
+                  for key, payloads in {id(payloads): payloads for payloads in self.payloads_by_rank}.items()}
+        set_ids = [set_of[id(payloads)] for payloads in self.payloads_by_rank]
         tokens = [tuples.setdefault(t, len(tuples)) for t in _tokens(arcs, self.finals, set_ids)]
         out += _column(tokens)
         out += _column(map(len, tuples))
@@ -648,17 +654,23 @@ def dictionary_key(form) -> str:
 Failure = tuple["LexicalEntry", TaksirError]
 
 
-def compile_lexicon(lex: "LexiconFile", registry: "ClassRegistry") -> tuple[FormDictionary, list[Failure]]:
+def compile_lexicon(lex: "Iterable[LexicalEntry]", registry: "ClassRegistry") -> tuple[FormDictionary, list[Failure]]:
     """Generate every entry's paradigm and build the automaton.  Entries
     whose generation fails are reported with their error, not fatal; the
-    dictionary is built from the rest."""
+    dictionary is built from the rest.  ``lex`` is any iterable of entries,
+    a ``LexiconFile`` among them, and is never changed.  An iterator's
+    entries are freed once the fill has read them, the units once ``build``
+    has."""
     units, failures = fill_lexicon(lex, registry)
+    units = iter(units)     # build's sort then holds the only list of them
     return FormDictionary.build(units), failures
 
 
-def fill_lexicon(lex: "LexiconFile", registry: "ClassRegistry") -> tuple[list[tuple[str, Unit]], list[Failure]]:
+def fill_lexicon(lex: "Iterable[LexicalEntry]", registry: "ClassRegistry") -> tuple[list[tuple[str, Unit]], list[Failure]]:
     """The ``(base, Unit)`` pairs of every entry's paradigm for
     ``FormDictionary.build``, and ``(entry, error)`` per failed entry.
+    ``lex`` is iterated once and never changed; no entry is kept but a
+    failed one.
 
     Each stem of an entry is filled into its row table: a form's key is
     the stem with the row's cut and tail.  A singular stem (the lemma, or
@@ -712,7 +724,7 @@ def fill_lexicon(lex: "LexiconFile", registry: "ClassRegistry") -> tuple[list[tu
             payloads.append(payload)
         return payloads
 
-    for entry in lex.entries:
+    for entry in lex:
         try:
             singulars, (bp_stem, bp_table), cls = stem_tables(entry, registry, ends)
         except TaksirError as exc:

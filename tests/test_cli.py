@@ -1,8 +1,10 @@
+import gc
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
@@ -16,8 +18,8 @@ from taksir.classes import parse_registry
 from taksir.cli import main
 from taksir.codes import extract_root
 from taksir.errors import UnmappedCodepoint
-from taksir.formdict import FormDictionary
-from taksir.lexicon import load_seed
+from taksir.formdict import FormDictionary, Unit
+from taksir.lexicon import LexicalEntry, load_seed
 
 from conftest import (ID_FIELDS, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT, V4_ARTIFACT, V5_ARTIFACT, corrupt_id,
                       cyclic_artifact, misflagged_artifact, overreaching_artifact, repeated_label_artifact,
@@ -108,6 +110,25 @@ class TestCompile:
                 monkeypatch.setattr(module, "extract_root", counting)
         assert main(["compile", str(SEED_PATH), "--out", str(tmp_path / "seed.primdict")]) == 0
         assert sorted(calls) == sorted(e.lemma for e in load_seed().entries)
+
+    def test_lexicon_and_units_freed_before_the_arc_tables(self, tmp_path, monkeypatch):
+        # Each stage hands its output on: once the fill has read the entries
+        # and build's isolation pass the units, nothing keeps them, so none
+        # is alive when build makes its arc tables.
+        gc.collect()
+        earlier = [o for o in gc.get_objects() if type(o) in (LexicalEntry, Unit)]   # held: their ids stay theirs
+        known, left, arc_tables = set(map(id, earlier)), [], taksir.formdict._arc_tables
+
+        def checked(*args):
+            if not left:
+                gc.collect()
+                left.append(Counter(type(o).__name__ for o in gc.get_objects()
+                                    if type(o) in (LexicalEntry, Unit) and id(o) not in known))
+            return arc_tables(*args)
+
+        monkeypatch.setattr(taksir.formdict, "_arc_tables", checked)
+        assert main(["compile", str(SEED_PATH), "--out", str(tmp_path / "seed.primdict")]) == 0
+        assert left == [Counter()]
 
     def test_compiles_beyond_v1_limits(self, beyond_v1, tmp_path, monkeypatch):
         monkeypatch.setattr(taksir.formdict, "compile_lexicon", lambda lex, registry: (beyond_v1, []))

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import operator
 import os
 import pathlib
 import random
@@ -124,6 +125,23 @@ class TestBuild:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_compile_leaves_the_lexicon_as_it_was(self, registry):
+        lex = load_seed()
+        entries, header = list(lex.entries), list(lex.header)
+        d, _ = compile_lexicon(lex, registry)
+        assert lex.header == header and len(lex.entries) == len(entries)
+        assert all(map(operator.is_, lex.entries, entries))
+        assert compile_lexicon(iter(entries), registry)[0].to_bytes() == d.to_bytes()
+
+    def test_build_twice_from_one_list(self, seed, registry):
+        units, _ = fill_lexicon(seed, registry)
+        pairs = list(units)
+        contents = [(unit.head, unit.tails, [list(payloads) for payloads in unit.lists]) for _, unit in units]
+        data = FormDictionary.build(units).to_bytes()
+        assert FormDictionary.build(units).to_bytes() == data
+        assert len(units) == len(pairs) and all(map(operator.is_, units, pairs))
+        assert [(unit.head, unit.tails, unit.lists) for _, unit in units] == contents
 
     def test_drop_longer_than_its_form_rejected(self):
         with pytest.raises(ValueError, match=r"the lemma rewrite \[0:-9\]\+'x' reaches past the form 'ab'"):
@@ -555,6 +573,13 @@ class TestSerialization:
             assert bool(shape & 2) == (fanout > 0 and targets[at - 1] == state - 1), state
         assert sum(shape & 2 for shape in shapes) > len(shapes) // 2    # over a quarter of the states
         assert FormDictionary.from_bytes(data).to_bytes() == data
+
+    def test_equal_sets_apart_get_one_id(self, compiled):
+        # to_bytes hashes each set object once; equal sets held in separate
+        # tuples still share the id of the first.
+        apart = FormDictionary(compiled.arcs, compiled.finals, [tuple(list(s)) for s in compiled.payloads_by_rank])
+        assert len({id(s) for s in apart.payloads_by_rank}) == len(apart.payloads_by_rank)
+        assert apart.to_bytes() == compiled.to_bytes()
 
     def test_save_load(self, compiled, tmp_path):
         path = tmp_path / "seed.primdict"
