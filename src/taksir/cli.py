@@ -71,7 +71,7 @@ def _display(surface: str, arabic: bool) -> str:
 
 def cmd_compile(args) -> int:
     from .classes import load_registry
-    from .formdict import compile_lexicon
+    from .compiler import compile_lexicon
     registry = load_registry()
     entries, diagnostics = _check_lexicon(args.lexicon, registry)
     errors = [d for d in diagnostics if d.severity == "error"]

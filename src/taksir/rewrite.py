@@ -68,77 +68,3 @@ class CorruptDictionary(ValueError):
 def past_the_form(rewrite: Rewrite, form: str) -> CorruptDictionary:
     return CorruptDictionary(f"corrupt dictionary: the lemma rewrite {rewrite} reaches past the form {form!r} "
                              "that carries it")
-
-
-def common_prefix_length(a: str, b: str) -> int:
-    # A plain loop: os.path.commonprefix costs about four times as much on
-    # these short strings.
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-class RewritePool(dict):
-    """One Rewrite per distinct list of pieces, made on first lookup."""
-
-    def __missing__(self, pieces: tuple) -> Rewrite:
-        rewrite = self[pieces] = Rewrite(pieces)
-        return rewrite
-
-
-def cut_pieces(rewrite: Rewrite, stem: str, lemma: str, kept: int, tail: str) -> tuple:
-    """The stem's rewrite for the word ``stem[:kept] + tail``: a copy past
-    what the word shares with the stem becomes a literal of the letters it
-    copied."""
-    word = stem[:kept] + tail
-    if word.startswith(stem[: rewrite.reach]):     # it keeps every copied letter
-        return rewrite
-    kept = common_prefix_length(word, stem)
-    source, i = {}, 0       # lemma index -> stem index
-    for start, stop, literal in rewrite:
-        for at in range(start, min(stop, kept)):
-            source[i + at - start] = at
-        i += stop - start + len(literal)
-    return _pieces(lemma, source)
-
-
-def radical_rewrite(entry, stem: str, copies: tuple, length: int) -> tuple:
-    """The pieces of the entry's own stem-to-lemma rewrite: each radical of
-    the lemma that the plural keeps is copied from where the template put
-    it (``copies`` and ``length``, the class's ``radical_copies``), every
-    other letter of the lemma is a literal.  A radical is copied only where
-    the stem spells it as the lemma does, so the pieces always give back
-    the lemma.  A madda contraction shortens the stem and moves the
-    radicals after it back, so each is looked for there too."""
-    lemma, positions = entry.lemma, entry.sg_root.positions
-    if "C" in lemma:    # radical positions count each madda C as four letters
-        index = [i for i, c in enumerate(lemma) for _ in range(4 if c == "C" else 1)]
-        positions = [index[p - 1] + 1 for p in positions]
-    source: dict[int, int] = {}     # lemma index -> stem index
-    for k, slot in copies:
-        i = positions[k - 1] - 1
-        for at in (slot, slot + len(stem) - length):
-            if 0 <= at < len(stem) and stem[at] == lemma[i]:
-                source.setdefault(i, at)
-    return _pieces(lemma, source)
-
-
-def _pieces(lemma: str, source: dict[int, int]) -> tuple:
-    """The pieces that spell the lemma, copying each letter that ``source``
-    maps to an index of the form and writing every other as a literal."""
-    pieces: list[list] = []
-    for i, letter in enumerate(lemma):
-        at = source.get(i)
-        if at is None:
-            if pieces:
-                pieces[-1][2] += letter
-            else:
-                pieces.append([0, 0, letter])
-        elif pieces and pieces[-1][1] == at and not pieces[-1][2]:
-            pieces[-1][1] += 1
-        else:
-            pieces.append([at, at + 1, ""])
-    return tuple(map(tuple, pieces))

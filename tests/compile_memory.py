@@ -11,7 +11,7 @@ own stdout above it, and exits 1 when the peak is above ``CEILING_MIB``.
 import sys
 import tracemalloc
 
-from taksir import cli, classes, codes, formdict, lexicon, paradigm, rewrite  # noqa: F401
+from taksir import cli, classes, codes, compiler, formdict, lexicon, paradigm, rewrite  # noqa: F401
 
 #: For bench lexicon 7 at 20,000 entries, which peaks at 22.0 MiB under
 #: Python 3.11.7 and 23.2 MiB under 3.10.13, and at 37.0 MiB when the lexicon

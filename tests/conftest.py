@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from taksir import compile_lexicon, load_registry, load_seed
 from taksir.codes import HAMZA
 from taksir.features import FeatureBundle
-from taksir.formdict import FormDictionary, Payload, Unit
+from taksir.compiler import Unit
+from taksir.formdict import FormDictionary, Payload
 from taksir.lexicon import LexicalEntry
 from taksir.rewrite import Rewrite
 

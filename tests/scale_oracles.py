@@ -20,7 +20,8 @@ from lookup_reference import linear_scan, sample_queries
 from segment_reference import Reference, clitic_chains
 from taksir import bn
 from taksir.classes import load_registry
-from taksir.formdict import FormDictionary, compile_lexicon
+from taksir.compiler import compile_lexicon
+from taksir.formdict import FormDictionary
 from taksir.lexicon import parse_lexicon
 from taksir.segment import format_reading, load_clitics, segment
 

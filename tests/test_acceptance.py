@@ -11,7 +11,7 @@ import pytest
 from taksir import bn
 from taksir.classes import render_bp_stem
 from taksir.codes import apply_root_code, extract_root, parse_code
-from taksir.formdict import compile_lexicon
+from taksir.compiler import compile_lexicon
 from taksir.paradigm import FeatureBundle, form_count, inflect
 from taksir.segment import check_agreement, segment
 

@@ -5,7 +5,7 @@ import pytest
 from taksir.classes import parse_registry, render_bp_stem, resolve_hamza, substitute_madda
 from taksir.codes import HAMZA, SurfaceRoot, apply_root_code, code_tables, extract_root, parse_code
 from taksir.errors import ArityMismatch, UnknownClass
-from taksir.formdict import compile_lexicon
+from taksir.compiler import compile_lexicon
 from taksir.lexicon import parse_lexicon
 
 #: A quadrilateral plural whose fourth radical geminates the third.

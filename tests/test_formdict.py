@@ -19,8 +19,9 @@ from lookup_reference import linear_scan, ref_optional_match, sample_queries
 from taksir import bn
 from taksir.classes import parse_registry
 from taksir.codes import HAMZA, parse_code
+from taksir.compiler import Unit, compile_lexicon, fill_lexicon
 from taksir.features import FeatureBundle
-from taksir.formdict import FormDictionary, Unit, compile_lexicon, fill_lexicon
+from taksir.formdict import FormDictionary
 from taksir.paradigm import RowTable
 from taksir.rewrite import Rewrite
 from taksir.lexicon import LexicalEntry, LexiconFile, load_seed, parse_lexicon

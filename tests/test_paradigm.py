@@ -307,7 +307,7 @@ class TestRowsMatchReference:
 
 
 class TestUnitCacheRule:
-    """formdict.fill_lexicon keeps a unit for reuse only when its base is
+    """compiler.fill_lexicon keeps a unit for reuse only when its base is
     not empty.  Every table is the one of the stem's last letter, the end
     table of its last five letters, which cuts those five, or, for a stem
     that contracts into madda by itself, a table that cuts the whole stem."""

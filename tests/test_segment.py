@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from segment_reference import Reference, clitic_chains
 from taksir import bn, cli
-from taksir.formdict import Analysis, FormDictionary, Payload, compile_lexicon
+from taksir.compiler import compile_lexicon
+from taksir.formdict import Analysis, FormDictionary, Payload
 from taksir.lexicon import LexiconFile
 from taksir.paradigm import FeatureBundle, inflect
 from taksir.segment import (
