@@ -49,6 +49,9 @@ def _codec() -> _Codec:
         arabic = chr(int(hexpoint, 16))
         if arabic.isascii() or not (len(latin) == 1 and latin.isascii() and latin.isalpha()):
             raise DataError("codec table", lineno, "expected a non-ASCII code point and one ASCII letter")
+        if arabic in ar2bn or latin in bn2ar:     # the codec must stay a bijection
+            repeated = f"code point {hexpoint}" if arabic in ar2bn else f"letter {latin}"
+            raise DataError("codec table", lineno, f"duplicate {repeated}")
         ar2bn[arabic] = latin
         bn2ar[latin] = arabic
     basic = frozenset(c for c in bn2ar if c not in DIACRITICS)

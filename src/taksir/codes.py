@@ -111,31 +111,19 @@ class InflectionalCode(namedtuple("InflectionalCode", "class_tag gender_flag sg_
         return self.text
 
 
-class SurfaceRoot:
-    """Ordered radicals of a stem; glottal stop stored abstractly.  ``len``
-    counts the radicals, so this is no named tuple: roots compare and hash
-    by their fields, which cannot be set."""
+class SurfaceRoot(namedtuple("SurfaceRoot", "radicals geminate_flags positions")):
+    """Ordered radicals of a stem; glottal stop stored abstractly.  The
+    geminate flags default to all False; positions are 1-based, into
+    ``expand_madda(lemma)``.  ``len`` counts the radicals."""
 
-    __slots__ = ("radicals", "geminate_flags", "positions")   # positions: 1-based, into expand_madda(lemma)
+    __slots__ = ()
 
-    def __init__(self, radicals: tuple, geminate_flags: tuple = (), positions: tuple = ()):
-        for name, value in zip(self.__slots__, (radicals, geminate_flags or (False,) * len(radicals), positions)):
-            object.__setattr__(self, name, value)
+    def __new__(cls, radicals: tuple, geminate_flags: tuple = (), positions: tuple = ()):
+        return super().__new__(cls, radicals, geminate_flags or (False,) * len(radicals), positions)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: a surface root is immutable")
-
-    def _key(self) -> tuple:
-        return self.radicals, self.geminate_flags, self.positions
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is SurfaceRoot else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"SurfaceRoot{self._key()!r}"
+    @classmethod
+    def _make(cls, fields) -> "SurfaceRoot":
+        return cls(*fields)     # the inherited one checks len(), which counts radicals
 
     def __len__(self) -> int:
         return len(self.radicals)
@@ -154,35 +142,28 @@ def parse_sg_code(text: str) -> SingularPatternCode:
     tokens: list = []
     next_rank = 1
     for ch in raw:
-        if ch in ("v", "V"):
-            tokens.append(("v",))
-            continue
         upper = ch.upper()
-        if upper not in SLOT_LETTERS:
+        if upper == "V" and tokens[-1:] == [("v",)]:
+            tokens[-1] = ("vv",)        # two vowel marks in a row: a long vowel
+        elif upper == "V":
+            tokens.append(("v",))
+        elif upper not in SLOT_LETTERS:
             raise MalformedCode(f"bad character {ch!r} in singular-pattern code {text!r}")
-        rank = SLOT_LETTERS.index(upper) + 1
-        if rank == next_rank - 1 and tokens and tokens[-1] == ("slot", rank):
-            tokens[-1] = ("gem_slot", rank)
+        elif tokens[-1:] == [("slot", rank := SLOT_LETTERS.index(upper) + 1)]:
+            tokens[-1] = ("gem_slot", rank)     # a slot letter written twice
         elif rank == next_rank:
             tokens.append(("slot", rank))
             next_rank += 1
         else:
             raise MalformedCode(f"slot letters out of order in {text!r}")
-    # vv: collapse adjacent v marks
-    merged: list = []
-    for tok in tokens:
-        if tok == ("v",) and merged and merged[-1] == ("v",):
-            merged[-1] = ("vv",)
-        elif tok == ("v",) and merged and merged[-1] == ("vv",):
-            raise MalformedCode(f"more than two vowel marks in a row in {text!r}")
-        else:
-            merged.append(tok)
-    arity = sum(1 for t in merged if t[0] in ("slot", "gem_slot"))
-    if not 2 <= arity <= 6:
-        raise MalformedCode(f"{text!r} has {arity} slots; expected 2-6")
     # Every letter parsed, so the canonical spelling is the input with each
     # vowel mark lower-case and each slot letter upper-case.
-    return SingularPatternCode(raw.upper().replace("V", "v"), tuple(merged))
+    code = SingularPatternCode(raw.upper().replace("V", "v"), tuple(tokens))
+    if "vvv" in code.text:
+        raise MalformedCode(f"more than two vowel marks in a row in {text!r}")
+    if not 2 <= code.arity <= 6:
+        raise MalformedCode(f"{text!r} has {code.arity} slots; expected 2-6")
+    return code
 
 
 ROOT_LITERALS = "wyAYhm"
@@ -250,36 +231,20 @@ def check_diacritization(lemma: str) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _undiacritized(chars: str) -> int | None:
-    """Per lemma shape (``_shape``): the 1-based position that fails, or None."""
-    basics = [j for j, c in enumerate(chars) if not bn.is_diacritic(c)]
-    if not basics:
+    """Per lemma shape (``_shape``): the 1-based position that fails, or None.
+    The shape is read as units, a letter and the marks after it: a vowel,
+    shadda or shadda and a vowel; shadda or none on the last letter, and
+    none on C, whose next mark has no carrier."""
+    if not chars.strip("auioFNKG"):
         return 0
-    last_basic = basics[-1]
-    i = 0
-    while i < len(chars):
-        c = chars[i]
-        if bn.is_diacritic(c):
-            return i + 1  # diacritic with no carrier
-        if c == "C":
-            i += 1
-            continue
-        j = i + 1
-        marks = []
-        while j < len(chars) and bn.is_diacritic(chars[j]):
-            marks.append(chars[j])
-            j += 1
-        if i == last_basic:
-            if marks not in ([], [bn.SHADDA]):
-                return i + 1
-        else:
-            ok = (
-                len(marks) == 1 and marks[0] in "auio"
-            ) or (
-                marks and marks[0] == bn.SHADDA and (len(marks) == 1 or (len(marks) == 2 and marks[1] in "auio"))
-            )
-            if not ok:
-                return i + 1
-        i = j
+    if bn.is_diacritic(chars[0]):
+        return 1
+    for unit in re.finditer("([^auioFNKG])([auioFNKG]*)", chars):
+        letter, marks = unit.groups()
+        allowed = "" if letter == "C" else "G?" if unit.end() == len(chars) else "G?[auio]|G"
+        if not re.fullmatch(allowed, marks):
+            return unit.start() + 1 + (letter == "C")
+    return None
 
 
 @functools.lru_cache(maxsize=1)
@@ -300,16 +265,10 @@ def _as_radical(c: str) -> str:
     return HAMZA if c in bn.HAMZA_LETTERS or c == HAMZA else c
 
 
-def _discardable(chars: str, i: int) -> bool:
-    """Long-vowel letters the pattern may own without a vv mark."""
-    c = chars[i]
-    if c == "A":
-        return True
-    if c == "y":
-        return i > 0 and chars[i - 1] == "i"
-    if c == "w":
-        return i > 0 and chars[i - 1] == "u"
-    return False
+#: A long-vowel letter the pattern may own without a vv mark, and its sukun.
+_OWNED_LONG_VOWEL = re.compile("(?:A|(?<=i)y|(?<=u)w)o?")
+#: What may follow the last slot: diacritics and pattern-owned long vowels.
+_TRAILING = re.compile("(?:[auioFNKG]|A|(?<=i)y|(?<=u)w)*")
 
 
 def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> SurfaceRoot:
@@ -332,11 +291,8 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
         stem = lemma
     chars = expand_madda(stem)
     chosen: dict[tuple, tuple] = {}     # radicals -> the first parse that reads them
-    for parses in _parses(expand_madda(stem.translate(_shape())), sg_code.tokens):
-        for positions, gemflags in parses:
-            chosen.setdefault(tuple(_as_radical(chars[p - 1]) for p in positions), (positions, gemflags))
-        if chosen:
-            break
+    for positions, gemflags in _parses(expand_madda(stem.translate(_shape())), sg_code.tokens):
+        chosen.setdefault(tuple(_as_radical(chars[p - 1]) for p in positions), (positions, gemflags))
     if not chosen:
         raise ArityMismatch(f"lemma {lemma!r} does not match pattern code {sg_code} (tag {class_tag})")
     if len(chosen) > 1:
@@ -346,37 +302,20 @@ def extract_root(lemma: str, sg_code: SingularPatternCode, class_tag: str) -> Su
 
 
 @functools.lru_cache(maxsize=None)
-def _parses(chars: str, tokens: tuple) -> tuple[tuple, tuple]:
+def _parses(chars: str, tokens: tuple) -> tuple:
     """Every match of the pattern tokens against an expanded stem, as
-    distinct ``(positions, gemination flags)`` in walk order: the parses,
-    then the fallback ones, in which a doubled letter fills one slot alone.
-    Stems of one shape share them."""
-    found: tuple[dict, dict] = ({}, {})
+    distinct ``(positions, gemination flags)`` in walk order.  A doubled
+    letter fills one slot alone only in a second walk, made when the first
+    finds no parse.  Stems of one shape share them."""
+    found: dict[tuple, None] = {}
 
-    def finish(ci: int, parse: tuple, fallback: bool) -> None:
-        # Trailing material may only be diacritics and pattern-owned long vowels.
-        j = ci
-        while j < len(chars):
-            c = chars[j]
-            if bn.is_diacritic(c):
-                j += 1
-            elif _discardable(chars, j):
-                j += 1
-                if j < len(chars) and chars[j] == bn.SILENT:
-                    j += 1
-            else:
-                return
-        found[fallback].setdefault(parse)
-
-    def walk(ti: int, ci: int, positions: tuple, gems: tuple, fallback: bool) -> None:
+    def walk(ti: int, ci: int, positions: tuple, gems: tuple) -> None:
         # Discarding a pattern-owned long vowel is always a branch.
-        if ci < len(chars) and not bn.is_diacritic(chars[ci]) and _discardable(chars, ci):
-            skip = ci + 1
-            if skip < len(chars) and chars[skip] == bn.SILENT:
-                skip += 1
-            walk(ti, skip, positions, gems, fallback)
+        if owned := _OWNED_LONG_VOWEL.match(chars, ci):
+            walk(ti, owned.end(), positions, gems)
         if ti == len(tokens):
-            finish(ci, (positions, gems), fallback)
+            if _TRAILING.fullmatch(chars, ci):
+                found.setdefault((positions, gems))
             return
         if ci >= len(chars):
             return
@@ -384,41 +323,39 @@ def _parses(chars: str, tokens: tuple) -> tuple[tuple, tuple]:
         c = chars[ci]
         if tok == ("v",):
             if c in "auio":
-                walk(ti + 1, ci + 1, positions, gems, fallback)
+                walk(ti + 1, ci + 1, positions, gems)
             return
         if tok == ("vv",):
-            if c in "aiu" and ci + 1 < len(chars) and chars[ci + 1] == LONG_OF[c]:
-                nxt = ci + 2
-                if nxt < len(chars) and chars[nxt] == bn.SILENT:
-                    nxt += 1
-                walk(ti + 1, nxt, positions, gems, fallback)
+            if c in LONG_OF and chars[ci + 1:ci + 2] == LONG_OF[c]:
+                nxt = ci + 3 if chars[ci + 2:ci + 3] == bn.SILENT else ci + 2
+                walk(ti + 1, nxt, positions, gems)
             return
         if bn.is_diacritic(c):
             return
-        geminated = ci + 1 < len(chars) and chars[ci + 1] == bn.SHADDA
+        geminated = chars[ci + 1:ci + 2] == bn.SHADDA
         if tok[0] == "gem_slot":
             if geminated:
-                walk(ti + 1, ci + 2, positions + (ci + 1,), gems + (True,), fallback)
+                walk(ti + 1, ci + 2, positions + (ci + 1,), gems + (True,))
             return
         # plain slot
         if geminated:
             # A doubled letter fills this slot and the next one (the written
-            # gemination straddles two radicals, as in MidGap -> M d d); when
-            # no further slot exists it fills this slot alone and the
-            # gemination stays with the stem (lutunGap -> l t n).  The
-            # one-slot reading is a fallback: it only counts when no
-            # two-slot parse of the lemma succeeds.
-            nxt = ti + 1
-            if nxt < len(tokens) and tokens[nxt] == ("v",):
-                nxt += 1
+            # gemination straddles two radicals, as in MidGap -> M d d); in
+            # the second walk it may also fill this slot alone, the
+            # gemination staying with the stem (lutunGap -> l t n).
+            nxt = ti + 2 if tokens[ti + 1:ti + 2] == (("v",),) else ti + 1
             if nxt < len(tokens) and tokens[nxt][0] == "slot":
-                walk(nxt + 1, ci + 2, positions + (ci + 1, ci + 1), gems + (True, True), fallback)
-            walk(ti + 1, ci + 2, positions + (ci + 1,), gems + (True,), True)
+                walk(nxt + 1, ci + 2, positions + (ci + 1, ci + 1), gems + (True, True))
+            if single:
+                walk(ti + 1, ci + 2, positions + (ci + 1,), gems + (True,))
             return
-        walk(ti + 1, ci + 1, positions + (ci + 1,), gems + (False,), fallback)
+        walk(ti + 1, ci + 1, positions + (ci + 1,), gems + (False,))
 
-    walk(0, 0, (), (), False)
-    return tuple(found[False]), tuple(found[True])
+    for single in (False, True):
+        walk(0, 0, (), ())
+        if found:
+            break
+    return tuple(found)
 
 
 def apply_root_code(root: SurfaceRoot, code: RootCode) -> SurfaceRoot:

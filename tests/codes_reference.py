@@ -1,13 +1,14 @@
 """The singular-pattern parse and the diacritization check as they were
 before ``taksir.codes`` memoised them per lemma shape, kept as the oracles
 the memoised ones are compared against: they walk the real lemma, and the
-parse dedupes its matches by radicals as it goes."""
+parse dedupes its matches by radicals as it goes.  The long-vowel rule,
+``_discardable``, is kept here as the character test it was, so the oracle
+does not import the rule it checks."""
 
 from dataclasses import dataclass, field
 
 from taksir import bn
-from taksir.codes import (LONG_OF, SingularPatternCode, SurfaceRoot, _as_radical, _discardable,
-                          code_tables, expand_madda)
+from taksir.codes import LONG_OF, SingularPatternCode, SurfaceRoot, _as_radical, code_tables, expand_madda
 from taksir.errors import AmbiguousPatternMatch, ArityMismatch, MalformedCode, NotFullyDiacritized
 
 
@@ -20,6 +21,18 @@ class _Parse:
 
     def copy(self) -> "_Parse":
         return _Parse(list(self.radicals), list(self.gemflags), list(self.positions), self.fallback_gem)
+
+
+def _discardable(chars: str, i: int) -> bool:
+    """Long-vowel letters the pattern may own without a vv mark."""
+    c = chars[i]
+    if c == "A":
+        return True
+    if c == "y":
+        return i > 0 and chars[i - 1] == "i"
+    if c == "w":
+        return i > 0 and chars[i - 1] == "u"
+    return False
 
 
 def check_diacritization(lemma: str) -> None:

@@ -1,8 +1,9 @@
-"""Four oracles on a lexicon too large for the tier-1 tests: ``dump_text()``
-against the reference generator's listing, the ``dump_text()`` and byte
-round trips through the artifact, the linear-scan lookup oracle over a
-seeded sample of forms, and the brute-force segmentation oracle over
-clitic-chained tokens.
+"""Five oracles on a lexicon too large for the tier-1 tests: every entry's
+root from ``extract_root`` against the unmemoised reference parse, its
+radicals, flags and positions or its error, ``dump_text()`` against the
+reference generator's listing, the ``dump_text()`` and byte round trips
+through the artifact, the linear-scan lookup oracle over a seeded sample of
+forms, and the brute-force segmentation oracle over clitic-chained tokens.
 
     PYTHONPATH=src:tests python tests/scale_oracles.py LEXICON
 
@@ -15,12 +16,15 @@ import sys
 import time
 from collections import Counter
 
+import codes_reference
 import paradigm_reference
 from lookup_reference import linear_scan, sample_queries
 from segment_reference import Reference, clitic_chains
 from taksir import bn
 from taksir.classes import load_registry
+from taksir.codes import extract_root
 from taksir.compiler import compile_lexicon
+from taksir.errors import TaksirError
 from taksir.formdict import FormDictionary
 from taksir.lexicon import parse_lexicon
 from taksir.segment import format_reading, load_clitics, segment
@@ -38,6 +42,14 @@ def check(name: str, started: float, checked: int, bad: list) -> bool:
     return not bad
 
 
+def root_or_error(extract, entry) -> tuple:
+    """The root's fields (radicals, flags, positions), or the error's type and message."""
+    try:
+        return tuple(extract(entry.lemma, entry.code.sg_code, entry.code.class_tag))
+    except TaksirError as exc:
+        return type(exc), str(exc)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
@@ -45,13 +57,18 @@ def main(argv: list[str]) -> int:
     rng = random.Random(SEED)
     with open(argv[0], encoding="utf-8") as fh:
         lex, diagnostics = parse_lexicon(fh.read())
+
+    started = time.perf_counter()
+    bad = [entry.lemma for entry in lex
+           if root_or_error(extract_root, entry) != root_or_error(codes_reference.extract_root, entry)]
+    ok = check("root extraction against the reference parse", started, len(lex), bad)
+
     registry = load_registry()
     built, failures = compile_lexicon(lex, registry)
     if diagnostics or failures:
         reasons = [*map(str, diagnostics), *(f"{e.lemma},{e.code}: {error}" for e, error in failures)]
         print(f"the lexicon does not compile cleanly: {reasons[:3]}")
         return 1
-    ok = True
 
     started = time.perf_counter()
     listing = built.dump_text()

@@ -205,7 +205,11 @@ def run_package(path, argv):
      "codec table line {line}: expected a non-ASCII code point and one ASCII letter"),
     ("bn_table.txt", "0700\t\u00e9", ["analyze", "{text}", "--dict", "{dict}"],
      "codec table line {line}: expected a non-ASCII code point and one ASCII letter"),
-], ids=["classes", "codes", "paradigms", "clitics", "clitics-det", "codec", "codec-ascii-point", "codec-latin"])
+    # A repeated code point or letter would leave the codec no bijection.
+    ("bn_table.txt", "0628\tB", ["analyze", "{text}", "--dict", "{dict}"], "codec table line {line}: duplicate code point 0628"),
+    ("bn_table.txt", "0750\tb", ["analyze", "{text}", "--dict", "{dict}"], "codec table line {line}: duplicate letter b"),
+], ids=["classes", "codes", "paradigms", "clitics", "clitics-det", "codec", "codec-ascii-point", "codec-latin",
+        "codec-repeated-point", "codec-repeated-letter"])
 def test_refused_data_row_exits_2(name, row, argv, message, dict_path, tmp_path):
     # An unknown clitic kind crashed analyze with a KeyError.
     text = write_text(tmp_path, "kutubu")

@@ -118,6 +118,14 @@ class TestExtractRoot:
     def test_long_vowel_discarded_to_pattern(self):
         assert radicals(extract_root("SaAoHib", parse_sg_code("FvEvL"), "N300")) == "SHb"
 
+    @pytest.mark.parametrize("lemma", ["katalaA", "kataliy", "kataluw"])
+    def test_long_vowel_after_the_last_slot_discarded_to_pattern(self, lemma):
+        assert radicals(extract_root(lemma, parse_sg_code("FvEvL"), "N300")) == "ktl"
+
+    def test_w_after_a_is_no_long_vowel(self):
+        with pytest.raises(ArityMismatch):
+            extract_root("katalaw", parse_sg_code("FvEvL"), "N300")
+
     def test_no_discard_when_counts_match(self):
         assert radicals(extract_root("Miyomap", parse_sg_code("FvEvL"), "N3ap")) == "Mym"
 

@@ -47,6 +47,17 @@ def test_surface_root_fills_its_geminate_flags():
     assert root != ("E", "q", "d")
 
 
+def test_surface_root_replaces_and_counts_its_radicals():
+    # A named tuple of three fields whose len() counts radicals: _replace
+    # must not check the field count through len().
+    root = SurfaceRoot(("M", "d", "d"), (False, True, True), (1, 3, 3))
+    moved = root._replace(positions=(1, 3, 5))
+    assert type(moved) is SurfaceRoot and moved == (("M", "d", "d"), (False, True, True), (1, 3, 5))
+    assert len(moved) == 3 and moved.radicals == root.radicals
+    longer = root._replace(radicals=("M", "d", "d", "r"), geminate_flags=())
+    assert len(longer) == 4 and longer.geminate_flags == (False,) * 4
+
+
 def test_a_replaced_code_recomputes_its_text():
     code = parse_code("$N300-m-FvEvL-FuEuL-123")
     assert code.text == "N300-m-FvEvL-FuEuL-123"

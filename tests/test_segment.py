@@ -25,7 +25,7 @@ from taksir.segment import (
     segment,
 )
 
-from conftest import seed_variant, tail, word_units
+from conftest import seed_variant, tagged, tail, word_units
 
 MODES = ("strict", "diacritic-optional")
 
@@ -173,6 +173,17 @@ class TestSegmentation:
                 assert r.shown == "+".join(f"{s.surface}/{s.tag}" for s in r.segments)
                 built += 1
         assert built > len(tokens) // 10     # most random chains break a constraint
+
+    def test_a_form_of_diacritics_alone_is_no_noun(self):
+        # In diacritic-optional mode the form iN matches no letter at all, so
+        # the walk reports it between the prefix wa and the pronoun hu; no
+        # reading may hold that empty noun.
+        pro = tagged("N:ms:a:G:+pro")
+        dictionary = FormDictionary.build(word_units({"iN": [pro], "kutub": [pro]}))
+        assert (2, "iN", 0) in dictionary.walk("wahu", 2, (2, 4), "diacritic-optional")
+        assert uncached("wahu", dictionary, "diacritic-optional") == ["wahu\tUNK"]
+        assert uncached("wakutubhu", dictionary, "diacritic-optional") == [
+            "wakutubhu\twa/CONJC+kutub/N+hu/PRO+Gen\tkutub,$N300-m-FvEvL-FuEuL-123\tN:ms:a:G:+pro"]
 
 
 #: The tags of the small dictionary below: some fit a preposition, the
