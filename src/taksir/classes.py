@@ -9,7 +9,8 @@ cells are read from ``data/paradigms.tsv``.
 Template strings are written over the plural surface root: a digit emits
 radical k, ``=k`` asserts radical k repeats the previous one and emits the
 gemination mark instead, anything else is a literal.  Glottal-stop radicals
-are seated from their orthographic context when the stem is rendered.
+are seated from their orthographic context when the stem is rendered, by
+the seat table in ``seat_hamzas``.
 """
 
 import re
@@ -147,6 +148,12 @@ def parse_registry(text: str) -> ClassRegistry:
 
 
 _RANK = {"i": 3, "iy": 3, "u": 2, "uw": 2, "a": 1}
+#: Left contexts: long alif or madda, iy or uw (each maybe under a sukun), or a short vowel.
+_LEFT = re.compile(r"(?:(Ao?|C)|(iy|uw)o?|([aui]))\Z")
+#: Right contexts: the vowel of a vowel mark or tanwin.
+_RIGHT = {"a": "a", "u": "u", "i": "i", "F": "a", "N": "u", "K": "i"}
+_FINAL = {"a": "O", "u": "W", "i": "e"}
+_MADDA = re.compile("Oa(?:[OA]o|A)")
 
 
 def resolve_hamza(left: str, right: str, position: str) -> str:
@@ -154,109 +161,55 @@ def resolve_hamza(left: str, right: str, position: str) -> str:
 
     ``left``/``right`` are the neighbouring vocalic contexts: a short vowel
     (a/u/i), a long vowel (aA/iy/uw), the silent mark o, or "" at a word
-    boundary.  Total function; every seed stem that carries a glottal stop
-    exercises it.
+    boundary.  Total function; the seats are tabled in ``seat_hamzas``.
     """
     if position == "initial":
         return "I" if right.startswith("i") else "O"
     if position == "final":
-        if left == "a":
-            return "O"
-        if left == "u":
-            return "W"
-        if left == "i":
-            return "e"
-        return "c"  # after a long vowel or silence
-    # medial: the stronger neighbouring vowel picks the seat (i > u > a);
-    # long alif on the left weakens to the line form unless i or u follows.
-    lr = _RANK.get(left, 0)
-    rr = _RANK.get(right, 0)
-    top = max(lr, rr)
-    if top == 3:
-        return "e"
-    if top == 2:
-        return "W"
-    if top == 1:
-        if left == "aA":
-            return "c"
-        return "O"
-    return "c"
-
-
-def _left_context(chars: list[str], i: int) -> str:
-    """Vocalic context immediately before position i."""
-    if i == 0:
-        return ""
-    c = chars[i - 1]
-    if c in "aui":
-        return c
-    if c == bn.SILENT:
-        if i >= 2 and chars[i - 2] in "Ayw":
-            if chars[i - 2] == "A":
-                return "aA"
-            if i >= 3 and chars[i - 3] == "i" and chars[i - 2] == "y":
-                return "iy"
-            if i >= 3 and chars[i - 3] == "u" and chars[i - 2] == "w":
-                return "uw"
-        return bn.SILENT
-    if c == "A" or c == "C":
-        return "aA"
-    if c == "y" and i >= 2 and chars[i - 2] == "i":
-        return "iy"
-    if c == "w" and i >= 2 and chars[i - 2] == "u":
-        return "uw"
-    return bn.SILENT
-
-
-def _right_context(chars: list[str], i: int) -> str:
-    """Vocalic context immediately after position i."""
-    if i + 1 >= len(chars):
-        return ""
-    c = chars[i + 1]
-    if c in "aui":
-        return c
-    if c in bn.TANWIN:
-        return {"F": "a", "N": "u", "K": "i"}[c]
-    return bn.SILENT
+        return _FINAL.get(left, "c")
+    top = max(_RANK.get(left, 0), _RANK.get(right, 0))
+    return "c" if top == 1 and left == "aA" else "cOWe"[top]
 
 
 def substitute_madda(text: str) -> str:
-    """Mandatory contractions of glottal stop + long a spellings."""
-    out = text.replace("OaOo", "C").replace("OaAo", "C")
-    return out.replace("OaA", "C")
+    """Mandatory contractions of glottal stop + long a spellings into C."""
+    return _MADDA.sub("C", text)
 
 
-def seat_hamzas(chars: list[str]) -> str:
-    """Replace abstract glottal stops with context-appropriate allographs."""
-    if HAMZA not in chars:
-        return substitute_madda("".join(chars))
-    resolved = list(chars)
-    for i, c in enumerate(resolved):
-        if c != HAMZA:
-            continue
-        if i == 0:
-            position = "initial"
-        elif i == len(resolved) - 1:
-            position = "final"
-        else:
-            position = "medial"
-        resolved[i] = resolve_hamza(_left_context(resolved, i), _right_context(resolved, i), position)
-    return substitute_madda("".join(resolved))
+def seat_hamzas(text: str) -> str:
+    """Replace abstract glottal stops with their seats, then contract madda.
+
+    A glottal stop at the start of the word sits on I before i, else on O.
+    At the end, after a, u or i it sits on O, W or e, else on the line (c).
+    Elsewhere the strongest vowel beside it picks the seat, i (e) > u (W) >
+    a (O), iy and uw counting as i and u and a tanwin as its vowel; with
+    none, or with only an a after long alif or madda, it sits on the line.
+    """
+    pieces = text.split(HAMZA)
+    out = pieces[0]
+    for k in range(1, len(pieces)):
+        before, after = pieces[k - 1], pieces[k]
+        position = ("initial" if k == 1 and not before else
+                    "final" if k == len(pieces) - 1 and not after else "medial")
+        left = _LEFT.search(before)
+        left = bn.SILENT if left is None else "aA" if left[1] else left[2] or left[3]
+        out += resolve_hamza(left, _RIGHT.get(after[:1], bn.SILENT), position) + after
+    return substitute_madda(out)
 
 
 def render_bp_stem(root, cls: InflectionClass) -> str:
     """Interdigitate the plural surface root with the class template."""
     if len(root) != cls.arity:
         raise ArityMismatch(f"template {cls.bp_template} places {cls.arity} radicals; root {root} has {len(root)}")
-    out: list[str] = []
+    out = ""
     for kind, value in cls.steps:
         if kind == "lit":
-            out.extend(value)
+            out += value
         elif kind == "radical":
-            out.append(root.radicals[value - 1])
+            out += root.radicals[value - 1]
         else:
             prev = next((c for c in reversed(out) if c not in bn.DIACRITICS), None)
             if root.radicals[value - 1] != prev:
                 raise ArityMismatch(f"template {cls.bp_template} geminates radical {value}, which differs from its neighbour")
-            out.append(bn.SHADDA)
+            out += bn.SHADDA
     return seat_hamzas(out)

@@ -11,6 +11,7 @@ Parsing never aborts: bad lines become diagnostics and good lines load.
 """
 
 import functools
+import re
 from collections import namedtuple
 
 from . import bn
@@ -102,24 +103,15 @@ def parse_lexicon(text: str) -> tuple[LexiconFile, list[Diagnostic]]:
     return lex, diagnostics
 
 
+#: A long-vowel letter: A or Y, or y after i and w after u at the end or
+#: before a sukun.
+_LONG = re.compile(r"[AY]|(?<=i)y(?=o|\Z)|(?<=u)w(?=o|\Z)")
+
+
 def _long_realisations(entry: LexicalEntry, root) -> list[bool]:
     """Per radical: True when the lemma realises it as a long vowel."""
     chars = expand_madda(entry.lemma)
-    out = []
-    for radical, pos in zip(root.radicals, root.positions):
-        i = pos - 1
-        if radical in ("A", "Y"):
-            out.append(True)
-        elif (
-            radical in "yw"
-            and 0 < i
-            and chars[i - 1] == {"y": "i", "w": "u"}[radical]
-            and (i + 1 >= len(chars) or chars[i + 1] == "o")
-        ):
-            out.append(True)
-        else:
-            out.append(False)
-    return out
+    return [_LONG.match(chars, pos - 1) is not None for pos in root.positions]
 
 
 def validate_entry(entry: LexicalEntry, registry: ClassRegistry) -> list[Diagnostic]:

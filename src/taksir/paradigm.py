@@ -53,7 +53,7 @@ def _pro_variant(stem: str, suffix: str, paradigm: str) -> tuple[int, str]:
     if paradigm == "ap-final":
         return 1, "t" + suffix
     if suffix and stem.endswith(_FINAL_HAMZA):
-        return len(stem), seat_hamzas([*stem[:-1], HAMZA, suffix])
+        return len(stem), seat_hamzas(stem[:-1] + HAMZA + suffix)
     return 0, suffix
 
 

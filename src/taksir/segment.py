@@ -182,22 +182,26 @@ def check_agreement(head: FeatureBundle, head_human: bool, dependent: FeatureBun
 
 
 def parse_mask(mask: str) -> dict:
-    """Lexical masks like N:q or N:fs:D or N:q:G."""
+    """Lexical masks like N:q or N:fs:D or N:q:G, each feature set once."""
     parts = mask.split(":")
     if not parts or parts[0] != "N":
         raise ValueError(f"unsupported mask {mask!r}")
     out: dict = {}
     for part in parts[1:]:
         if part in ("s", "d", "p", "q"):
-            out["number"] = part
+            features = {"number": part}
         elif len(part) == 2 and part[0] in "mf" and part[1] in "sdpq":
-            out["gender"], out["number"] = part[0], part[1]
+            features = {"gender": part[0], "number": part[1]}
         elif part in ("D", "i", "a"):
-            out["definiteness"] = part
+            features = {"definiteness": part}
         elif part in ("N", "A", "G"):
-            out["case"] = part
+            features = {"case": part}
         else:
             raise ValueError(f"bad mask component {part!r} in {mask!r}")
+        twice = sorted(out.keys() & features.keys())
+        if twice:
+            raise ValueError(f"{' and '.join(twice)} set twice in {mask!r}")
+        out.update(features)
     return out
 
 

@@ -6,7 +6,8 @@ appended, madda contraction runs over the whole string, and a pronoun
 variant is spelled and compared with its base cell.
 """
 
-from taksir.classes import CASES, DEFINITENESS, load_paradigms, render_bp_stem, seat_hamzas, substitute_madda
+from classes_reference import seat_hamzas, substitute_madda
+from taksir.classes import CASES, DEFINITENESS, load_paradigms, render_bp_stem
 from taksir.codes import HAMZA, apply_root_code
 from taksir.paradigm import _FINAL_HAMZA, FeatureBundle
 

@@ -1,6 +1,8 @@
-"""Five oracles on a lexicon too large for the tier-1 tests: every entry's
+"""Six oracles on a lexicon too large for the tier-1 tests: every entry's
 root from ``extract_root`` against the unmemoised reference parse, its
-radicals, flags and positions or its error, ``dump_text()`` against the
+radicals, flags and positions or its error, glottal-stop seating and madda
+contraction against the reference rules over every string of up to six
+letters, with every entry's long-vowel flags, ``dump_text()`` against the
 reference generator's listing, the ``dump_text()`` and byte round trips
 through the artifact, the linear-scan lookup oracle over a seeded sample of
 forms, and the brute-force segmentation oracle over clitic-chained tokens.
@@ -16,21 +18,23 @@ import sys
 import time
 from collections import Counter
 
+import classes_reference
 import codes_reference
 import paradigm_reference
 from lookup_reference import linear_scan, sample_queries
 from segment_reference import Reference, clitic_chains
 from taksir import bn
-from taksir.classes import load_registry
+from taksir.classes import load_registry, seat_hamzas, substitute_madda
 from taksir.codes import extract_root
 from taksir.compiler import compile_lexicon
 from taksir.errors import TaksirError
 from taksir.formdict import FormDictionary
-from taksir.lexicon import parse_lexicon
+from taksir.lexicon import _long_realisations, parse_lexicon
 from taksir.segment import format_reading, load_clitics, segment
 
 MODES = ("strict", "diacritic-optional")
 SEED = 20
+LETTERS = 6         # the longest strings the spelling rules are compared over
 QUERIES = 2000      # lookup queries, a fifth of each kind
 TOKENS = 3000       # clitic-chained tokens, each in both modes
 
@@ -62,6 +66,18 @@ def main(argv: list[str]) -> int:
     bad = [entry.lemma for entry in lex
            if root_or_error(extract_root, entry) != root_or_error(codes_reference.extract_root, entry)]
     ok = check("root extraction against the reference parse", started, len(lex), bad)
+
+    started = time.perf_counter()
+    bad = classes_reference.disagreements(seat_hamzas, substitute_madda, LETTERS)
+    strings = sum(len(classes_reference.ALPHABET) ** n for n in range(1, LETTERS + 1))
+    for entry in lex:
+        try:
+            root = entry.sg_root
+        except TaksirError:
+            continue
+        if _long_realisations(entry, root) != classes_reference._long_realisations(entry, root):
+            bad.append(entry.lemma)
+    ok &= check("spelling rules against the reference", started, strings + len(lex), bad)
 
     registry = load_registry()
     built, failures = compile_lexicon(lex, registry)

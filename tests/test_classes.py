@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from taksir.classes import parse_registry, render_bp_stem, resolve_hamza, substitute_madda
+import classes_reference as reference
+from taksir.classes import parse_registry, render_bp_stem, resolve_hamza, seat_hamzas, substitute_madda
 from taksir.codes import HAMZA, SurfaceRoot, apply_root_code, code_tables, extract_root, parse_code
 from taksir.errors import ArityMismatch, UnknownClass
 from taksir.compiler import compile_lexicon
@@ -172,9 +173,14 @@ class TestHamza:
         assert resolve_hamza("i", "", "final") == "e"
 
     def test_total_over_context_domain(self):
-        contexts = ["", "a", "u", "i", "o", "aA", "iy", "uw"]
-        for left, right, pos in itertools.product(contexts, contexts, ("initial", "medial", "final")):
-            assert resolve_hamza(left, right, pos) in set("OICWec")
+        contexts = ["", "a", "u", "i", "o", "aA", "iy", "uw", "F", "ia", "x"]
+        for left, right, pos in itertools.product(contexts, contexts, ("initial", "medial", "final", "")):
+            seat = resolve_hamza(left, right, pos)
+            assert seat in set("OICWec") and seat == reference.resolve_hamza(left, right, pos), (left, right, pos)
+
+    def test_against_reference_over_short_strings(self):
+        # Every string of up to five letters: 813,615 strings.
+        assert reference.disagreements(seat_hamzas, substitute_madda, 5) == []
 
     def test_worked_hamza_stems(self, registry):
         assert bp_stem(registry, "EaAoeid", "$N300-m-FvvEvL-FaEaaLiB-1wh3") == "EawaAoeid"

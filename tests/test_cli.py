@@ -636,7 +636,10 @@ class TestConcordCmd:
         assert "AlkaAtibu" not in out.split("EuqadK")[1]
 
     @pytest.mark.parametrize("mask, message", [("N:zz", "bad mask component 'zz' in 'N:zz'"),
-                                               ("V:q", "unsupported mask 'V:q'"), ("N:", "bad mask component ''")])
+                                               ("V:q", "unsupported mask 'V:q'"), ("N:", "bad mask component ''"),
+                                               ("N:q:s", "number set twice in 'N:q:s'"),
+                                               ("N:D:i", "definiteness set twice in 'N:D:i'"),
+                                               ("N:fs:q", "number set twice in 'N:fs:q'")])
     def test_bad_mask_is_a_usage_error(self, dict_path, tmp_path, capsys, mask, message):
         text = write_text(tmp_path, "EuqadK\n")
         with pytest.raises(SystemExit) as err:

@@ -100,6 +100,24 @@ class TestValidate:
         diags = validate_entry(lex.entries[0], registry)
         assert any(d.code == "W_LONGROOT" and d.severity == "warning" for d in diags)
 
+    @pytest.mark.parametrize("text, flags, diagnostics", [
+        ("mabonaY,$N400-m-FvEvLvB-FaEaaLiB-123y", [False, False, False, True], []),
+        ("miyozap,$N3ap-f-FvEvL-FaEaaLiB-13yA", [False, True, False], []),
+        ("saqiy,$N300-m-FvEvL-FuEuL-123", [False, False, True], []),
+        ("nosuw,$N300-m-FvEvL-FuEuL-123", [False, False, True], []),
+        ("miyozarap,$N4ap-f-FvEvLvB-FaEaaLiB-1234", [False, True, False, False],
+         ["1:3 W_LONGROOT long vowel 'y' encoded as radical 2; prefer a vv pattern code"]),
+        ("nuwosarap,$N4ap-f-FvEvLvB-FaEaaLiB-1234", [False, True, False, False],
+         ["1:3 W_LONGROOT long vowel 'w' encoded as radical 2; prefer a vv pattern code"]),
+    ], ids=["final-Y", "y-before-sukun", "final-y", "final-w", "warned-y", "warned-w"])
+    def test_long_radicals_beyond_alif(self, registry, text, flags, diagnostics):
+        # A final long radical is never warned about, and neither is one in
+        # a stem with fewer than three other radicals.
+        lex, _ = parse_lexicon(text)
+        entry = lex.entries[0]
+        assert lexicon._long_realisations(entry, entry.sg_root) == flags
+        assert [str(d) for d in validate_entry(entry, registry)] == diagnostics
+
     @pytest.mark.parametrize("text, diagnostic", [
         ("kGatab,$N300-m-FvEvL-FuEuL-123", "1:6 E_POSITION radical 'b' at even position 6"),
         ("a,$N300-m-FvEvL-FuEuL-123", "1:1 NotFullyDiacritized lemma 'a' is not fully diacritized (position 0)"),

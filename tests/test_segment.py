@@ -423,6 +423,12 @@ class TestConcordance:
         assert parse_mask("N:q:G") == {"number": "q", "case": "G"}
         with pytest.raises(ValueError):
             parse_mask("V:q")
+        # A mask sets each feature once.
+        for mask, twice in [("N:q:s", "number"), ("N:D:i", "definiteness"), ("N:fs:q", "number"),
+                            ("N:fs:mp", "gender and number"), ("N:G:G", "case")]:
+            with pytest.raises(ValueError) as err:
+                parse_mask(mask)
+            assert str(err.value) == f"{twice} set twice in {mask!r}"
 
 
 class TestAgreementTotality:
