@@ -59,8 +59,10 @@ def code_tables() -> CodeTables:
             reason = f"duplicate {kind} {name}"
         elif kind == "tag" and not re.fullmatch(r"N[2-6][0-9A-Za-z]*", name):
             reason = f"tag {name!r} is not N, a slot count of 2 to 6, then letters or digits"
-        elif not re.fullmatch("[0-9A-Za-z]+", name) or not re.fullmatch("-|[A-Za-z]+", value[0] if value else "-"):
+        elif not re.fullmatch("[0-9A-Za-z]+", name):
             reason = f"{kind} {name!r} is not written in letters"
+        elif value and not re.fullmatch("-|[A-Za-z]+", value[0]):
+            reason = f"{value[0]!r} for {kind} {name} is not written in letters"
         else:
             table[name] = value[0].strip("-") if value else None
             continue

@@ -75,7 +75,8 @@ def build(units) -> FormDictionary:
         known = shared.get(members)
         if known is None:
             payloads = tuple(sorted(members, key=Payload.sort_key))
-            known = shared[members] = (payloads, *_reach_and_tie(payloads))
+            tied = any(a.code == b.code and a.features == b.features for a, b in zip(payloads, payloads[1:]))
+            known = shared[members] = (payloads, max(p.rewrite.reach for p in payloads), tied)
         return known
 
     def unit_sets(unit: Unit):
@@ -260,17 +261,6 @@ def _form_order(form: str, payloads: tuple) -> tuple:
     return tuple(sorted(payloads, key=key))
 
 
-def _reach_and_tie(payloads) -> tuple[int, bool]:
-    """The reach of a sorted payload set's rewrites, and whether two of its
-    payloads share a code and features."""
-    reach, tied, code, features = 0, False, None, None
-    for rewrite, next_code, next_features, _ in payloads:
-        reach = max(reach, rewrite.reach)
-        tied = tied or (next_code == code and next_features == features)
-        code, features = next_code, next_features
-    return reach, tied
-
-
 Failure = tuple["LexicalEntry", TaksirError]
 
 
@@ -299,12 +289,12 @@ def fill_lexicon(lex: "Iterable[LexicalEntry]", registry: "ClassRegistry") -> tu
     in the lemma.  The payloads of a table filled from such a stem are
     therefore made once per (code, table, stem end, lemma end).
 
-    The broken-plural stem gets a positional stem-to-lemma rewrite from
-    where its class template put each radical (``radical_rewrite``); the
-    entries of a class that spell their pattern letters alike get the same
-    one, whatever their radicals.  A row keeps that rewrite, except that
-    letters its cut removes are spelled out, so the payloads of a table
-    are made once per (code, table, rewrite, stem length, stem end).
+    The broken-plural stem gets a positional stem-to-lemma rewrite from the
+    map of where its class template put each radical (``radical_source``);
+    the entries of a class that spell their pattern letters alike get the
+    same one.  A row whose word loses a copied letter gets the map cut at
+    what the word shares with the stem, so the payloads of a table are made
+    once per (code, table, rewrite, stem length, stem end).
 
     The tables of the singular stems make one ``Unit``, and the plural's
     another, one per tuple of payload keys: the stems up to the tables'
@@ -322,23 +312,27 @@ def fill_lexicon(lex: "Iterable[LexicalEntry]", registry: "ClassRegistry") -> tu
     ends: dict[tuple, "RowTable"] = {}
     failures: list[Failure] = []
 
-    def fill(stem: str, table, lemma: str, code: str, rewrite) -> list[Payload]:
-        """The payload of each row; ``rewrite`` is the plural's, None for a singular."""
+    def fill(stem: str, table, lemma: str, code: str, plural) -> list[Payload]:
+        """The payload of each row; ``plural`` is the plural's (map, rewrite), None for a singular."""
         payloads, keep = [], len(stem)
         for cut, tail, features, standalone in table.rows:
             kept, tag = keep - cut, features.tag()
-            if rewrite is None:
+            if plural is None:
                 # A word that keeps more of the stem than the lemma spells
                 # shares all of the lemma.  The record is (drop, tail, ...),
                 # its rewrite made only if new.
                 lcp = len(lemma) if len(lemma) < kept else common_prefix_length(stem[:kept] + tail, lemma)
                 record = (kept + len(tail) - lcp, lemma[lcp:], code, tag, standalone)
             else:
-                pieces = rewrite if kept >= rewrite.reach else cut_pieces(rewrite, stem, lemma, kept, tail)
+                source, pieces = plural
+                if kept < pieces.reach:
+                    kept += common_prefix_length(tail, stem[kept:])
+                    if kept < pieces.reach:
+                        pieces = _pieces(lemma, {i: at for i, at in source.items() if at < kept})
                 record = (pieces, code, tag, standalone)
             payload = records.get(record)
             if payload is None:
-                pieces = ((0, ~record[0], record[1]),) if rewrite is None else record[0]
+                pieces = ((0, ~record[0], record[1]),) if plural is None else record[0]
                 payload = records[record] = Payload(rewrites[pieces], code, features, standalone)
             payloads.append(payload)
         return payloads
@@ -350,19 +344,20 @@ def fill_lexicon(lex: "Iterable[LexicalEntry]", registry: "ClassRegistry") -> tu
             failures.append((entry, exc))
             continue
         lemma, code = entry.lemma, entry.code.text
-        singular = []   # (stem, table, key, rewrite) of each table
+        singular = []   # (stem, table, key, plural) of each table
         for stem, table in singulars:
             prefix = min(len(lemma), len(stem) - table.cut)
             singular.append((stem, table, (code, table, stem[prefix:], lemma[prefix:]), None))
-        rewrite, keep = rewrites[radical_rewrite(entry, bp_stem, *cls.radical_copies)], len(bp_stem)
-        plural = [(bp_stem, bp_table, (code, bp_table, rewrite, keep, bp_stem[keep - bp_table.cut:]), rewrite)]
-        for group in (singular, plural):
+        source, keep = radical_source(entry, bp_stem, *cls.radical_copies), len(bp_stem)
+        rewrite = rewrites[_pieces(lemma, source)]
+        bp_key = (code, bp_table, rewrite, keep, bp_stem[keep - bp_table.cut:])
+        for group in (singular, [(bp_stem, bp_table, bp_key, (source, rewrite))]):
             base = min(len(stem) - table.cut for stem, table, _, _ in group)
             key = tuple(part[2] for part in group)
             unit = filled.get(key)
             if unit is None:
-                unit = Unit([(stem[base:], table, fill(stem, table, lemma, code, rewrite))
-                             for stem, table, _, rewrite in group])
+                unit = Unit([(stem[base:], table, fill(stem, table, lemma, code, plural))
+                             for stem, table, _, plural in group])
                 if base:
                     filled[key] = unit
             units.append((group[0][0][:base] + unit.head, unit))
@@ -388,30 +383,13 @@ class RewritePool(dict):
         return rewrite
 
 
-def cut_pieces(rewrite: Rewrite, stem: str, lemma: str, kept: int, tail: str) -> tuple:
-    """The stem's rewrite for the word ``stem[:kept] + tail``: a copy past
-    what the word shares with the stem becomes a literal of the letters it
-    copied."""
-    word = stem[:kept] + tail
-    if word.startswith(stem[: rewrite.reach]):     # it keeps every copied letter
-        return rewrite
-    kept = common_prefix_length(word, stem)
-    source, i = {}, 0       # lemma index -> stem index
-    for start, stop, literal in rewrite:
-        for at in range(start, min(stop, kept)):
-            source[i + at - start] = at
-        i += stop - start + len(literal)
-    return _pieces(lemma, source)
-
-
-def radical_rewrite(entry, stem: str, copies: tuple, length: int) -> tuple:
-    """The pieces of the entry's own stem-to-lemma rewrite: each radical of
-    the lemma that the plural keeps is copied from where the template put
-    it (``copies`` and ``length``, the class's ``radical_copies``), every
-    other letter of the lemma is a literal.  A radical is copied only where
-    the stem spells it as the lemma does, so the pieces always give back
-    the lemma.  A madda contraction shortens the stem and moves the
-    radicals after it back, so each is looked for there too."""
+def radical_source(entry, stem: str, copies: tuple, length: int) -> dict[int, int]:
+    """Where the stem holds each radical of the lemma that the plural keeps,
+    lemma index -> stem index: where the template put it (``copies`` and
+    ``length``, the class's ``radical_copies``).  A radical is mapped only
+    where the stem spells it as the lemma does, so ``_pieces`` of the map
+    always give back the lemma.  A madda contraction shortens the stem and
+    moves the radicals after it back, so each is looked for there too."""
     lemma, positions = entry.lemma, entry.sg_root.positions
     if "C" in lemma:    # radical positions count each madda C as four letters
         index = [i for i, c in enumerate(lemma) for _ in range(4 if c == "C" else 1)]
@@ -422,7 +400,7 @@ def radical_rewrite(entry, stem: str, copies: tuple, length: int) -> tuple:
         for at in (slot, slot + len(stem) - length):
             if 0 <= at < len(stem) and stem[at] == lemma[i]:
                 source.setdefault(i, at)
-    return _pieces(lemma, source)
+    return source
 
 
 def _pieces(lemma: str, source: dict[int, int]) -> tuple:

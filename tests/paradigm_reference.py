@@ -1,17 +1,44 @@
 """Reference generator: the per-cell paradigm code that the row tables of
 ``taksir.paradigm`` replaced, kept as the oracle they are compared against.
 
-Every cell is built from scratch for every stem: the case or dual suffix is
-appended, madda contraction runs over the whole string, and a pronoun
-variant is spelled and compared with its base cell.
+The plural stem is read off its class's template string, and every cell is
+built from scratch for every stem: the case or dual suffix is appended,
+madda contraction runs over the whole string, and a pronoun variant is
+spelled and compared with its base cell.  Glottal stops are seated by the
+reference rules of ``classes_reference``.
 """
 
+import re
+
 from classes_reference import seat_hamzas, substitute_madda
-from taksir.classes import CASES, DEFINITENESS, load_paradigms, render_bp_stem
+from taksir import bn
+from taksir.classes import CASES, DEFINITENESS, load_paradigms
 from taksir.codes import HAMZA, apply_root_code
+from taksir.errors import ArityMismatch
 from taksir.paradigm import _FINAL_HAMZA, FeatureBundle
 
 SUFFIX_PARADIGMS, DUAL_SUFFIXES = load_paradigms()
+
+
+def render_bp_stem(root, cls):
+    """The plural stem of ``cls.bp_template``: a digit k emits radical k,
+    ``=k`` emits a shadda once radical k is seen to repeat the letter before
+    it, and anything else is a literal; its glottal stops are then seated."""
+    template = cls.bp_template
+    arity = sum(c.isdigit() for c in template)
+    if len(root) != arity:
+        raise ArityMismatch(f"template {template} places {arity} radicals; root {root} has {len(root)}")
+    chars = []
+    for geminate, k, literal in re.findall(r"(=?)(\d)|(.)", template):
+        if literal:
+            chars.append(literal)
+        elif not geminate:
+            chars += root.radicals[int(k) - 1]
+        elif root.radicals[int(k) - 1] != next((c for c in reversed(chars) if c not in bn.DIACRITICS), None):
+            raise ArityMismatch(f"template {template} geminates radical {k}, which differs from its neighbour")
+        else:
+            chars.append(bn.SHADDA)
+    return seat_hamzas(chars)
 
 
 def _apply_cell(stem, cell):

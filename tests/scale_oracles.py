@@ -3,9 +3,11 @@ root from ``extract_root`` against the unmemoised reference parse, its
 radicals, flags and positions or its error, glottal-stop seating and madda
 contraction against the reference rules over every string of up to six
 letters, with every entry's long-vowel flags, ``dump_text()`` against the
-reference generator's listing, the ``dump_text()`` and byte round trips
-through the artifact, the linear-scan lookup oracle over a seeded sample of
-forms, and the brute-force segmentation oracle over clitic-chained tokens.
+reference generator's listing (its plural stems read off the class
+templates and seated by the reference rule), the ``dump_text()`` and byte
+round trips through the artifact, the linear-scan lookup oracle over a
+seeded sample of forms, and the brute-force segmentation oracle over
+clitic-chained tokens.
 
     PYTHONPATH=src:tests python tests/scale_oracles.py LEXICON
 

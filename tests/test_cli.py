@@ -26,6 +26,7 @@ from taksir.lexicon import LexicalEntry, load_seed
 from conftest import (ID_FIELDS, V1_ARTIFACT, V2_ARTIFACT, V3_ARTIFACT, V4_ARTIFACT, V5_ARTIFACT, corrupt_id,
                       cyclic_artifact, misflagged_artifact, overreaching_artifact, repeated_label_artifact,
                       retagged_artifact)
+from test_classes import GEMINATE_ROW
 
 SEED_PATH = pathlib.Path(__file__).parents[1] / "src" / "taksir" / "data" / "seed_lexicon.txt"
 DATA = pathlib.Path(__file__).parent / "data"
@@ -173,12 +174,17 @@ def test_refused_registry_exits_2(argv, tmp_path, capsys, monkeypatch):
 
 def package_with_rows(tmp_path, rows: dict[str, str]) -> pathlib.Path:
     """The directory of a copy of the package with each row appended to its
-    data file."""
+    data file; a row ``-KIND`` instead deletes the file's rows of that kind."""
     copy = tmp_path / "taksir"
     shutil.copytree(pathlib.Path(cli.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
     for name, row in rows.items():
-        with open(copy / "data" / name, "a", encoding="utf-8") as fh:
-            fh.write(row + "\n")
+        table = copy / "data" / name
+        lines = table.read_text("utf-8").splitlines()
+        if row.startswith("-"):
+            lines = [line for line in lines if line.split("\t")[0] != row[1:]]
+        else:
+            lines.append(row)
+        table.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return tmp_path
 
 
@@ -187,13 +193,26 @@ def run_package(path, argv):
     return subprocess.run([sys.executable, "-m", "taksir", *argv], env=env, capture_output=True, text=True)
 
 
+GEN = ["gen", "kitaAob,$N300-m-FvEvL-FuEuL-123"]
+
+
 @pytest.mark.parametrize("name, row, argv, message", [
     ("classes.tsv", "N300-FvEvL-FuEuL-G\tabc\ttriptote\ttriptote", ["validate", "{seed}"],
      "classes registry line {line}: G in root code 'G' has no radical before it to geminate"),
     ("codes.tsv", "tag\tM300\t-", ["validate", "{seed}"],
      "code table line {line}: tag 'M300' is not N, a slot count of 2 to 6, then letters or digits"),
-    ("paradigms.tsv", "case\tpentaptote\tu\ta\ti", ["gen", "kitaAob,$N300-m-FvEvL-FuEuL-123"],
-     "paradigm table line {line}: expected 11 tab-separated fields"),
+    # The refusal names the field at fault: a bad ending or respelling, not the row's name.
+    ("codes.tsv", "tag\tN3xy\ta1", ["validate", "{seed}"], "code table line {line}: 'a1' for tag N3xy is not written in letters"),
+    ("codes.tsv", "respell\tFvEvL\tF1", ["validate", "{seed}"],
+     "code table line {line}: 'F1' for respell FvEvL is not written in letters"),
+    ("codes.tsv", "tag\tN300\t-", ["validate", "{seed}"], "code table line {line}: duplicate tag N300"),
+    ("codes.tsv", "label\tFu-L", ["validate", "{seed}"], "code table line {line}: label 'Fu-L' is not written in letters"),
+    ("paradigms.tsv", "case\tpentaptote\tu\ta\ti", GEN, "paradigm table line {line}: expected 11 tab-separated fields"),
+    ("paradigms.tsv", "case\ttriptote\tu\ta\ti\tN\tFA\tK\tu\ta\ti", GEN, "paradigm table line {line}: a second row for triptote"),
+    ("paradigms.tsv", "case\tpentaptote\t#\ta\ti\tN\tFA\tK\tu\ta\ti", GEN, "paradigm table line {line}: malformed cell '#'"),
+    ("paradigms.tsv", "case\tpentaptote\ti/drop-y\ta\ti\tN\tFA\tK\tu\ta\ti", GEN,
+     "paradigm table line {line}: malformed cell 'i/drop-y'"),
+    ("paradigms.tsv", "-dual", GEN, "paradigm table line {line}: the table has no dual row"),
     ("clitics.tsv", "suffix\tna", ["analyze", "{text}", "--dict", "{dict}"],
      "clitic table line {line}: unknown kind 'suffix'; expected one of conj, prep, det, pro"),
     ("clitics.tsv", "det\tAlo", ["analyze", "{text}", "--dict", "{dict}"], "clitic table line {line}: a second det row"),
@@ -208,22 +227,22 @@ def run_package(path, argv):
     # A repeated code point or letter would leave the codec no bijection.
     ("bn_table.txt", "0628\tB", ["analyze", "{text}", "--dict", "{dict}"], "codec table line {line}: duplicate code point 0628"),
     ("bn_table.txt", "0750\tb", ["analyze", "{text}", "--dict", "{dict}"], "codec table line {line}: duplicate letter b"),
-], ids=["classes", "codes", "paradigms", "clitics", "clitics-det", "codec", "codec-ascii-point", "codec-latin",
-        "codec-repeated-point", "codec-repeated-letter"])
+], ids=["classes", "codes", "codes-ending", "codes-respelling", "codes-repeated-tag", "codes-label", "paradigms",
+        "paradigms-repeated-row", "paradigms-cell", "paradigms-transform", "paradigms-no-dual", "clitics",
+        "clitics-det", "codec", "codec-ascii-point", "codec-latin", "codec-repeated-point", "codec-repeated-letter"])
 def test_refused_data_row_exits_2(name, row, argv, message, dict_path, tmp_path):
-    # An unknown clitic kind crashed analyze with a KeyError.
+    # An unknown clitic kind crashed analyze with a KeyError.  The row at
+    # fault, or the table's end where a row is missing, is its last line.
     text = write_text(tmp_path, "kutubu")
-    line = len((SEED_PATH.parent / name).read_text("utf-8").splitlines()) + 1
-    done = run_package(package_with_rows(tmp_path, {name: row}),
-                       [arg.format(seed=SEED_PATH, text=text, dict=dict_path) for arg in argv])
+    path = package_with_rows(tmp_path, {name: row})
+    line = len((path / "taksir" / "data" / name).read_text("utf-8").splitlines())
+    done = run_package(path, [arg.format(seed=SEED_PATH, text=text, dict=dict_path) for arg in argv])
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message.format(line=line)}\n")
 
 
 def test_clitic_table_without_det_row_exits_2(dict_path, tmp_path):
-    path = package_with_rows(tmp_path, {})
-    table = path / "taksir" / "data" / "clitics.tsv"
-    lines = [line for line in table.read_text("utf-8").splitlines() if not line.startswith("det\t")]
-    table.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    path = package_with_rows(tmp_path, {"clitics.tsv": "-det"})
+    lines = (path / "taksir" / "data" / "clitics.tsv").read_text("utf-8").splitlines()
     done = run_package(path, ["analyze", str(write_text(tmp_path, "kutubu")), "--dict", str(dict_path)])
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", f"error: clitic table line {len(lines)}: the table has no det row\n")
@@ -425,6 +444,14 @@ class TestGen:
         assert main(["gen", spec]) == 1
         assert capsys.readouterr() == ("", err)
 
+    def test_entry_that_fails_generation(self, capsys, monkeypatch):
+        # The entry validates, but its class's template geminates a radical
+        # that differs from the one before it.
+        monkeypatch.setattr(taksir.classes, "load_registry", lambda: parse_registry(GEMINATE_ROW))
+        assert main(["gen", "kitaAob,$N300-m-FvEvL-FaEaaLiB-1223"]) == 1
+        assert capsys.readouterr() == (
+            "", "invalid: template 1a2aAo3=4 geminates radical 4, which differs from its neighbour\n")
+
     def test_arabic_display(self, capsys):
         assert main(["gen", "Euqodap,$N3ap-f-FvEvL-FuEaL-123", "--arabic"]) == 0
         out = capsys.readouterr().out
@@ -579,6 +606,12 @@ class TestStatsCmd:
     def test_lexicon_stats(self, capsys):
         assert main(["stats", "--lexicon", str(SEED_PATH)]) == 0
         assert capsys.readouterr().out.startswith("entries\t")
+
+    def test_lexicon_with_a_malformed_line(self, tmp_path, capsys):
+        # The report counts the entries that parse; the status says a line did not.
+        lex = write_text(tmp_path, "garbage line here\nkitaAob,$N300-m-FvEvL-FuEuL-123 / book\n", "l.txt")
+        assert main(["stats", "--lexicon", str(lex)]) == 1
+        assert capsys.readouterr() == ("entries\t1\nFuEuL\t1\n  FvEvL\t1\n", "")
 
     def test_coverage_report(self, dict_path, compiled, tmp_path, capsys):
         from taksir.segment import segment

@@ -19,7 +19,7 @@ from lookup_reference import linear_scan, ref_optional_match, sample_queries
 from taksir import bn
 from taksir.classes import parse_registry
 from taksir.codes import HAMZA, parse_code
-from taksir.compiler import Unit, compile_lexicon, fill_lexicon
+from taksir.compiler import Unit, _pieces, compile_lexicon, fill_lexicon
 from taksir.features import FeatureBundle
 from taksir.formdict import FormDictionary
 from taksir.paradigm import RowTable
@@ -187,6 +187,10 @@ class TestCompileOracle:
         assert not failures
         assert sorted(d.dump_text().splitlines()) == reference.listing(lex, registry)
         assert {a.lemma for a in d.lookup("ruK")} == {"ramoy", "rasoy"}
+
+    def test_adjacent_copies_make_one_piece(self):
+        # Lemma letters copied from adjacent letters of the form are one slice.
+        assert _pieces("abc", {0: 3, 1: 4}) == ((3, 5, "c"),)
 
     def test_payloads_of_one_code_and_tag_in_lemma_order(self, compiled, registry):
         # kitaAob and kutaAob share a code and so the plural kutub.  On a

@@ -35,6 +35,11 @@ class TestParse:
         lex, diags = parse_lexicon("")
         assert len(lex) == 0 and not diags
 
+    def test_blank_lines_skipped(self):
+        lex, diags = parse_lexicon("\nkitaAob,$N300-m-FvEvL-FuEuL-123 / book\n   \n\nEuqodap,$N3ap-f-FvEvL-FuEaL-123\n")
+        assert not diags
+        assert [(e.line, e.lemma) for e in lex.entries] == [(2, "kitaAob"), (5, "Euqodap")]
+
     def test_arabic_lemma_normalized(self):
         lex, diags = parse_lexicon("عُقْدَة,$N3ap-f-FvEvL-FuEaL-123 / knot")
         assert not diags
